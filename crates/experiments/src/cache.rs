@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use smt_pipeline::{SimResult, ThreadStats};
+use smt_trace::snapio::fnv1a;
 use smt_uarch::ThreadMemStats;
 
 /// Simulator-semantics version baked into every cache key.
@@ -53,17 +54,6 @@ const MAGIC: &str = "dwarn-campaign-cache v1";
 
 /// Cache entry file extension.
 const EXT: &str = "dwc";
-
-/// FNV-1a 64-bit over a byte string (the same hand-rolled construction as
-/// `SimResult::digest`: stable across Rust releases, unlike
-/// `DefaultHasher`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a cache entry was rejected. Every variant is still a *miss* — the
 /// campaign re-simulates — but typed so the irregularity can be reported
@@ -131,33 +121,8 @@ impl DiskCache {
         let cache = DiskCache {
             dir: dir.to_path_buf(),
         };
-        cache.sweep_stale_tmp();
+        sweep_stale_tmp(dir);
         Ok(cache)
-    }
-
-    /// Remove `.tmpPID-SEQ` files whose writing process is no longer alive.
-    /// Best-effort: sweep failures never block opening the cache.
-    fn sweep_stale_tmp(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for e in entries.filter_map(|e| e.ok()) {
-            let path = e.path();
-            let Some(ext) = path.extension().and_then(|x| x.to_str()) else {
-                continue;
-            };
-            let Some(rest) = ext.strip_prefix("tmp") else {
-                continue;
-            };
-            let writer_pid = rest.split('-').next().and_then(|p| p.parse::<u32>().ok());
-            let stale = match writer_pid {
-                Some(pid) => pid != std::process::id() && !process_alive(pid),
-                None => true, // unparseable tmp name: an old format, sweep it
-            };
-            if stale {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
     }
 
     /// The directory this cache stores entries in.
@@ -191,31 +156,14 @@ impl DiskCache {
         parse_entry(&text, Some(key_desc)).map(Some)
     }
 
-    /// Store a result under its key description. The entry is written to a
-    /// uniquely named temp file (pid + per-process sequence number, so
-    /// concurrent stores in one process never collide), fsynced, and moved
-    /// into place with an atomic rename — a crash at any point leaves
-    /// either the old entry or no entry, never a torn one.
+    /// Store a result under its key description: unique temp file, fsync,
+    /// atomic rename — a crash at any point leaves either the old entry or
+    /// no entry, never a torn one.
     pub fn store(&self, key_desc: &str, result: &SimResult) -> std::io::Result<()> {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = self.entry_path(key_desc);
-        let tmp = path.with_extension(format!(
-            "tmp{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let written = (|| {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(render_entry(key_desc, result).as_bytes())?;
-            f.sync_all()
-        })();
-        if let Err(e) = written {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        std::fs::rename(&tmp, &path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
+        write_atomic(
+            &self.entry_path(key_desc),
+            render_entry(key_desc, result).as_bytes(),
+        )
     }
 
     /// [`DiskCache::store`] with bounded retry for transient I/O failures:
@@ -279,7 +227,7 @@ impl DiskCache {
     /// surviving the clear).
     pub fn clear(&self) -> std::io::Result<usize> {
         let _lock = self.lock_exclusive(Duration::from_secs(10))?;
-        self.sweep_stale_tmp();
+        sweep_stale_tmp(&self.dir);
         let files = self.entry_files()?;
         for p in &files {
             std::fs::remove_file(p)?;
@@ -353,6 +301,56 @@ fn splitmix64(seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Write `bytes` to `path` through a uniquely named temp file (pid +
+/// per-process sequence number, so concurrent stores in one process never
+/// collide), fsynced and moved into place with an atomic rename — a crash
+/// at any point leaves either the old file or none, never a torn one.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp{}-{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = (|| {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()
+    })();
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// Remove `.tmpPID-SEQ` files under `dir` whose writing process is no
+/// longer alive. Best-effort: sweep failures never block opening a store.
+pub(crate) fn sweep_stale_tmp(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for e in entries.filter_map(|e| e.ok()) {
+        let path = e.path();
+        let Some(ext) = path.extension().and_then(|x| x.to_str()) else {
+            continue;
+        };
+        let Some(rest) = ext.strip_prefix("tmp") else {
+            continue;
+        };
+        let writer_pid = rest.split('-').next().and_then(|p| p.parse::<u32>().ok());
+        let stale = match writer_pid {
+            Some(pid) => pid != std::process::id() && !process_alive(pid),
+            None => true, // unparseable tmp name: an old format, sweep it
+        };
+        if stale {
+            let _ = std::fs::remove_file(&path);
+        }
+    }
 }
 
 /// Whether a process with this pid is currently alive. On Linux this reads
@@ -599,6 +597,16 @@ mod tests {
             back.branch_mispredict_rate.to_bits(),
             r.branch_mispredict_rate.to_bits()
         );
+    }
+
+    #[test]
+    fn entry_file_names_are_pinned() {
+        // The file name is the FNV-1a hash of the key: changing the hash
+        // would orphan every existing cache directory.
+        let c = temp_cache("pinned");
+        let path = c.entry_path("v1 warmup=5000 measure=15000 policy=DWARN");
+        let name = path.file_name().and_then(|n| n.to_str());
+        assert_eq!(name, Some("c0485437f1e75750.dwc"));
     }
 
     #[test]

@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use dwarn_core::PolicyKind;
 use smt_pipeline::{
-    CheckpointOpts, FetchPolicy, MachineSnapshot, PolicyView, RunOutcome, SimConfig, Simulator,
-    ThreadFront, Watchdog,
+    CheckpointOpts, FetchPolicy, MachineSnapshot, NullSanitizer, PolicyView, RunOutcome, SimConfig,
+    Simulator, ThreadFront, Watchdog,
 };
 use smt_trace::{RecordedTrace, Rng};
 use smt_workloads::WorkloadClass;
@@ -504,11 +504,12 @@ fn trace_fault(kind: FaultKind, rng: &mut Rng, no_skip: bool) -> Outcome {
         Ok(rec) => {
             let replay = crate::error::protect("chaos trace replay", || {
                 let front = ThreadFront::from_recording(&rec, 7, Simulator::thread_addr_base(0));
-                let mut sim = Simulator::try_with_probe_fronts(
+                let mut sim = Simulator::try_with_parts(
                     SimConfig::baseline(),
                     PolicyKind::Icount.build(),
                     vec![front],
                     smt_obs::NullProbe,
+                    NullSanitizer,
                 )?;
                 sim.set_skip_enabled(!no_skip);
                 sim.try_run(200, 800, &chaos_watchdog())

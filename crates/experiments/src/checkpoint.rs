@@ -42,7 +42,6 @@
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use smt_obs::Json;
 use smt_pipeline::{MachineSnapshot, SnapshotError};
@@ -123,7 +122,7 @@ impl CheckpointStore {
         let store = CheckpointStore {
             dir: dir.to_path_buf(),
         };
-        store.sweep_stale_tmp();
+        crate::cache::sweep_stale_tmp(dir);
         Ok(store)
     }
 
@@ -139,55 +138,11 @@ impl CheckpointStore {
             .join(format!("{:016x}.{EXT}", fnv1a(key_desc.as_bytes())))
     }
 
-    /// Remove `.tmpPID-SEQ` files whose writing process is no longer
-    /// alive. Best-effort: sweep failures never block opening the store.
-    fn sweep_stale_tmp(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for e in entries.filter_map(|e| e.ok()) {
-            let path = e.path();
-            let Some(ext) = path.extension().and_then(|x| x.to_str()) else {
-                continue;
-            };
-            let Some(rest) = ext.strip_prefix("tmp") else {
-                continue;
-            };
-            let writer_pid = rest.split('-').next().and_then(|p| p.parse::<u32>().ok());
-            let stale = match writer_pid {
-                Some(pid) => pid != std::process::id() && !crate::cache::process_alive(pid),
-                None => true, // unparseable tmp name: an old format, sweep it
-            };
-            if stale {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-    }
-
-    /// Store a snapshot under its run description: unique temp file
-    /// (pid + per-process sequence), fsync, atomic rename — a crash at any
-    /// point leaves either the previous checkpoint or none, never a torn
-    /// one.
+    /// Store a snapshot under its run description: unique temp file, fsync,
+    /// atomic rename — a crash at any point leaves either the previous
+    /// checkpoint or none, never a torn one.
     pub fn store(&self, key_desc: &str, snap: &MachineSnapshot) -> std::io::Result<()> {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = self.path_for(key_desc);
-        let tmp = path.with_extension(format!(
-            "tmp{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let written = (|| {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&render_entry(key_desc, snap))?;
-            f.sync_all()
-        })();
-        if let Err(e) = written {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        std::fs::rename(&tmp, &path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
+        crate::cache::write_atomic(&self.path_for(key_desc), &render_entry(key_desc, snap))
     }
 
     /// Delete the checkpoint for `key_desc` (the run completed, or its

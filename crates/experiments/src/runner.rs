@@ -27,8 +27,9 @@ use std::time::Instant;
 use dwarn_core::{PolicyKind, PolicyVisitor};
 use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries, Json};
 use smt_pipeline::{
-    CheckpointOpts, ConfigError, FetchPolicy, FragmentOpts, MachineSnapshot, RecordingSanitizer,
-    RunOutcome, SimConfig, SimError, SimResult, Simulator, ThreadSpec, Watchdog,
+    CheckpointOpts, ConfigError, FetchPolicy, FragmentOpts, MachineSnapshot, NullProbe,
+    NullSanitizer, Probe, RecordingSanitizer, RunOutcome, Sanitizer, SimConfig, SimError,
+    SimResult, Simulator, ThreadSpec, Watchdog,
 };
 use smt_workloads::Workload;
 
@@ -216,15 +217,6 @@ pub struct Campaign {
     /// Machine-readable heartbeat stream (`events.jsonl`): one line per
     /// completed run, flushed eagerly so it can be tailed.
     heartbeat: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
-    /// Per-run quiescence-skip accounting, keyed by the run's `what`
-    /// string: `(skipped_cycles, total_cycles)`. Filled by
-    /// [`Campaign::simulate_policy`], drained by `run_protected` into the
-    /// stats artifact (`skip_ratio`).
-    skip_stats: Mutex<HashMap<String, (u64, u64)>>,
-    /// Per-run fetch-policy switch counts, same lifecycle as `skip_stats`;
-    /// non-zero only for the switching meta-policies. Feeds the
-    /// `policy_switches` field of the stats artifact.
-    switch_stats: Mutex<HashMap<String, u64>>,
     /// Fragment length in cycles for time-axis parallel replay
     /// (`--fragments <cycles>`); `None` runs every simulation
     /// sequentially.
@@ -234,9 +226,6 @@ pub struct Campaign {
     /// batch pool leaves idle: intra-run parallelism is for grids
     /// *narrower* than the machine, not for competing with the pool.
     pool_width: AtomicUsize,
-    /// Per-run fragment accounting, same lifecycle as `skip_stats`:
-    /// `(fragments, fragment_cycles)`. Feeds the schema-v3 stats fields.
-    frag_stats: Mutex<HashMap<String, (u64, u64)>>,
     /// Progress of the current prefetch batch, for runs/sec and ETA:
     /// `(batch_total, started, completed_before_batch)`.
     batch: Mutex<Option<(usize, Instant, u64)>>,
@@ -288,16 +277,94 @@ struct Telemetry {
     coalesced: AtomicU64,
 }
 
-/// Fail a sanitized run whose recorder caught invariant violations.
-fn check_clean(what: &str, rec: &RecordingSanitizer) -> Result<(), ExpError> {
-    if rec.is_clean() {
+/// One simulation request as the run driver sees it.
+struct Run<'a> {
+    /// Label for failures, the journal and interval file names.
+    what: &'a str,
+    /// The canonical description: the cache and checkpoint key.
+    desc: &'a str,
+    cfg: &'a SimConfig,
+    specs: &'a [ThreadSpec],
+}
+
+/// What a fresh simulation hands back besides its result, by value.
+/// `skipped` and `switches` feed the stats record's `skip_ratio` and
+/// `policy_switches`, `fragments` its `fragments`/`fragment_cycles`.
+struct RunAccount {
+    result: SimResult,
+    /// Cycles the quiescence engine skipped (the scout's, when fragmented).
+    skipped: u64,
+    /// Fetch-policy switches the run logged; non-zero only for the
+    /// switching meta-policies. The policy counts them, not the simulator.
+    switches: u64,
+    /// `(fragments, fragment_cycles)` when fragment replay ran.
+    fragments: Option<(u64, u64)>,
+}
+
+impl RunAccount {
+    /// The accounting of a simulator that ran `result` in one timeline.
+    fn new<P: Probe, S: Sanitizer, F: FetchPolicy>(
+        sim: &Simulator<P, S, F>,
+        result: SimResult,
+    ) -> RunAccount {
+        RunAccount {
+            result,
+            skipped: sim.skipped_cycles(),
+            switches: sim.policy().switch_log().len() as u64,
+            fragments: None,
+        }
+    }
+}
+
+/// Where [`Campaign::load_or_simulate`] found a run's result.
+enum Served {
+    /// The disk cache or the resume directory's results store.
+    Stored(SimResult),
+    /// A fresh simulation.
+    Simulated(RunAccount),
+}
+
+/// A probe a campaign run can carry: the interval sampler, or none.
+trait RunProbe: Probe + Send {
+    /// The recorded time-series, if this probe records one.
+    fn series(self) -> Option<IntervalSeries>;
+}
+
+impl RunProbe for NullProbe {
+    fn series(self) -> Option<IntervalSeries> {
+        None
+    }
+}
+
+impl RunProbe for IntervalProbe {
+    fn series(self) -> Option<IntervalSeries> {
+        Some(self.into_series())
+    }
+}
+
+/// A sanitizer a campaign run can carry: the recorder, or none.
+trait RunSanitizer: Sanitizer + Send {
+    /// Fail a run whose bookkeeping disagreed with itself.
+    fn check(&self, what: &str) -> Result<(), ExpError>;
+}
+
+impl RunSanitizer for NullSanitizer {
+    fn check(&self, _what: &str) -> Result<(), ExpError> {
         Ok(())
-    } else {
-        Err(ExpError::Invariant {
-            what: what.to_string(),
-            violations: rec.total() as usize,
-            first: rec.first().map(ToString::to_string).unwrap_or_default(),
-        })
+    }
+}
+
+impl RunSanitizer for RecordingSanitizer {
+    fn check(&self, what: &str) -> Result<(), ExpError> {
+        if self.is_clean() {
+            Ok(())
+        } else {
+            Err(ExpError::Invariant {
+                what: what.to_string(),
+                violations: self.total() as usize,
+                first: self.first().map(ToString::to_string).unwrap_or_default(),
+            })
+        }
     }
 }
 
@@ -347,11 +414,8 @@ impl Campaign {
             telemetry: Telemetry::default(),
             live: false,
             heartbeat: Mutex::new(None),
-            skip_stats: Mutex::new(HashMap::new()),
-            switch_stats: Mutex::new(HashMap::new()),
             fragments: None,
             pool_width: AtomicUsize::new(1),
-            frag_stats: Mutex::new(HashMap::new()),
             batch: Mutex::new(None),
             ckpt: None,
         })
@@ -475,16 +539,6 @@ impl Campaign {
         (jobs >= 2 && self.ckpt.is_none()).then_some((jobs, cycles))
     }
 
-    /// Stash a fresh run's fragment accounting for the stats artifact
-    /// (`(fragments, fragment_cycles)`; schema v3).
-    fn note_fragments(&self, what: &str, fragments: u64, cycles: u64) {
-        crate::lock_unpoisoned(&self.frag_stats).insert(what.to_string(), (fragments, cycles));
-    }
-
-    fn take_fragments(&self, what: &str) -> Option<(u64, u64)> {
-        crate::lock_unpoisoned(&self.frag_stats).remove(what)
-    }
-
     /// Attach the interval sampler (`--intervals <dir>`): every simulation
     /// this campaign runs records a per-interval, per-thread time-series
     /// and writes `<run>.intervals.jsonl` plus a Chrome counter-track
@@ -578,28 +632,6 @@ impl Campaign {
         }
     }
 
-    /// Stash a fresh run's quiescence-skip accounting for the stats
-    /// artifact ([`Campaign::take_skip`]).
-    fn note_skip(&self, what: &str, skipped: u64) {
-        let total = self.params.warmup + self.params.measure;
-        crate::lock_unpoisoned(&self.skip_stats).insert(what.to_string(), (skipped, total));
-    }
-
-    fn take_skip(&self, what: &str) -> Option<(u64, u64)> {
-        crate::lock_unpoisoned(&self.skip_stats).remove(what)
-    }
-
-    /// Stash a fresh run's fetch-policy switch count for the stats
-    /// artifact. Read from the policy's own switch log after the run: the
-    /// simulator does not count switches, the policy does.
-    fn note_switches(&self, what: &str, switches: u64) {
-        crate::lock_unpoisoned(&self.switch_stats).insert(what.to_string(), switches);
-    }
-
-    fn take_switches(&self, what: &str) -> Option<u64> {
-        crate::lock_unpoisoned(&self.switch_stats).remove(what)
-    }
-
     /// Write one run's interval series (`<run>.intervals.jsonl` + Chrome
     /// counter-track export) under the `--intervals` directory. Telemetry
     /// I/O failures are recorded as campaign failures but do not fail the
@@ -630,358 +662,199 @@ impl Campaign {
         }
     }
 
-    /// One simulation behind the panic boundary and watchdog, with the
-    /// sanitizer attached when [`Campaign::set_sanitize`] is on. Generic
-    /// over the concrete policy type: grid runs arrive here through
-    /// [`PolicyKind::dispatch`], so the paper's policies run with
-    /// monomorphized (static) per-cycle dispatch, while custom policies
-    /// pass `Box<dyn FetchPolicy>`. The sanitizer likewise monomorphizes
-    /// in — the unsanitized arm runs the zero-cost `NullSanitizer` code.
-    fn simulate_policy<F: FetchPolicy + 'static>(
+    /// One simulation with this campaign's observers attached. The
+    /// sanitizer and the interval probe each compile in or out
+    /// (`const ENABLED`), so the plain arm runs the zero-cost
+    /// NullProbe/NullSanitizer code. Generic over the concrete policy
+    /// type: grid runs arrive here through [`PolicyKind::dispatch`], so the
+    /// paper's policies run with monomorphized (static) per-cycle dispatch,
+    /// while custom policies pass `Box<dyn FetchPolicy>`. `rebuild` makes
+    /// fresh copies of the policy for fragment-replay workers.
+    fn simulate<F: FetchPolicy + 'static>(
         &self,
-        what: &str,
-        desc: Option<&str>,
-        cfg: &SimConfig,
-        specs: &[ThreadSpec],
-        policy: F,
-        rebuild: Option<&(dyn Fn() -> Box<dyn FetchPolicy> + Sync)>,
-    ) -> Result<SimResult, ExpError> {
-        // Fragment replay: when spare cores exist and the caller can
-        // rebuild the policy for the replay workers, split this run
-        // along the time axis instead of simulating it sequentially.
-        // The stitched result is proven digest-identical in-engine, so
-        // caches, artifacts, and downstream figures see no difference.
-        if let (Some((jobs, fragment_cycles)), Some(rebuild)) = (self.fragment_plan(), rebuild) {
-            return self.simulate_fragmented(
-                what,
-                cfg,
-                specs,
-                policy,
-                rebuild,
-                jobs,
-                fragment_cycles,
-            );
-        }
-        let window = self.intervals.as_ref().map(|o| o.window);
-        // Four monomorphized arms: the sanitizer and the interval probe each
-        // either compile in or compile out (`const ENABLED`), so the plain
-        // arm still runs the zero-cost NullProbe/NullSanitizer code.
-        match (self.sanitize, window) {
-            (true, Some(window)) => protect(what, move || {
-                let probe = IntervalProbe::new(IntervalConfig { window });
-                let mut sim = Simulator::try_with_specs(
-                    cfg.clone(),
-                    policy,
-                    specs,
-                    probe,
-                    RecordingSanitizer::new(),
-                )?;
-                sim.set_skip_enabled(self.skip);
-                let result = sim
-                    .try_run(self.params.warmup, self.params.measure, &self.watchdog)
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, sim.skipped_cycles());
-                self.note_switches(what, sim.policy().switch_log().len() as u64);
-                check_clean(what, sim.sanitizer())?;
-                let series = sim.into_probe().into_series();
-                self.write_intervals(what, specs, &series);
-                Ok(result)
-            }),
-            (true, None) => protect(what, move || {
-                let mut sim = Simulator::try_sanitized(
-                    cfg.clone(),
-                    policy,
-                    specs,
-                    RecordingSanitizer::new(),
-                )?;
-                sim.set_skip_enabled(self.skip);
-                let result = sim
-                    .try_run(self.params.warmup, self.params.measure, &self.watchdog)
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, sim.skipped_cycles());
-                self.note_switches(what, sim.policy().switch_log().len() as u64);
-                check_clean(what, sim.sanitizer())?;
-                Ok(result)
-            }),
-            (false, Some(window)) => protect(what, move || {
-                let probe = IntervalProbe::new(IntervalConfig { window });
-                let mut sim = Simulator::try_with_probe(cfg.clone(), policy, specs, probe)?;
-                sim.set_skip_enabled(self.skip);
-                let result = sim
-                    .try_run(self.params.warmup, self.params.measure, &self.watchdog)
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, sim.skipped_cycles());
-                self.note_switches(what, sim.policy().switch_log().len() as u64);
-                let series = sim.into_probe().into_series();
-                self.write_intervals(what, specs, &series);
-                Ok(result)
-            }),
-            (false, None) => {
-                // The plain arm is the only checkpointing one: --sanitize
-                // and --intervals already force every run to execute fully
-                // in-process (they bypass cache loads), so a resumable
-                // snapshot would buy nothing there.
-                if let (Some(ck), Some(desc)) = (self.ckpt.as_ref(), desc) {
-                    return self.simulate_checkpointed(what, desc, cfg, specs, policy, ck);
-                }
-                protect(what, move || {
-                    let mut sim = Simulator::try_new(cfg.clone(), policy, specs)?;
-                    sim.set_skip_enabled(self.skip);
-                    let result = sim
-                        .try_run(self.params.warmup, self.params.measure, &self.watchdog)
-                        .map_err(ExpError::from)?;
-                    self.note_skip(what, sim.skipped_cycles());
-                    self.note_switches(what, sim.policy().switch_log().len() as u64);
-                    Ok(result)
-                })
-            }
-        }
-    }
-
-    /// Time-axis parallel execution of one run (`--fragments`): a
-    /// null-observer scout pass snapshots the machine every
-    /// `fragment_cycles` cycles, a pool of `jobs` workers re-simulates
-    /// the fragments concurrently with this campaign's real observer
-    /// configuration, and the stitched output — result, interval
-    /// series, switch log, skip accounting — is proven bit-identical
-    /// to a sequential run before anything is recorded. Mirrors the
-    /// four monomorphized observer arms of [`Campaign::simulate_policy`];
-    /// the scout always runs the zero-cost NullProbe/NullSanitizer
-    /// configuration (that is where the speedup comes from), and only
-    /// the replay workers pay the observer tax, in parallel.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_fragmented<F: FetchPolicy + 'static>(
-        &self,
-        what: &str,
-        cfg: &SimConfig,
-        specs: &[ThreadSpec],
+        run: &Run<'_>,
         policy: F,
         rebuild: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
-        jobs: usize,
-        fragment_cycles: u64,
-    ) -> Result<SimResult, ExpError> {
-        let stitch_err = |detail: String| {
-            ExpError::from(SimError::Fragment {
-                fragment: None,
-                detail,
-            })
-        };
-        let window = self.intervals.as_ref().map(|o| o.window);
-        let opts = FragmentOpts {
-            jobs,
-            fragment_cycles,
-        };
-        match (self.sanitize, window) {
-            (true, Some(window)) => protect(what, move || {
-                let mut scout = Simulator::try_new(cfg.clone(), policy, specs)?;
-                scout.set_skip_enabled(self.skip);
-                let factory = || {
-                    let probe = IntervalProbe::new(IntervalConfig { window });
-                    let mut sim = Simulator::try_with_specs(
-                        cfg.clone(),
-                        rebuild(),
-                        specs,
-                        probe,
-                        RecordingSanitizer::new(),
-                    )?;
-                    sim.set_skip_enabled(self.skip);
-                    Ok(sim)
-                };
-                let report = scout
-                    .try_run_fragmented(
-                        self.params.warmup,
-                        self.params.measure,
-                        &self.watchdog,
-                        &opts,
-                        &factory,
-                    )
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, report.scout_skipped);
-                self.note_switches(what, report.switches.len() as u64);
-                self.note_fragments(what, report.fragments.len() as u64, fragment_cycles);
-                for frag in &report.fragments {
-                    check_clean(what, &frag.sanitizer)?;
-                }
-                let parts: Vec<IntervalSeries> = report
-                    .fragments
-                    .into_iter()
-                    .map(|f| f.probe.into_series())
-                    .collect();
-                let series = IntervalSeries::stitch(parts.iter()).map_err(stitch_err)?;
-                self.write_intervals(what, specs, &series);
-                Ok(report.result)
-            }),
-            (true, None) => protect(what, move || {
-                let mut scout = Simulator::try_new(cfg.clone(), policy, specs)?;
-                scout.set_skip_enabled(self.skip);
-                let factory = || {
-                    let mut sim = Simulator::try_sanitized(
-                        cfg.clone(),
-                        rebuild(),
-                        specs,
-                        RecordingSanitizer::new(),
-                    )?;
-                    sim.set_skip_enabled(self.skip);
-                    Ok(sim)
-                };
-                let report = scout
-                    .try_run_fragmented(
-                        self.params.warmup,
-                        self.params.measure,
-                        &self.watchdog,
-                        &opts,
-                        &factory,
-                    )
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, report.scout_skipped);
-                self.note_switches(what, report.switches.len() as u64);
-                self.note_fragments(what, report.fragments.len() as u64, fragment_cycles);
-                for frag in &report.fragments {
-                    check_clean(what, &frag.sanitizer)?;
-                }
-                Ok(report.result)
-            }),
-            (false, Some(window)) => protect(what, move || {
-                let mut scout = Simulator::try_new(cfg.clone(), policy, specs)?;
-                scout.set_skip_enabled(self.skip);
-                let factory = || {
-                    let probe = IntervalProbe::new(IntervalConfig { window });
-                    let mut sim = Simulator::try_with_probe(cfg.clone(), rebuild(), specs, probe)?;
-                    sim.set_skip_enabled(self.skip);
-                    Ok(sim)
-                };
-                let report = scout
-                    .try_run_fragmented(
-                        self.params.warmup,
-                        self.params.measure,
-                        &self.watchdog,
-                        &opts,
-                        &factory,
-                    )
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, report.scout_skipped);
-                self.note_switches(what, report.switches.len() as u64);
-                self.note_fragments(what, report.fragments.len() as u64, fragment_cycles);
-                let parts: Vec<IntervalSeries> = report
-                    .fragments
-                    .into_iter()
-                    .map(|f| f.probe.into_series())
-                    .collect();
-                let series = IntervalSeries::stitch(parts.iter()).map_err(stitch_err)?;
-                self.write_intervals(what, specs, &series);
-                Ok(report.result)
-            }),
-            (false, None) => protect(what, move || {
-                let mut scout = Simulator::try_new(cfg.clone(), policy, specs)?;
-                scout.set_skip_enabled(self.skip);
-                let factory = || {
-                    let mut sim = Simulator::try_new(cfg.clone(), rebuild(), specs)?;
-                    sim.set_skip_enabled(self.skip);
-                    Ok(sim)
-                };
-                let report = scout
-                    .try_run_fragmented(
-                        self.params.warmup,
-                        self.params.measure,
-                        &self.watchdog,
-                        &opts,
-                        &factory,
-                    )
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, report.scout_skipped);
-                self.note_switches(what, report.switches.len() as u64);
-                self.note_fragments(what, report.fragments.len() as u64, fragment_cycles);
-                Ok(report.result)
-            }),
+    ) -> Result<RunAccount, ExpError> {
+        let probe = |window| move || IntervalProbe::new(IntervalConfig { window });
+        match (self.sanitize, self.intervals.as_ref().map(|o| o.window)) {
+            (true, Some(w)) => self.drive(run, policy, rebuild, probe(w), RecordingSanitizer::new),
+            (true, None) => self.drive(run, policy, rebuild, || NullProbe, RecordingSanitizer::new),
+            (false, Some(w)) => self.drive(run, policy, rebuild, probe(w), || NullSanitizer),
+            (false, None) => self.drive(run, policy, rebuild, || NullProbe, || NullSanitizer),
         }
     }
 
-    /// The checkpointing variant of the plain simulation arm: restore from
-    /// a prior snapshot when one exists, write periodic snapshots while
-    /// running, and turn interrupt requests into [`ExpError::Interrupted`]
-    /// with a resumable checkpoint on disk. A watchdog trip also leaves a
-    /// resumable checkpoint behind (the engine feeds the sink before
-    /// erroring out). Irregular checkpoints surface as typed
-    /// [`ExpError::Checkpoint`] failures — the caller deletes the entry
-    /// and re-simulates from scratch.
-    fn simulate_checkpointed<F: FetchPolicy + 'static>(
+    /// The campaign's run driver, behind the panic boundary and watchdog.
+    /// It picks one of three execution modes:
+    ///
+    /// * **fragment replay** when [`Campaign::fragment_plan`] finds spare
+    ///   cores (never under `--resume`): a null-observer scout pass
+    ///   snapshots the machine every `fragment_cycles` cycles while a pool
+    ///   of workers re-simulates the fragments with the real observers,
+    ///   and the stitched output is proven bit-identical to a sequential
+    ///   run before anything is recorded;
+    /// * **checkpointed** for observer-free runs of a campaign with a
+    ///   resume directory ([`Campaign::resume_or_run`]);
+    /// * **sequential** otherwise.
+    ///
+    /// Afterwards every sanitizer is audited and the probes' interval
+    /// series are stitched and written.
+    fn drive<F, P, S>(
         &self,
-        what: &str,
-        desc: &str,
-        cfg: &SimConfig,
-        specs: &[ThreadSpec],
+        run: &Run<'_>,
         policy: F,
-        ck: &CkptState,
-    ) -> Result<SimResult, ExpError> {
-        protect(what, move || {
-            let ckpt_err = |fault: CheckpointFault| ExpError::Checkpoint {
-                path: ck.store.path_for(desc).display().to_string(),
-                fault,
-            };
-            let mut sim = Simulator::try_new(cfg.clone(), policy, specs)?;
-            sim.set_skip_enabled(self.skip);
-            let pending = match ck.store.load_checked(desc).map_err(&ckpt_err)? {
-                Some(snap) => Some(
-                    sim.restore_run(&snap)
-                        .map_err(|e| ckpt_err(CheckpointFault::Snapshot(e)))?,
-                ),
-                None => None,
-            };
-            // A failed snapshot write costs resumability, never the run.
-            let mut sink = |snap: &MachineSnapshot| {
-                if let Err(e) = ck.store.store(desc, snap) {
-                    eprintln!("checkpoint: storing snapshot for {what}: {e}");
+        rebuild: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
+        probe: impl Fn() -> P + Sync,
+        sanitizer: impl Fn() -> S + Sync,
+    ) -> Result<RunAccount, ExpError>
+    where
+        F: FetchPolicy + 'static,
+        P: RunProbe,
+        S: RunSanitizer,
+    {
+        let ExpParams { warmup, measure } = self.params;
+        protect(run.what, move || {
+            let (account, observers) = match self.fragment_plan() {
+                Some((jobs, fragment_cycles)) => {
+                    let mut scout = self.build(run, policy, NullProbe, NullSanitizer)?;
+                    let factory = || Ok(self.build(run, rebuild(), probe(), sanitizer())?);
+                    let opts = FragmentOpts {
+                        jobs,
+                        fragment_cycles,
+                    };
+                    let report = scout.try_run_fragmented(
+                        warmup,
+                        measure,
+                        &self.watchdog,
+                        &opts,
+                        &factory,
+                    )?;
+                    let account = RunAccount {
+                        result: report.result,
+                        skipped: report.scout_skipped,
+                        switches: report.switches.len() as u64,
+                        fragments: Some((report.fragments.len() as u64, fragment_cycles)),
+                    };
+                    let observers: Vec<(P, S)> = report
+                        .fragments
+                        .into_iter()
+                        .map(|f| (f.probe, f.sanitizer))
+                        .collect();
+                    (account, observers)
+                }
+                None => {
+                    let mut sim = self.build(run, policy, probe(), sanitizer())?;
+                    let result = match &self.ckpt {
+                        // --sanitize and --intervals already force every
+                        // run to execute fully in-process (they bypass
+                        // cache loads), so a resumable snapshot would buy
+                        // nothing there.
+                        Some(ck) if !P::ENABLED && !S::ENABLED => {
+                            self.resume_or_run(&mut sim, run, ck)?
+                        }
+                        _ => sim.try_run(warmup, measure, &self.watchdog)?,
+                    };
+                    (RunAccount::new(&sim, result), vec![sim.into_observers()])
                 }
             };
-            let stop = crate::interrupt::requested;
-            let mut opts = CheckpointOpts {
-                interval: ck.interval,
-                sink: &mut sink,
-                stop: Some(&stop),
-            };
-            let outcome = match pending {
-                Some(p) => sim.resume_run(p, &self.watchdog, &mut opts),
-                None => sim.try_run_checkpointed(
-                    self.params.warmup,
-                    self.params.measure,
-                    &self.watchdog,
-                    &mut opts,
-                ),
+            for (_, sanitizer) in &observers {
+                sanitizer.check(run.what)?;
             }
-            .map_err(ExpError::from)?;
-            match outcome {
-                RunOutcome::Completed(result) => {
-                    self.note_skip(what, sim.skipped_cycles());
-                    self.note_switches(what, sim.policy().switch_log().len() as u64);
-                    // The run is done: its checkpoint is dead weight.
-                    let _ = ck.store.remove(desc);
-                    Ok(result)
-                }
-                RunOutcome::Interrupted(snap) => {
-                    if let Err(e) = ck.store.store(desc, &snap) {
-                        eprintln!("checkpoint: storing snapshot for {what}: {e}");
-                    }
-                    let _ =
-                        crate::lock_unpoisoned(&ck.journal).note_interrupted(what, snap.cycle());
-                    Err(ExpError::Interrupted {
-                        what: what.to_string(),
+            let parts: Vec<IntervalSeries> = observers
+                .into_iter()
+                .filter_map(|(p, _)| p.series())
+                .collect();
+            if !parts.is_empty() {
+                let series = IntervalSeries::stitch(parts.iter()).map_err(|detail| {
+                    ExpError::from(SimError::Fragment {
+                        fragment: None,
+                        detail,
                     })
-                }
+                })?;
+                self.write_intervals(run.what, run.specs, &series);
             }
+            Ok(account)
         })
     }
 
-    /// [`Campaign::simulate_policy`] for lazily-built dyn policies (the
-    /// custom-run path).
-    fn simulate(
+    /// The one place a campaign builds a simulator: sequential,
+    /// checkpointed, fragment scout and replay worker alike.
+    fn build<P: Probe, S: Sanitizer, G: FetchPolicy>(
         &self,
-        what: &str,
-        desc: Option<&str>,
-        cfg: &SimConfig,
-        specs: &[ThreadSpec],
-        build: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
+        run: &Run<'_>,
+        policy: G,
+        probe: P,
+        sanitizer: S,
+    ) -> Result<Simulator<P, S, G>, ConfigError> {
+        let mut sim =
+            Simulator::try_with_specs(run.cfg.clone(), policy, run.specs, probe, sanitizer)?;
+        sim.set_skip_enabled(self.skip);
+        Ok(sim)
+    }
+
+    /// The checkpointed mode: restore from a prior snapshot when one
+    /// exists, write periodic snapshots while running, and turn interrupt
+    /// requests into [`ExpError::Interrupted`] with a resumable checkpoint
+    /// on disk. A watchdog trip also leaves a resumable checkpoint behind
+    /// (the engine feeds the sink before erroring out). Irregular
+    /// checkpoints surface as typed [`ExpError::Checkpoint`] failures —
+    /// the caller deletes the entry and re-simulates from scratch.
+    fn resume_or_run<P: Probe, S: Sanitizer, F: FetchPolicy>(
+        &self,
+        sim: &mut Simulator<P, S, F>,
+        run: &Run<'_>,
+        ck: &CkptState,
     ) -> Result<SimResult, ExpError> {
-        self.simulate_policy(what, desc, cfg, specs, build(), Some(build))
+        let (what, desc) = (run.what, run.desc);
+        let ckpt_err = |fault: CheckpointFault| ExpError::Checkpoint {
+            path: ck.store.path_for(desc).display().to_string(),
+            fault,
+        };
+        let pending = match ck.store.load_checked(desc).map_err(&ckpt_err)? {
+            Some(snap) => Some(
+                sim.restore_run(&snap)
+                    .map_err(|e| ckpt_err(CheckpointFault::Snapshot(e)))?,
+            ),
+            None => None,
+        };
+        // A failed snapshot write costs resumability, never the run.
+        let mut sink = |snap: &MachineSnapshot| {
+            if let Err(e) = ck.store.store(desc, snap) {
+                eprintln!("checkpoint: storing snapshot for {what}: {e}");
+            }
+        };
+        let stop = crate::interrupt::requested;
+        let mut opts = CheckpointOpts {
+            interval: ck.interval,
+            sink: &mut sink,
+            stop: Some(&stop),
+        };
+        let outcome = match pending {
+            Some(p) => sim.resume_run(p, &self.watchdog, &mut opts),
+            None => sim.try_run_checkpointed(
+                self.params.warmup,
+                self.params.measure,
+                &self.watchdog,
+                &mut opts,
+            ),
+        }?;
+        match outcome {
+            RunOutcome::Completed(result) => {
+                // The run is done: its checkpoint is dead weight.
+                let _ = ck.store.remove(desc);
+                Ok(result)
+            }
+            RunOutcome::Interrupted(snap) => {
+                if let Err(e) = ck.store.store(desc, &snap) {
+                    eprintln!("checkpoint: storing snapshot for {what}: {e}");
+                }
+                let _ = crate::lock_unpoisoned(&ck.journal).note_interrupted(what, snap.cycle());
+                Err(ExpError::Interrupted {
+                    what: what.to_string(),
+                })
+            }
+        }
     }
 
     /// The canonical cache-key description of `key` (diagnostics and fault
@@ -1036,11 +909,7 @@ impl Campaign {
     /// a stats artifact exactly once.
     ///
     /// The full robustness path: the configuration is validated before the
-    /// cache is consulted, an irregular cache entry is surfaced as a typed
-    /// failure artifact (and treated as a miss), the simulation itself runs
-    /// behind a panic boundary under the campaign watchdog, and stores
-    /// retry transient I/O failures with backoff (a final store failure
-    /// only costs future warm starts, so it is recorded, not fatal).
+    /// cache is consulted, and [`Campaign::load_or_simulate`] does the rest.
     fn run_protected(&self, key: &RunKey) -> Result<SimResult, ExpError> {
         let specs = specs_for(key)?;
         let cfg = key.arch.config();
@@ -1055,134 +924,145 @@ impl Campaign {
             key.workload,
             key.policy.name()
         );
-        // Under --sanitize a cache hit would dodge the audit entirely, and
-        // under --intervals it would produce no time-series, so loads are
-        // skipped in both modes; the store below still refreshes the entry
-        // (probed and sanitized results are bit-identical to plain ones).
-        if let Some(d) = self.disk.as_ref().filter(|_| !self.bypass_cache_loads()) {
-            match d.load_checked(&desc) {
-                Ok(Some(result)) => {
-                    crate::artifacts::record(key, &result);
-                    self.note_done(&what, "disk");
-                    return Ok(result);
-                }
-                Ok(None) => {}
-                Err(fault) => {
-                    let e = ExpError::Cache {
-                        path: d.entry_path(&desc).display().to_string(),
-                        fault,
-                    };
-                    self.note_failure(&desc, &e);
-                }
-            }
-        }
-        // A resumed campaign serves completed runs from the resume
-        // directory's own results store — no re-done work even when no
-        // `--cache-dir` is attached.
-        if let Some(ck) = self.ckpt.as_ref().filter(|_| !self.bypass_cache_loads()) {
-            match ck.results.load_checked(&desc) {
-                Ok(Some(result)) => {
-                    ck.journal_completed(&what, result.digest(), "resume-cache");
-                    crate::artifacts::record(key, &result);
-                    self.note_done(&what, "disk");
-                    return Ok(result);
-                }
-                Ok(None) => {}
-                Err(fault) => {
-                    let e = ExpError::Cache {
-                        path: ck.results.entry_path(&desc).display().to_string(),
-                        fault,
-                    };
-                    self.note_failure(&desc, &e);
-                }
-            }
-            // Nothing finished: if an interrupt is already latched, don't
-            // start a fresh simulation just to stop it at its first cycle.
-            if crate::interrupt::requested() {
-                return Err(ExpError::Interrupted { what });
-            }
-        }
+        let run = Run {
+            what: &what,
+            desc: &desc,
+            cfg: &cfg,
+            specs: &specs,
+        };
         // Dispatch the policy at its concrete type: the simulator below is
         // monomorphized per policy, removing the per-cycle virtual call.
         struct GridRun<'a> {
             campaign: &'a Campaign,
-            what: &'a str,
-            desc: &'a str,
-            cfg: &'a SimConfig,
-            specs: &'a [ThreadSpec],
+            run: &'a Run<'a>,
             /// The kind dispatching us, so the fragment-replay workers
             /// can rebuild fresh copies of the same policy.
             kind: PolicyKind,
         }
         impl PolicyVisitor for GridRun<'_> {
-            type Out = Result<SimResult, ExpError>;
+            type Out = Result<RunAccount, ExpError>;
             fn visit<F: FetchPolicy + 'static>(self, policy: F) -> Self::Out {
                 let kind = self.kind;
-                let rebuild = move || kind.build();
-                self.campaign.simulate_policy(
-                    self.what,
-                    Some(self.desc),
-                    self.cfg,
-                    self.specs,
-                    policy,
-                    Some(&rebuild),
-                )
+                self.campaign
+                    .simulate(self.run, policy, &move || kind.build())
             }
         }
-        let dispatch = || {
+        let served = self.load_or_simulate(&run, || {
             key.policy.dispatch(GridRun {
                 campaign: self,
-                what: &what,
-                desc: &desc,
-                cfg: &cfg,
-                specs: &specs,
+                run: &run,
                 kind: key.policy,
             })
-        };
-        let result = match dispatch() {
-            Ok(r) => r,
-            // An irregular checkpoint never poisons the result: record the
-            // typed fault, delete the damaged entry (which is what disables
-            // resume), and re-simulate once from scratch.
-            Err(e @ ExpError::Checkpoint { .. }) => {
-                self.note_failure(&what, &e);
-                if let Some(ck) = &self.ckpt {
-                    let _ = ck.store.remove(&desc);
-                }
-                dispatch()?
+        })?;
+        match served {
+            Served::Stored(result) => {
+                crate::artifacts::record(key, &result);
+                self.note_done(&what, "disk");
+                Ok(result)
             }
-            Err(e) => return Err(e),
+            Served::Simulated(acc) => {
+                let total = self.params.warmup + self.params.measure;
+                crate::artifacts::record_with_runtime(
+                    key,
+                    &acc.result,
+                    Some((acc.skipped, total)),
+                    Some(acc.switches),
+                    acc.fragments,
+                );
+                self.note_done(&what, "sim");
+                Ok(acc.result)
+            }
+        }
+    }
+
+    /// The sequence every campaign run goes through once its
+    /// configuration is valid: the disk cache, then the resume
+    /// directory's results store (so a resumed campaign redoes no finished
+    /// work even without `--cache-dir`), then `simulate` — re-run once
+    /// from scratch after an irregular checkpoint, whose typed fault is
+    /// recorded and whose entry is deleted (which is what disables
+    /// resume) — and finally the stores and the journal. Under
+    /// `--sanitize` a cache hit would dodge the audit, and under
+    /// `--intervals` it would produce no time-series, so loads are skipped
+    /// in both modes; the stores still refresh the entry (probed and
+    /// sanitized results are bit-identical to plain ones). An irregular
+    /// cache entry is recorded as a typed failure and treated as a miss;
+    /// stores retry transient I/O failures with backoff, and a final store
+    /// failure only costs future warm starts, so it is recorded, not fatal.
+    fn load_or_simulate(
+        &self,
+        run: &Run<'_>,
+        simulate: impl Fn() -> Result<RunAccount, ExpError>,
+    ) -> Result<Served, ExpError> {
+        let (what, desc) = (run.what, run.desc);
+        if !self.bypass_cache_loads() {
+            if let Some(r) = self.disk.as_ref().and_then(|d| self.load_entry(d, desc)) {
+                return Ok(Served::Stored(r));
+            }
+            if let Some(ck) = &self.ckpt {
+                if let Some(r) = self.load_entry(&ck.results, desc) {
+                    ck.journal_completed(what, r.digest(), "resume-cache");
+                    return Ok(Served::Stored(r));
+                }
+                // Nothing finished: if an interrupt is already latched,
+                // don't start a fresh simulation just to stop it at its
+                // first cycle.
+                if crate::interrupt::requested() {
+                    return Err(ExpError::Interrupted {
+                        what: what.to_string(),
+                    });
+                }
+            }
+        }
+        let acc = match simulate() {
+            Err(e @ ExpError::Checkpoint { .. }) => {
+                self.note_failure(what, &e);
+                if let Some(ck) = &self.ckpt {
+                    let _ = ck.store.remove(desc);
+                }
+                simulate()?
+            }
+            other => other?,
         };
-        crate::artifacts::record_with_runtime(
-            key,
-            &result,
-            self.take_skip(&what),
-            self.take_switches(&what),
-            self.take_fragments(&what),
-        );
-        self.note_done(&what, "sim");
-        if let Some(d) = &self.disk {
-            if let Err(e) = d.store_retrying(&desc, &result, 3) {
+        let stores = [
+            (self.disk.as_ref(), "cache", "cache entry"),
+            (
+                self.ckpt.as_ref().map(|c| &c.results),
+                "checkpoint",
+                "resume result",
+            ),
+        ];
+        for (store, tag, entry) in stores {
+            let Some(store) = store else { continue };
+            if let Err(e) = store.store_retrying(desc, &acc.result, 3) {
                 let e = ExpError::Io {
-                    context: format!("storing cache entry for {what}"),
+                    context: format!("storing {entry} for {what}"),
                     detail: e.to_string(),
                 };
-                eprintln!("cache: {e}");
-                self.note_failure(&desc, &e);
+                eprintln!("{tag}: {e}");
+                self.note_failure(desc, &e);
             }
         }
         if let Some(ck) = &self.ckpt {
-            if let Err(e) = ck.results.store_retrying(&desc, &result, 3) {
-                let e = ExpError::Io {
-                    context: format!("storing resume result for {what}"),
-                    detail: e.to_string(),
-                };
-                eprintln!("checkpoint: {e}");
-                self.note_failure(&desc, &e);
-            }
-            ck.journal_completed(&what, result.digest(), "sim");
+            ck.journal_completed(what, acc.result.digest(), "sim");
         }
-        Ok(result)
+        Ok(Served::Simulated(acc))
+    }
+
+    /// A result store's entry for `desc`; an irregular entry is recorded
+    /// as a typed failure and treated as a miss.
+    fn load_entry(&self, store: &DiskCache, desc: &str) -> Option<SimResult> {
+        match store.load_checked(desc) {
+            Ok(r) => r,
+            Err(fault) => {
+                let e = ExpError::Cache {
+                    path: store.entry_path(desc).display().to_string(),
+                    fault,
+                };
+                self.note_failure(desc, &e);
+                None
+            }
+        }
     }
 
     /// Run an ad-hoc (config, workload, policy) combination through both
@@ -1221,92 +1101,18 @@ impl Campaign {
         if let Some(r) = crate::lock_unpoisoned(&self.custom).get(&desc) {
             return Ok(r.clone());
         }
-        // As in `run_protected`: --sanitize and --intervals bypass cache
-        // loads so the run actually executes under audit / with the probe.
-        let mut loaded = match self.disk.as_ref().filter(|_| !self.bypass_cache_loads()) {
-            Some(d) => match d.load_checked(&desc) {
-                Ok(r) => r,
-                Err(fault) => {
-                    let e = ExpError::Cache {
-                        path: d.entry_path(&desc).display().to_string(),
-                        fault,
-                    };
-                    self.note_failure(&desc, &e);
-                    None
-                }
-            },
-            None => None,
+        let run = Run {
+            what: policy_desc,
+            desc: &desc,
+            cfg,
+            specs,
         };
-        // The resume directory's results store also serves custom runs.
-        if let (None, Some(ck)) = (
-            &loaded,
-            self.ckpt.as_ref().filter(|_| !self.bypass_cache_loads()),
-        ) {
-            match ck.results.load_checked(&desc) {
-                Ok(Some(r)) => {
-                    ck.journal_completed(policy_desc, r.digest(), "resume-cache");
-                    loaded = Some(r);
-                }
-                Ok(None) => {
-                    if crate::interrupt::requested() {
-                        return Err(ExpError::Interrupted {
-                            what: policy_desc.to_string(),
-                        });
-                    }
-                }
-                Err(fault) => {
-                    let e = ExpError::Cache {
-                        path: ck.results.entry_path(&desc).display().to_string(),
-                        fault,
-                    };
-                    self.note_failure(&desc, &e);
-                }
-            }
-        }
-        let result = match loaded {
-            Some(r) => r,
-            None => {
-                let run = match self.simulate(policy_desc, Some(&desc), cfg, specs, &build) {
-                    // As on the grid path: an irregular checkpoint is
-                    // recorded, deleted, and re-simulated once from scratch.
-                    Err(e @ ExpError::Checkpoint { .. }) => {
-                        self.note_failure(policy_desc, &e);
-                        if let Some(ck) = &self.ckpt {
-                            let _ = ck.store.remove(&desc);
-                        }
-                        self.simulate(policy_desc, Some(&desc), cfg, specs, &build)
-                    }
-                    other => other,
-                };
-                let r = match run {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.note_failure(policy_desc, &e);
-                        return Err(e);
-                    }
-                };
-                if let Some(d) = &self.disk {
-                    if let Err(e) = d.store_retrying(&desc, &r, 3) {
-                        let e = ExpError::Io {
-                            context: format!("storing cache entry for {policy_desc}"),
-                            detail: e.to_string(),
-                        };
-                        eprintln!("cache: {e}");
-                        self.note_failure(&desc, &e);
-                    }
-                }
-                if let Some(ck) = &self.ckpt {
-                    if let Err(e) = ck.results.store_retrying(&desc, &r, 3) {
-                        let e = ExpError::Io {
-                            context: format!("storing resume result for {policy_desc}"),
-                            detail: e.to_string(),
-                        };
-                        eprintln!("checkpoint: {e}");
-                        self.note_failure(&desc, &e);
-                    }
-                    ck.journal_completed(policy_desc, r.digest(), "sim");
-                }
-                r
+        let result = match self.load_or_simulate(&run, || self.simulate(&run, build(), &build)) {
+            Ok(Served::Stored(r)) => r,
+            Ok(Served::Simulated(acc)) => acc.result,
+            Err(e) => {
+                self.note_failure(policy_desc, &e);
+                return Err(e);
             }
         };
         Ok(crate::lock_unpoisoned(&self.custom)

@@ -401,3 +401,117 @@ fn campaign_fragmented_results_match_sequential_campaign() {
         "campaign-level fragmented run diverged from sequential"
     );
 }
+
+/// Every file under `dir` whose name ends in one of `suffixes`, keyed by
+/// name with any `NNN-` record-order prefix dropped (stats records are
+/// numbered in completion order, which varies with the worker count).
+fn files_by_name(
+    dir: &std::path::Path,
+    suffixes: &[&str],
+) -> std::collections::BTreeMap<String, String> {
+    let mut out = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("output directory exists") {
+        let name = entry.expect("dir entry").file_name();
+        let name = name.to_string_lossy().to_string();
+        if !suffixes.iter().any(|s| name.ends_with(s)) {
+            continue;
+        }
+        let text = std::fs::read_to_string(dir.join(&name)).expect("readable output file");
+        let key = match name.split_once('-') {
+            Some((n, rest)) if n.chars().all(|c| c.is_ascii_digit()) => rest.to_string(),
+            _ => name,
+        };
+        out.insert(key, text);
+    }
+    out
+}
+
+/// `compare DWARN @2-MEM --quick --sanitize` with interval telemetry and
+/// stats records, run by the real binary at `jobs` workers: its stdout,
+/// interval files and stats records.
+type CliOutput = (
+    String,
+    std::collections::BTreeMap<String, String>,
+    std::collections::BTreeMap<String, String>,
+);
+
+fn cli_compare(tag: &str, jobs: &str, fragments: bool) -> CliOutput {
+    let dir = std::env::temp_dir().join(format!("dwarn-frag-cli-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (iv, st) = (dir.join("intervals"), dir.join("stats"));
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_smt-experiments"));
+    cmd.args(["compare", "DWARN", "@2-MEM", "--quick"]);
+    if fragments {
+        cmd.args(["--fragments", "2000"]);
+    }
+    cmd.args(["--sanitize", "--intervals"])
+        .arg(&iv)
+        .arg("--stats-json")
+        .arg(&st)
+        .env("SMT_JOBS", jobs);
+    let out = cmd.output().expect("run smt-experiments");
+    assert!(out.status.success(), "{tag} run failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let series = files_by_name(&iv, &[".intervals.jsonl", ".counters.trace.json"]);
+    let stats = files_by_name(&st, &[".json"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    (stdout, series, stats)
+}
+
+/// The value of a stats record's `"fragments"` field.
+fn fragments_field(record: &str) -> &str {
+    record
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("\"fragments\":"))
+        .map(|v| v.trim().trim_end_matches(','))
+        .expect("stats record has a fragments field")
+}
+
+#[test]
+fn cli_fragmented_compare_replays_and_matches_sequential_output() {
+    // Six workers over a three-run batch leave two cores per run, so
+    // fragment replay must engage whatever the host's core count — unlike
+    // the in-process test above, which falls back to a sequential run
+    // when the host has too few cores.
+    let (frag_out, frag_series, frag_stats) = cli_compare("frag", "6", true);
+    let (seq_out, seq_series, seq_stats) = cli_compare("seq", "1", false);
+
+    assert_eq!(frag_out, seq_out, "stdout differs");
+    assert!(!seq_series.is_empty(), "no interval files written");
+    assert_eq!(
+        frag_series.keys().collect::<Vec<_>>(),
+        seq_series.keys().collect::<Vec<_>>()
+    );
+    for (name, body) in &seq_series {
+        assert!(frag_series[name] == *body, "{name} differs");
+    }
+    assert!(!seq_stats.is_empty(), "no stats records written");
+    assert_eq!(
+        frag_stats.keys().collect::<Vec<_>>(),
+        seq_stats.keys().collect::<Vec<_>>()
+    );
+    let without_fragments = |record: &str| -> Vec<String> {
+        record
+            .lines()
+            .filter(|l| {
+                let l = l.trim();
+                !l.starts_with("\"fragments\":") && !l.starts_with("\"fragment_cycles\":")
+            })
+            .map(str::to_string)
+            .collect()
+    };
+    for (name, seq) in &seq_stats {
+        let frag = &frag_stats[name];
+        assert_ne!(fragments_field(frag), "null", "{name}: replay did not run");
+        assert_eq!(
+            fragments_field(seq),
+            "null",
+            "{name}: sequential run replayed"
+        );
+        assert_eq!(
+            without_fragments(frag),
+            without_fragments(seq),
+            "{name}: stats differ"
+        );
+    }
+}

@@ -110,9 +110,11 @@ fn wait_for_completions(child: &mut Child, resume: &Path, n: usize) -> bool {
 }
 
 /// Run the experiment start-to-finish in a fresh resume dir and return its
-/// journal's digest map — the uninterrupted reference.
-fn reference() -> BTreeMap<String, (String, usize)> {
-    let dir = temp_dir("ref");
+/// journal's digest map — the uninterrupted reference. Each test passes its
+/// own `tag`: the tests run on parallel threads, and a shared directory
+/// would be deleted under the other test's running reference campaign.
+fn reference(tag: &str) -> BTreeMap<String, (String, usize)> {
+    let dir = temp_dir(&format!("ref-{tag}"));
     let status = spawn(&dir).wait().expect("wait");
     assert!(status.success(), "reference campaign failed: {status:?}");
     let done = completions(&dir);
@@ -167,7 +169,7 @@ fn assert_resumed_matches(resume: &Path, want: &BTreeMap<String, (String, usize)
 
 #[test]
 fn sigkill_mid_campaign_resumes_without_redoing_or_skipping_work() {
-    let want = reference();
+    let want = reference("kill");
 
     let dir = temp_dir("kill");
     let mut child = spawn(&dir);
@@ -188,7 +190,7 @@ fn sigkill_mid_campaign_resumes_without_redoing_or_skipping_work() {
 #[cfg(unix)]
 #[test]
 fn sigint_exits_resumable_and_resume_completes() {
-    let want = reference();
+    let want = reference("int");
 
     let dir = temp_dir("int");
     let mut child = spawn(&dir);

@@ -12,7 +12,7 @@
 //! it exists so the model extractor in `model.rs` can walk item structure
 //! without a real Rust parser and without any external dependency.
 
-/// Which delimiter a [`Group`] was opened with.
+/// Which delimiter a [`Tok::Group`] was opened with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delim {
     Paren,

@@ -25,12 +25,13 @@ use smt_uarch::{
 use crate::config::SimConfig;
 use crate::error::{ConfigError, ProgressSnapshot, SimError, ThreadProgress, Watchdog};
 use crate::events::{Ev, EvKind, EventWheel};
+use crate::fragment::stats_delta;
 use crate::frontend::ThreadFront;
 use crate::inflight::{put_handle, read_handle, Handle, InFlight, Slab, Stage};
 use crate::policy::{DeclareAction, FetchPolicy, PolicyEvent, PolicyView, ThreadView};
 use crate::sanitizer::{InvariantCode, InvariantViolation, NullSanitizer, Sanitizer};
 use crate::snapshot::{cfg_fingerprint, MachineSnapshot, SnapshotError};
-use crate::stats::{SimResult, ThreadStats};
+use crate::stats::{OccupancyStats, SimResult, ThreadStats};
 
 /// Cycle period of the cache tag-array integrity audit (`INV014`): scanning
 /// every set of every cache is the one audit whose cost scales with machine
@@ -238,6 +239,7 @@ fn iq_index(kind: IqKind) -> usize {
 
 /// Per-run watchdog bookkeeping for [`Simulator::try_run`]. Reads simulator
 /// counters, never writes them — guarded runs stay bit-identical.
+#[derive(Debug)]
 struct WatchState {
     /// Cycles stepped in this guarded run (warmup + measure).
     cycles: u64,
@@ -353,20 +355,21 @@ impl<F: FetchPolicy> Simulator<NullProbe, NullSanitizer, F> {
     /// Panics on an invalid configuration; [`Simulator::try_new`] is the
     /// fallible form.
     pub fn new(cfg: SimConfig, policy: F, specs: &[ThreadSpec]) -> Self {
-        Simulator::with_probe(cfg, policy, specs, NullProbe)
+        Simulator::try_new(cfg, policy, specs).expect("invalid configuration")
     }
 
     /// As [`Simulator::new`], but an invalid configuration is returned as a
     /// typed [`ConfigError`] instead of panicking.
     pub fn try_new(cfg: SimConfig, policy: F, specs: &[ThreadSpec]) -> Result<Self, ConfigError> {
-        Simulator::try_with_probe(cfg, policy, specs, NullProbe)
+        Simulator::try_with_specs(cfg, policy, specs, NullProbe, NullSanitizer)
     }
 
     /// Build a simulator from pre-constructed front-ends — the entry point
     /// for replaying recorded traces ([`ThreadFront::from_recording`]) or
     /// mixing recorded and synthetic contexts.
     pub fn with_fronts(cfg: SimConfig, policy: F, fronts: Vec<ThreadFront>) -> Self {
-        Simulator::with_probe_fronts(cfg, policy, fronts, NullProbe)
+        Simulator::try_with_parts(cfg, policy, fronts, NullProbe, NullSanitizer)
+            .expect("invalid configuration")
     }
 }
 
@@ -389,14 +392,7 @@ impl<S: Sanitizer, F: FetchPolicy> Simulator<NullProbe, S, F> {
         specs: &[ThreadSpec],
         sanitizer: S,
     ) -> Result<Self, ConfigError> {
-        let fronts: Vec<ThreadFront> = specs
-            .iter()
-            .enumerate()
-            .map(|(t, s)| {
-                ThreadFront::new(&s.profile, s.seed, Simulator::thread_addr_base(t), s.skip)
-            })
-            .collect();
-        Simulator::try_with_parts(cfg, policy, fronts, NullProbe, sanitizer)
+        Simulator::try_with_specs(cfg, policy, specs, NullProbe, sanitizer)
     }
 }
 
@@ -414,47 +410,14 @@ impl<P: Probe, F: FetchPolicy> Simulator<P, NullSanitizer, F> {
         specs: &[ThreadSpec],
         probe: P,
     ) -> Result<Self, ConfigError> {
-        let fronts: Vec<ThreadFront> = specs
-            .iter()
-            .enumerate()
-            .map(|(t, s)| {
-                ThreadFront::new(&s.profile, s.seed, Simulator::thread_addr_base(t), s.skip)
-            })
-            .collect();
-        Self::try_with_probe_fronts(cfg, policy, fronts, probe)
-    }
-
-    /// As [`Simulator::with_fronts`], with an explicit observability probe.
-    pub fn with_probe_fronts(
-        cfg: SimConfig,
-        policy: F,
-        fronts: Vec<ThreadFront>,
-        probe: P,
-    ) -> Self {
-        Self::try_with_probe_fronts(cfg, policy, fronts, probe).expect("invalid configuration")
-    }
-
-    /// As [`Simulator::with_probe_fronts`], returning a typed
-    /// [`ConfigError`] on an invalid configuration.
-    pub fn try_with_probe_fronts(
-        cfg: SimConfig,
-        policy: F,
-        fronts: Vec<ThreadFront>,
-        probe: P,
-    ) -> Result<Self, ConfigError> {
-        Simulator::try_with_parts(cfg, policy, fronts, probe, NullSanitizer)
+        Simulator::try_with_specs(cfg, policy, specs, probe, NullSanitizer)
     }
 }
 
 impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
-    /// The full builder: explicit probe *and* sanitizer. All other
-    /// constructors delegate here; sanitized campaign runs attach a
-    /// [`RecordingSanitizer`](crate::sanitizer::RecordingSanitizer) through
-    /// this entry point.
     /// As [`Simulator::try_with_parts`], building the per-thread front-ends
-    /// from specs (the standard synthetic-trace path) — the entry point for
-    /// runs that attach both a probe and a sanitizer, e.g. `--sanitize`
-    /// campaign runs with interval telemetry.
+    /// from specs (the standard synthetic-trace path). Every spec-based
+    /// constructor delegates here.
     pub fn try_with_specs(
         cfg: SimConfig,
         policy: F,
@@ -472,6 +435,8 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         Simulator::try_with_parts(cfg, policy, fronts, probe, sanitizer)
     }
 
+    /// The full builder: explicit front-ends, probe *and* sanitizer. All
+    /// other constructors delegate here.
     pub fn try_with_parts(
         cfg: SimConfig,
         policy: F,
@@ -988,29 +953,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         measure: u64,
         wd: &Watchdog,
     ) -> Result<SimResult, SimError> {
-        let mut watch = WatchState::new(self);
-        self.run_guarded(warmup, &mut watch, wd)?;
-        let stats_base = self.stats.clone();
-        let mem_base: Vec<_> = (0..self.num_threads())
-            .map(|t| self.hier.thread_stats(t))
-            .collect();
-        let pred_base = (self.branches.predictions, self.branches.mispredictions);
-        self.run_guarded(measure, &mut watch, wd)?;
-        Ok(self.window_result(measure, stats_base, mem_base, pred_base))
-    }
-
-    /// Advance `cycles` cycles under the watchdog, letting the quiescence
-    /// engine take provably idle spans in bulk (when the attached policy
-    /// permits it and the escape hatch is open). Bit-identical to stepping
-    /// `cycles` times and checking after each step.
-    fn run_guarded(
-        &mut self,
-        cycles: u64,
-        watch: &mut WatchState,
-        wd: &Watchdog,
-    ) -> Result<(), SimError> {
-        let mut progressed = 0;
-        self.run_guarded_counted(cycles, watch, wd, &mut progressed)
+        self.run_window(warmup, measure, wd, None)
     }
 
     /// As [`Simulator::run`], additionally sampling shared-resource
@@ -1021,120 +964,87 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         warmup: u64,
         measure: u64,
         sample_every: u64,
-    ) -> (SimResult, crate::stats::OccupancyStats) {
+    ) -> (SimResult, OccupancyStats) {
         assert!(sample_every >= 1);
-        let wd = Watchdog::default();
+        let mut sampling = Sampling::new(sample_every, self.num_threads());
+        let result = self
+            .run_window(warmup, measure, &Watchdog::default(), Some(&mut sampling))
+            .unwrap_or_else(|e| panic!("simulation aborted: {e}"));
+        (result, sampling.finish())
+    }
+
+    /// The checkpointed driver with no sink and no stop request: each
+    /// phase runs as one chunk, and the run always completes or aborts.
+    fn run_window(
+        &mut self,
+        warmup: u64,
+        measure: u64,
+        wd: &Watchdog,
+        sampling: Option<&mut Sampling>,
+    ) -> Result<SimResult, SimError> {
         let mut watch = WatchState::new(self);
-        if let Err(e) = self.run_guarded(warmup, &mut watch, &wd) {
-            panic!("simulation aborted: {e}");
+        let mut phase = RunPhase::new(warmup, measure);
+        match self.drive_checkpointed(&mut phase, &mut watch, wd, None, sampling)? {
+            RunOutcome::Completed(result) => Ok(result),
+            RunOutcome::Interrupted(_) => unreachable!("only a stop request interrupts a run"),
         }
+    }
+
+    /// Add one occupancy sample of the current cycle to `occ`, and hand
+    /// it to the probe.
+    fn sample_occupancy(&mut self, occ: &mut OccupancyStats) {
         let n = self.num_threads();
-        let mut occ = crate::stats::OccupancyStats {
-            avg_rob: vec![0.0; n],
-            avg_iq_per_thread: vec![0.0; n],
-            ..Default::default()
-        };
-        let stats_base = self.stats.clone();
-        let mem_base: Vec<_> = (0..n).map(|t| self.hier.thread_stats(t)).collect();
-        let pred_base = (self.branches.predictions, self.branches.mispredictions);
-        let skip = self.skip_active();
-        let mut c = 0u64;
-        while c < measure {
-            // Sample cycles must step naively (the sample reads live state
-            // at the exact naive cycle), so skips are capped at the next
-            // sample boundary.
-            if skip && !c.is_multiple_of(sample_every) {
-                let to_boundary = sample_every - c % sample_every;
-                let cap = watch.skip_cap(self, &wd).min(measure - c).min(to_boundary);
-                let k = self.try_skip(cap);
-                if k > 0 {
-                    watch.bulk_advance(k);
-                    c += k;
-                    continue;
-                }
-            }
-            self.step();
-            if let Err(e) = watch.check(self, &wd) {
-                panic!("simulation aborted: {e}");
-            }
-            if c.is_multiple_of(sample_every) {
-                occ.samples += 1;
-                let iq = self.iq_usage();
-                for (i, &q) in iq.iter().enumerate() {
-                    occ.avg_iq[i] += q as f64;
-                    occ.peak_iq[i] = occ.peak_iq[i].max(q);
-                }
-                let (ri, rf) = (self.regs_int.in_use(), self.regs_fp.in_use());
-                occ.avg_regs.0 += ri as f64;
-                occ.avg_regs.1 += rf as f64;
-                occ.peak_regs.0 = occ.peak_regs.0.max(ri);
-                occ.peak_regs.1 = occ.peak_regs.1.max(rf);
-                for t in 0..n {
-                    occ.avg_rob[t] += self.robs[t].len() as f64;
-                    occ.avg_iq_per_thread[t] += self.iq_held[t] as f64;
-                }
-                if P::ENABLED {
-                    let sample = OccupancySample {
-                        cycle: self.now,
-                        iq,
-                        regs_int: ri,
-                        regs_fp: rf,
-                        rob: (0..n).map(|t| self.robs[t].len() as u32).collect(),
-                        iq_per_thread: self.iq_held.clone(),
-                    };
-                    self.probe.on_sample(&sample);
-                }
-            }
-            c += 1;
+        occ.samples += 1;
+        let iq = self.iq_usage();
+        for (i, &q) in iq.iter().enumerate() {
+            occ.avg_iq[i] += q as f64;
+            occ.peak_iq[i] = occ.peak_iq[i].max(q);
         }
-        let samples = occ.samples.max(1) as f64;
-        for v in &mut occ.avg_iq {
-            *v /= samples;
+        let (ri, rf) = (self.regs_int.in_use(), self.regs_fp.in_use());
+        occ.avg_regs.0 += ri as f64;
+        occ.avg_regs.1 += rf as f64;
+        occ.peak_regs.0 = occ.peak_regs.0.max(ri);
+        occ.peak_regs.1 = occ.peak_regs.1.max(rf);
+        for t in 0..n {
+            occ.avg_rob[t] += self.robs[t].len() as f64;
+            occ.avg_iq_per_thread[t] += self.iq_held[t] as f64;
         }
-        occ.avg_regs.0 /= samples;
-        occ.avg_regs.1 /= samples;
-        for v in occ
-            .avg_rob
-            .iter_mut()
-            .chain(occ.avg_iq_per_thread.iter_mut())
-        {
-            *v /= samples;
+        if P::ENABLED {
+            let sample = OccupancySample {
+                cycle: self.now,
+                iq,
+                regs_int: ri,
+                regs_fp: rf,
+                rob: (0..n).map(|t| self.robs[t].len() as u32).collect(),
+                iq_per_thread: self.iq_held.clone(),
+            };
+            self.probe.on_sample(&sample);
         }
-        (
-            self.window_result(measure, stats_base, mem_base, pred_base),
-            occ,
-        )
+    }
+
+    /// The cumulative counters a measured window is the delta against.
+    fn run_bases(&self) -> RunBases {
+        RunBases {
+            stats: self.stats.clone(),
+            mem: (0..self.num_threads())
+                .map(|t| self.hier.thread_stats(t))
+                .collect(),
+            pred: (self.branches.predictions, self.branches.mispredictions),
+        }
     }
 
     /// Build the measured-window deltas.
-    fn window_result(
-        &self,
-        measure: u64,
-        stats_base: Vec<ThreadStats>,
-        mem_base: Vec<smt_uarch::ThreadMemStats>,
-        pred_base: (u64, u64),
-    ) -> SimResult {
+    fn window_result(&self, measure: u64, base: RunBases) -> SimResult {
         let threads: Vec<ThreadStats> = self
             .stats
             .iter()
-            .zip(&stats_base)
-            .map(|(a, b)| ThreadStats {
-                fetched: a.fetched - b.fetched,
-                wrong_path_fetched: a.wrong_path_fetched - b.wrong_path_fetched,
-                committed: a.committed - b.committed,
-                squashed_mispredict: a.squashed_mispredict - b.squashed_mispredict,
-                squashed_flush: a.squashed_flush - b.squashed_flush,
-                gated_cycles: a.gated_cycles - b.gated_cycles,
-                blocked_cycles: a.blocked_cycles - b.blocked_cycles,
-                dispatch_stalls: a.dispatch_stalls - b.dispatch_stalls,
-                branches: a.branches - b.branches,
-                branch_mispredicts: a.branch_mispredicts - b.branch_mispredicts,
-            })
+            .zip(&base.stats)
+            .map(|(a, b)| stats_delta(a, b))
             .collect();
         let mem = (0..self.num_threads())
             .map(|t| {
                 let a = self.hier.thread_stats(t);
-                let b = mem_base[t];
+                let b = base.mem[t];
                 smt_uarch::ThreadMemStats {
                     loads: a.loads - b.loads,
                     l1_misses: a.l1_misses - b.l1_misses,
@@ -1143,8 +1053,8 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 }
             })
             .collect();
-        let preds = self.branches.predictions - pred_base.0;
-        let mis = self.branches.mispredictions - pred_base.1;
+        let preds = self.branches.predictions - base.pred.0;
+        let mis = self.branches.mispredictions - base.pred.1;
         SimResult {
             cycles: measure,
             threads,
@@ -2756,6 +2666,66 @@ struct RunPhase {
     bases: Option<RunBases>,
 }
 
+impl RunPhase {
+    /// A run that has not started yet.
+    fn new(warmup: u64, measure: u64) -> RunPhase {
+        RunPhase {
+            warmup_left: warmup,
+            measure_left: measure,
+            measure_total: measure,
+            bases: None,
+        }
+    }
+}
+
+/// Occupancy sampling over the measured window ([`Simulator::run_sampled`]),
+/// riding on the guarded loop: every `every`-th measured cycle is stepped
+/// naively and sampled.
+struct Sampling {
+    every: u64,
+    /// Measured cycles advanced so far.
+    offset: u64,
+    occ: OccupancyStats,
+}
+
+impl Sampling {
+    fn new(every: u64, threads: usize) -> Sampling {
+        Sampling {
+            every,
+            offset: 0,
+            occ: OccupancyStats {
+                avg_rob: vec![0.0; threads],
+                avg_iq_per_thread: vec![0.0; threads],
+                ..Default::default()
+            },
+        }
+    }
+
+    /// Cycles until the next sampled cycle (0: the current one is).
+    fn cycles_to_next(&self) -> u64 {
+        (self.every - self.offset % self.every) % self.every
+    }
+
+    /// The sums turned into means.
+    fn finish(self) -> OccupancyStats {
+        let mut occ = self.occ;
+        let samples = occ.samples.max(1) as f64;
+        for v in &mut occ.avg_iq {
+            *v /= samples;
+        }
+        occ.avg_regs.0 /= samples;
+        occ.avg_regs.1 /= samples;
+        for v in occ
+            .avg_rob
+            .iter_mut()
+            .chain(occ.avg_iq_per_thread.iter_mut())
+        {
+            *v /= samples;
+        }
+        occ
+    }
+}
+
 /// An in-progress run decoded from a snapshot by
 /// [`Simulator::restore_run`], ready to be continued by
 /// [`Simulator::resume_run`]. Opaque: its contents mirror the private run
@@ -2763,15 +2733,13 @@ struct RunPhase {
 #[derive(Debug)]
 pub struct PendingRun {
     phase: RunPhase,
-    watch_cycles: u64,
-    watch_last_commit_total: u64,
-    watch_last_commit_cycle: u64,
+    watch: WatchState,
 }
 
 impl PendingRun {
     /// Guarded cycles already run (warmup + measure) — diagnostics.
     pub fn cycles_done(&self) -> u64 {
-        self.watch_cycles
+        self.watch.cycles
     }
 
     /// Guarded cycles still to run (warmup + measure) — diagnostics.
@@ -3078,34 +3046,53 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         &self.stats
     }
 
-    /// As [`run_guarded`](Self::run_guarded), additionally reporting how
-    /// many cycles actually advanced through `progressed` — on a watchdog
-    /// abort the caller needs the exact remaining budget for the resumable
-    /// checkpoint. A stepped cycle counts *before* the watchdog verdict:
-    /// the step completed even when the check then aborts the run.
+    /// Advance `cycles` cycles under the watchdog, letting the quiescence
+    /// engine take provably idle spans in bulk (when the attached policy
+    /// permits it and the escape hatch is open) — bit-identical to
+    /// stepping `cycles` times and checking after each step. This is the
+    /// engine's only stepping loop. `progressed` reports how many cycles
+    /// actually advanced: on a watchdog abort the caller needs the exact
+    /// remaining budget for the resumable checkpoint. A stepped cycle
+    /// counts *before* the watchdog verdict: the step completed even when
+    /// the check then aborts the run. With `sampling`, every sampled cycle
+    /// is stepped naively (the sample reads live state at the exact naive
+    /// cycle), so skips stop short of the next one.
     fn run_guarded_counted(
         &mut self,
         cycles: u64,
         watch: &mut WatchState,
         wd: &Watchdog,
         progressed: &mut u64,
+        mut sampling: Option<&mut Sampling>,
     ) -> Result<(), SimError> {
         let skip = self.skip_active();
         let mut left = cycles;
         while left > 0 {
-            if skip {
-                let cap = watch.skip_cap(self, wd).min(left);
+            let to_sample = sampling
+                .as_deref()
+                .map_or(u64::MAX, Sampling::cycles_to_next);
+            if skip && to_sample > 0 {
+                let cap = watch.skip_cap(self, wd).min(left).min(to_sample);
                 let k = self.try_skip(cap);
                 if k > 0 {
                     watch.bulk_advance(k);
                     *progressed += k;
                     left -= k;
+                    if let Some(s) = sampling.as_deref_mut() {
+                        s.offset += k;
+                    }
                     continue;
                 }
             }
             self.step();
             *progressed += 1;
             watch.check(self, wd)?;
+            if let Some(s) = sampling.as_deref_mut() {
+                if s.offset.is_multiple_of(s.every) {
+                    self.sample_occupancy(&mut s.occ);
+                }
+                s.offset += 1;
+            }
             left -= 1;
         }
         Ok(())
@@ -3140,10 +3127,12 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         snap
     }
 
-    /// The checkpointed run driver: advance the run in `interval`-sized
-    /// chunks, emitting a resumable checkpoint after each chunk, polling
-    /// the stop request between chunks, and upgrading a watchdog abort
-    /// with a final resumable checkpoint before returning the typed error.
+    /// The run driver behind every run entry point: advance the run in
+    /// `interval`-sized chunks, emitting a resumable checkpoint after each
+    /// chunk, polling the stop request between chunks, and upgrading a
+    /// watchdog abort with a final resumable checkpoint before returning
+    /// the typed error. Without `opts` each phase runs as one chunk and no
+    /// checkpoint is taken; `sampling` rides on the measured phase.
     ///
     /// Chunking is behavior-neutral: the only effect of a chunk boundary
     /// is that a quiescent span crossing it is taken as two bulk advances
@@ -3155,8 +3144,10 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         phase: &mut RunPhase,
         watch: &mut WatchState,
         wd: &Watchdog,
-        opts: &mut CheckpointOpts<'_>,
+        mut opts: Option<&mut CheckpointOpts<'_>>,
+        mut sampling: Option<&mut Sampling>,
     ) -> Result<RunOutcome, SimError> {
+        let interval = opts.as_ref().map_or(0, |o| o.interval);
         loop {
             // The bases are captured at the warmup/measure boundary. A
             // checkpoint emitted exactly on the boundary carries
@@ -3164,13 +3155,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             // restored (identical) machine state, so the two capture sites
             // agree byte for byte.
             if phase.warmup_left == 0 && phase.bases.is_none() {
-                phase.bases = Some(RunBases {
-                    stats: self.stats.clone(),
-                    mem: (0..self.num_threads())
-                        .map(|t| self.hier.thread_stats(t))
-                        .collect(),
-                    pred: (self.branches.predictions, self.branches.mispredictions),
-                });
+                phase.bases = Some(self.run_bases());
             }
             let in_warmup = phase.warmup_left > 0;
             let left = if in_warmup {
@@ -3181,13 +3166,18 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             if left == 0 {
                 break;
             }
-            let chunk = if opts.interval == 0 {
+            let chunk = if interval == 0 {
                 left
             } else {
-                opts.interval.min(left)
+                interval.min(left)
             };
             let mut progressed = 0u64;
-            let res = self.run_guarded_counted(chunk, watch, wd, &mut progressed);
+            let hook = if in_warmup {
+                None
+            } else {
+                sampling.as_deref_mut()
+            };
+            let res = self.run_guarded_counted(chunk, watch, wd, &mut progressed, hook);
             if in_warmup {
                 phase.warmup_left -= progressed;
             } else {
@@ -3198,35 +3188,35 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 // snapshot inside `e`, leave a *resumable* checkpoint so
                 // the campaign can continue (e.g. with a larger budget)
                 // instead of restarting from cycle zero.
-                let snap = self.snapshot_with_run(phase, watch);
-                (opts.sink)(&snap);
+                if let Some(o) = opts.as_deref_mut() {
+                    let snap = self.snapshot_with_run(phase, watch);
+                    (o.sink)(&snap);
+                }
                 return Err(e);
             }
             if phase.warmup_left == 0 && phase.measure_left == 0 {
                 break;
             }
-            if let Some(stop) = opts.stop {
+            let Some(o) = opts.as_deref_mut() else {
+                continue;
+            };
+            if let Some(stop) = o.stop {
                 if stop() {
                     return Ok(RunOutcome::Interrupted(
                         self.snapshot_with_run(phase, watch),
                     ));
                 }
             }
-            if opts.interval > 0 {
+            if interval > 0 {
                 let snap = self.snapshot_with_run(phase, watch);
-                (opts.sink)(&snap);
+                (o.sink)(&snap);
             }
         }
-        let bases = phase
-            .bases
-            .take()
-            .expect("measure complete implies bases captured");
-        Ok(RunOutcome::Completed(self.window_result(
-            phase.measure_total,
-            bases.stats,
-            bases.mem,
-            bases.pred,
-        )))
+        // A run with no measured window ends on the warmup boundary.
+        let bases = phase.bases.take().unwrap_or_else(|| self.run_bases());
+        Ok(RunOutcome::Completed(
+            self.window_result(phase.measure_total, bases),
+        ))
     }
 
     /// As [`Simulator::try_run`], emitting a resumable checkpoint every
@@ -3244,13 +3234,8 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         opts: &mut CheckpointOpts<'_>,
     ) -> Result<RunOutcome, SimError> {
         let mut watch = WatchState::new(self);
-        let mut phase = RunPhase {
-            warmup_left: warmup,
-            measure_left: measure,
-            measure_total: measure,
-            bases: None,
-        };
-        self.drive_checkpointed(&mut phase, &mut watch, wd, opts)
+        let mut phase = RunPhase::new(warmup, measure);
+        self.drive_checkpointed(&mut phase, &mut watch, wd, Some(opts), None)
     }
 
     /// Restore a run-carrying snapshot ([`MachineSnapshot::has_run_state`])
@@ -3285,9 +3270,12 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             let pred = (r.u64()?, r.u64()?);
             Ok(RunBases { stats, mem, pred })
         })?;
-        let watch_cycles = r.u64()?;
-        let watch_last_commit_total = r.u64()?;
-        let watch_last_commit_cycle = r.u64()?;
+        let watch = WatchState {
+            cycles: r.u64()?,
+            last_commit_total: r.u64()?,
+            last_commit_cycle: r.u64()?,
+            started: std::time::Instant::now(),
+        };
         r.finish("run section")?;
         Ok(PendingRun {
             phase: RunPhase {
@@ -3296,9 +3284,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 measure_total,
                 bases,
             },
-            watch_cycles,
-            watch_last_commit_total,
-            watch_last_commit_cycle,
+            watch,
         })
     }
 
@@ -3314,13 +3300,11 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         wd: &Watchdog,
         opts: &mut CheckpointOpts<'_>,
     ) -> Result<RunOutcome, SimError> {
-        let mut phase = pending.phase;
-        let mut watch = WatchState {
-            cycles: pending.watch_cycles,
-            last_commit_total: pending.watch_last_commit_total,
-            last_commit_cycle: pending.watch_last_commit_cycle,
-            started: std::time::Instant::now(),
-        };
-        self.drive_checkpointed(&mut phase, &mut watch, wd, opts)
+        let PendingRun {
+            mut phase,
+            mut watch,
+        } = pending;
+        watch.started = std::time::Instant::now();
+        self.drive_checkpointed(&mut phase, &mut watch, wd, Some(opts), None)
     }
 }
