@@ -13,7 +13,8 @@
 //! that are not predicted to miss can clog the shared resources".
 
 use smt_pipeline::{FetchPolicy, PolicyEvent, PolicyView};
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snap_fields;
+use smt_trace::snapio::{self, ensure, Codec, Seq, Snap, SnapError, SnapReader};
 
 use crate::predictor::MissPredictor;
 use crate::taxonomy::{Classification, DetectionMoment, ResponseAction};
@@ -22,11 +23,17 @@ use crate::taxonomy::{Classification, DetectionMoment, ResponseAction};
 pub const DEFAULT_CAP: f32 = 0.2;
 
 /// Per-load tracking state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct TrackedLoad {
     thread: usize,
     counted: bool,
 }
+
+snap_fields!(TrackedLoad { thread, counted });
+
+/// Cap on serialized collection lengths: way above anything a real
+/// machine tracks, low enough that a corrupt length cannot OOM.
+const MAX_SNAP_ITEMS: usize = 1 << 24;
 
 /// The DC-PRED policy.
 #[derive(Debug)]
@@ -74,44 +81,41 @@ impl DcPred {
         }
     }
 
+    /// Restore the state [`FetchPolicy::save_state`] writes. The tracked
+    /// loads must name counted threads, and the restriction counters must
+    /// equal the counted loads per thread.
+    #[deny(unused_variables)]
     fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        const MAX_SNAP_ITEMS: usize = 1 << 24;
-        self.predictor.load_state(r)?;
-        let n = r.len_capped(MAX_SNAP_ITEMS)?;
-        self.counts.clear();
-        for _ in 0..n {
-            self.counts.push(r.u32()?);
-        }
+        let DcPred {
+            cap: _,
+            predictor,
+            counts,
+            loads,
+        } = self;
+        predictor.load_state(r)?;
+        Seq(MAX_SNAP_ITEMS).load(counts, r)?;
         let n_loads = r.len_capped(MAX_SNAP_ITEMS)?;
-        self.loads.clear();
-        let mut counted = vec![0u32; self.counts.len()];
+        loads.clear();
+        let mut counted = vec![0u32; counts.len()];
         for _ in 0..n_loads {
             let load_id = r.u64()?;
-            let thread = r.usize()?;
-            if thread >= self.counts.len() {
-                return Err(SnapError::malformed(format!(
-                    "tracked load names thread {thread} beyond the {} counted",
-                    self.counts.len()
-                )));
-            }
-            let l = TrackedLoad {
-                thread,
-                counted: r.bool()?,
-            };
-            if l.counted {
-                counted[thread] += 1;
-            }
-            if self.loads.insert(load_id, l).is_some() {
-                return Err(SnapError::malformed(format!("duplicate load id {load_id}")));
-            }
+            let mut l = TrackedLoad::default();
+            l.load_state(r)?;
+            ensure(l.thread < counts.len(), || {
+                format!(
+                    "tracked load names thread {} beyond the {} counted",
+                    l.thread,
+                    counts.len()
+                )
+            })?;
+            counted[l.thread] += l.counted as u32;
+            ensure(loads.insert(load_id, l).is_none(), || {
+                format!("duplicate load id {load_id}")
+            })?;
         }
-        if counted != self.counts {
-            return Err(SnapError::malformed(
-                "per-thread restriction counters diverge from the counted tracked loads"
-                    .to_string(),
-            ));
-        }
-        Ok(())
+        ensure(counted == *counts, || {
+            "per-thread restriction counters diverge from the counted tracked loads".to_string()
+        })
     }
 }
 
@@ -203,26 +207,29 @@ impl FetchPolicy for DcPred {
         }
     }
 
+    /// The predictor, the per-thread restriction counters, and the tracked
+    /// loads sorted by load id (map iteration order is not deterministic).
+    #[deny(unused_variables)]
     fn save_state(&self, out: &mut Vec<u8>) {
-        self.predictor.save_state(out);
-        snapio::put_usize(out, self.counts.len());
-        for &c in &self.counts {
-            snapio::put_u32(out, c);
-        }
-        let mut loads: Vec<(&u64, &TrackedLoad)> = self.loads.iter().collect();
+        let DcPred {
+            cap: _,
+            predictor,
+            counts,
+            loads,
+        } = self;
+        predictor.save_state(out);
+        Seq(MAX_SNAP_ITEMS).save(counts, out);
+        let mut loads: Vec<(&u64, &TrackedLoad)> = loads.iter().collect();
         loads.sort_by_key(|(id, _)| **id);
         snapio::put_usize(out, loads.len());
         for (id, l) in loads {
-            snapio::put_u64(out, *id);
-            snapio::put_usize(out, l.thread);
-            snapio::put_bool(out, l.counted);
+            id.save_state(out);
+            l.save_state(out);
         }
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = SnapReader::new(bytes);
-        self.load_snap(&mut r).map_err(|e| e.to_string())?;
-        r.finish("DC-PRED policy state").map_err(|e| e.to_string())
+        snapio::load_section(bytes, "DC-PRED policy state", |r| self.load_snap(r))
     }
 }
 

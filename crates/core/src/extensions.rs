@@ -12,7 +12,7 @@
 //!   misses before demoting a thread).
 
 use smt_pipeline::{DeclareAction, FetchPolicy, PolicyView};
-use smt_trace::snapio::{self, SnapReader};
+use smt_trace::snapio;
 
 use crate::dwarn::DWarn;
 
@@ -83,18 +83,22 @@ impl FetchPolicy for DWarnFlush {
         true
     }
 
-    // `flushing` is read by `declare_action` between the fetch that set it
-    // and the next one, so it is evolving state a snapshot must carry.
     fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_bool(out, self.flushing);
+        snapio::Snap::save_state(self, out);
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = SnapReader::new(bytes);
-        self.flushing = r.bool().map_err(|e| e.to_string())?;
-        r.finish("DWARN+FLUSH policy state")
-            .map_err(|e| e.to_string())
+        snapio::load_section(bytes, "DWARN+FLUSH policy state", |r| {
+            snapio::Snap::load_state(self, r)
+        })
     }
+}
+
+// `flushing` is read by `declare_action` between the fetch that set it and
+// the next one, so it is evolving state a snapshot must carry.
+smt_trace::snap_fields! {
+    DWarnFlush { flushing }
+    derived { inner, flush_at_or_above }
 }
 
 /// DWarn with a configurable in-flight-miss threshold for Dmiss membership.

@@ -24,7 +24,7 @@
 //!   per-cycle standard as a static one.
 
 use smt_pipeline::{DeclareAction, FetchPolicy, PolicyEvent, PolicySwitch, PolicyView};
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snapio::{self, ensure, Snap, SnapError, SnapReader};
 
 use crate::dwarn::DWarn;
 use crate::icount::Icount;
@@ -120,6 +120,13 @@ struct IntervalAccum {
     l1_misses: u64,
     l2_misses: u64,
 }
+
+smt_trace::snap_fields!(IntervalAccum {
+    committed,
+    loads,
+    l1_misses,
+    l2_misses,
+});
 
 impl IntervalAccum {
     fn ipc(&self, window: u64) -> f64 {
@@ -369,59 +376,48 @@ impl MetaPolicy {
         self.active = choice;
     }
 
-    /// Resolve a serialized candidate name back to the `&'static str` the
-    /// constructed candidate set owns; snapshots carry names, not indices,
-    /// so a candidate-set mismatch is a typed error rather than a silent
-    /// mislabel.
-    fn resolve_name(&self, s: &str) -> Result<&'static str, SnapError> {
-        self.candidates
-            .iter()
-            .map(|c| c.name())
-            .find(|n| *n == s)
-            .ok_or_else(|| {
-                SnapError::malformed(format!("switch log names unknown candidate {s:?}"))
-            })
-    }
-
+    /// Restore the state [`FetchPolicy::save_state`] writes into a
+    /// meta-policy with the same candidate set and selector.
+    #[deny(unused_variables)]
     fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         const MAX_SWITCHES: usize = 1 << 24;
-        let active = r.usize()?;
-        if active >= self.candidates.len() {
-            return Err(SnapError::malformed(format!(
+        let MetaPolicy {
+            name: _,
+            candidates,
+            active,
+            selector,
+            window,
+            next_boundary,
+            accum,
+            switches,
+            fan_out_commits: _,
+            force_switch_at: _,
+        } = self;
+        active.load_state(r)?;
+        ensure(*active < candidates.len(), || {
+            format!(
                 "active candidate {active} out of range (have {})",
-                self.candidates.len()
-            )));
-        }
-        self.active = active;
-        let next_boundary = r.u64()?;
-        if next_boundary == 0 || !next_boundary.is_multiple_of(self.window) {
-            return Err(SnapError::malformed(format!(
-                "next boundary {next_boundary} is not a positive multiple of the \
-                 {}-cycle window",
-                self.window
-            )));
-        }
-        self.next_boundary = next_boundary;
-        self.accum = IntervalAccum {
-            committed: r.u64()?,
-            loads: r.u64()?,
-            l1_misses: r.u64()?,
-            l2_misses: r.u64()?,
-        };
+                candidates.len()
+            )
+        })?;
+        next_boundary.load_state(r)?;
+        ensure(
+            *next_boundary > 0 && next_boundary.is_multiple_of(*window),
+            || {
+                format!(
+                    "next boundary {next_boundary} is not a positive multiple of the \
+                     {window}-cycle window"
+                )
+            },
+        )?;
+        accum.load_state(r)?;
         let tag = r.u8()?;
-        match (&mut self.selector, tag) {
-            (None, 0) => {}
-            (Some(Selector::MissRate), 1) => {}
-            (Some(Selector::IpcGreedy { est }), 2) => {
-                for e in est.iter_mut() {
-                    *e = r.f64()?;
-                }
-            }
+        match (selector, tag) {
+            (None, 0) | (Some(Selector::MissRate), 1) => {}
+            (Some(Selector::IpcGreedy { est }), 2) => est.load_state(r)?,
             (Some(Selector::Epsilon { est, rng }), 3) => {
-                for e in est.iter_mut() {
-                    *e = r.f64()?;
-                }
-                *rng = r.u64()?;
+                est.load_state(r)?;
+                rng.load_state(r)?;
             }
             _ => {
                 return Err(SnapError::malformed(format!(
@@ -430,15 +426,26 @@ impl MetaPolicy {
                 )));
             }
         }
+        // Snapshots carry candidate names, not indices, so a candidate-set
+        // mismatch is a typed error rather than a silent mislabel.
+        let resolve = |s: &str| {
+            candidates
+                .iter()
+                .map(|c| c.name())
+                .find(|n| *n == s)
+                .ok_or_else(|| {
+                    SnapError::malformed(format!("switch log names unknown candidate {s:?}"))
+                })
+        };
         let n_switches = r.len_capped(MAX_SWITCHES)?;
-        self.switches.clear();
+        switches.clear();
         for _ in 0..n_switches {
             let cycle = r.u64()?;
-            let from = self.resolve_name(r.str()?)?;
-            let to = self.resolve_name(r.str()?)?;
-            self.switches.push(PolicySwitch { cycle, from, to });
+            let from = resolve(r.str()?)?;
+            let to = resolve(r.str()?)?;
+            switches.push(PolicySwitch { cycle, from, to });
         }
-        for c in &mut self.candidates {
+        for c in candidates.iter_mut() {
             let bytes = r.bytes()?;
             c.load_state(bytes).map_err(SnapError::malformed)?;
         }
@@ -555,38 +562,44 @@ impl FetchPolicy for MetaPolicy {
     /// the published result), and each candidate's own state. The
     /// `force_switch_at` test hook is deliberately *not* serialized — it
     /// is injected per-run by the mutation tests, never by campaigns.
+    #[deny(unused_variables)]
     fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_usize(out, self.active);
-        snapio::put_u64(out, self.next_boundary);
-        snapio::put_u64(out, self.accum.committed);
-        snapio::put_u64(out, self.accum.loads);
-        snapio::put_u64(out, self.accum.l1_misses);
-        snapio::put_u64(out, self.accum.l2_misses);
-        match &self.selector {
+        let MetaPolicy {
+            name: _,
+            candidates,
+            active,
+            selector,
+            window: _,
+            next_boundary,
+            accum,
+            switches,
+            fan_out_commits: _,
+            force_switch_at: _,
+        } = self;
+        active.save_state(out);
+        next_boundary.save_state(out);
+        accum.save_state(out);
+        match selector {
             None => snapio::put_u8(out, 0),
             Some(Selector::MissRate) => snapio::put_u8(out, 1),
             Some(Selector::IpcGreedy { est }) => {
                 snapio::put_u8(out, 2);
-                for &e in est {
-                    snapio::put_f64(out, e);
-                }
+                est.save_state(out);
             }
             Some(Selector::Epsilon { est, rng }) => {
                 snapio::put_u8(out, 3);
-                for &e in est {
-                    snapio::put_f64(out, e);
-                }
-                snapio::put_u64(out, *rng);
+                est.save_state(out);
+                rng.save_state(out);
             }
         }
-        snapio::put_usize(out, self.switches.len());
-        for s in &self.switches {
-            snapio::put_u64(out, s.cycle);
-            snapio::put_str(out, s.from);
-            snapio::put_str(out, s.to);
+        snapio::put_usize(out, switches.len());
+        for PolicySwitch { cycle, from, to } in switches {
+            cycle.save_state(out);
+            snapio::put_str(out, from);
+            snapio::put_str(out, to);
         }
         let mut scratch = Vec::new();
-        for c in &self.candidates {
+        for c in candidates {
             scratch.clear();
             c.save_state(&mut scratch);
             snapio::put_bytes(out, &scratch);
@@ -594,9 +607,7 @@ impl FetchPolicy for MetaPolicy {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = SnapReader::new(bytes);
-        self.load_snap(&mut r).map_err(|e| e.to_string())?;
-        r.finish("meta-policy state").map_err(|e| e.to_string())
+        snapio::load_section(bytes, "meta-policy state", |r| self.load_snap(r))
     }
 }
 

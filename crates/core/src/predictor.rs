@@ -4,7 +4,8 @@
 //! use a front-end-scale table of 2-bit saturating counters indexed by the
 //! load's PC — the structure \[3\] and \[7\] describe.
 
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snap_fields;
+use smt_trace::snapio::{ensure, Exact};
 
 /// 2-bit saturating miss predictor, indexed by load PC.
 #[derive(Debug, Clone)]
@@ -72,36 +73,17 @@ impl MissPredictor {
             self.mispredictions as f64 / self.predictions as f64
         }
     }
+}
 
-    /// Serialize the evolving state (counter table, accounting) for a
-    /// machine snapshot. The table size is construction-time configuration;
-    /// [`MissPredictor::load_state`] validates it instead of resizing.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_bytes(out, &self.table);
-        snapio::put_u64(out, self.predictions);
-        snapio::put_u64(out, self.mispredictions);
-    }
-
-    /// Restore state captured by [`MissPredictor::save_state`] into an
-    /// identically-sized predictor.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let table = r.bytes()?;
-        if table.len() != self.table.len() {
-            return Err(SnapError::malformed(format!(
-                "miss-predictor table has {} entries, snapshot has {}",
-                self.table.len(),
-                table.len()
-            )));
-        }
-        if let Some(bad) = table.iter().find(|&&c| c > 3) {
-            return Err(SnapError::malformed(format!(
-                "miss-predictor counter {bad} exceeds the 2-bit range"
-            )));
-        }
-        self.table.copy_from_slice(table);
-        self.predictions = r.u64()?;
-        self.mispredictions = r.u64()?;
-        Ok(())
+// The table size is construction-time configuration: restore validates it
+// instead of resizing, and rejects counters outside the 2-bit range.
+snap_fields! {
+    MissPredictor { table: Exact, predictions, mispredictions }
+    derived { mask }
+    check {
+        ensure(table.iter().all(|&c| c <= 3), || {
+            "miss-predictor counter exceeds the 2-bit range".to_string()
+        })?;
     }
 }
 

@@ -276,29 +276,13 @@ fn thread_json(
         ),
         ("ipc", Json::F64(s.ipc(r.cycles))),
         ("relative_ipc", rel.map_or(Json::Null, Json::F64)),
-        ("fetched", Json::U64(s.fetched)),
-        ("wrong_path_fetched", Json::U64(s.wrong_path_fetched)),
-        ("committed", Json::U64(s.committed)),
-        ("squashed_mispredict", Json::U64(s.squashed_mispredict)),
-        ("squashed_flush", Json::U64(s.squashed_flush)),
-        ("gated_cycles", Json::U64(s.gated_cycles)),
-        ("blocked_cycles", Json::U64(s.blocked_cycles)),
-        ("dispatch_stalls", Json::U64(s.dispatch_stalls)),
-        ("branches", Json::U64(s.branches)),
-        ("branch_mispredicts", Json::U64(s.branch_mispredicts)),
     ];
+    pairs.extend(s.named().map(|(k, v)| (k, Json::U64(v))));
     if let Some(m) = r.mem.get(index) {
-        pairs.push((
-            "mem",
-            Json::obj(vec![
-                ("loads", Json::U64(m.loads)),
-                ("l1_misses", Json::U64(m.l1_misses)),
-                ("l2_misses", Json::U64(m.l2_misses)),
-                ("tlb_misses", Json::U64(m.tlb_misses)),
-                ("l1_miss_rate", Json::F64(m.l1_miss_rate())),
-                ("l2_miss_rate", Json::F64(m.l2_miss_rate())),
-            ]),
-        ));
+        let mut mem: Vec<(&str, Json)> = m.named().map(|(k, v)| (k, Json::U64(v))).collect();
+        mem.push(("l1_miss_rate", Json::F64(m.l1_miss_rate())));
+        mem.push(("l2_miss_rate", Json::F64(m.l2_miss_rate())));
+        pairs.push(("mem", Json::obj(mem)));
     }
     Json::obj(pairs)
 }

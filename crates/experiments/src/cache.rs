@@ -387,29 +387,27 @@ fn render_entry(key_desc: &str, r: &SimResult) -> String {
     ));
     body.push_str(&format!("threads {}\n", r.threads.len()));
     for t in &r.threads {
-        body.push_str(&format!(
-            "t {} {} {} {} {} {} {} {} {} {}\n",
-            t.fetched,
-            t.wrong_path_fetched,
-            t.committed,
-            t.squashed_mispredict,
-            t.squashed_flush,
-            t.gated_cycles,
-            t.blocked_cycles,
-            t.dispatch_stalls,
-            t.branches,
-            t.branch_mispredicts,
-        ));
+        push_counter_line(&mut body, "t", t.named());
     }
     body.push_str(&format!("mem {}\n", r.mem.len()));
     for m in &r.mem {
-        body.push_str(&format!(
-            "m {} {} {} {}\n",
-            m.loads, m.l1_misses, m.l2_misses, m.tlb_misses
-        ));
+        push_counter_line(&mut body, "m", m.named());
     }
     body.push_str("end\n");
     format!("{MAGIC}\nchecksum {:016x}\n{body}", fnv1a(body.as_bytes()))
+}
+
+/// One `<tag> <v0> <v1> ...` line of counters in declaration order.
+fn push_counter_line(
+    body: &mut String,
+    tag: &str,
+    counters: impl Iterator<Item = (&'static str, u64)>,
+) {
+    body.push_str(tag);
+    for (_, v) in counters {
+        body.push_str(&format!(" {v}"));
+    }
+    body.push('\n');
 }
 
 /// Strict parse of one entry; `expect_key` additionally guards against a
@@ -473,25 +471,14 @@ fn parse_body(body: &str, expect_key: Option<&str>) -> Result<SimResult, CacheFa
     )?;
     let mut threads = Vec::with_capacity(nthreads.min(64));
     for _ in 0..nthreads {
-        let f = field(
+        threads.push(field(
             lines
                 .next()
                 .and_then(|l| l.strip_prefix("t "))
-                .and_then(|l| parse_u64_fields(l, 10)),
+                .and_then(parse_u64_fields)
+                .and_then(|f| ThreadStats::from_values(&f)),
             "thread line",
-        )?;
-        threads.push(ThreadStats {
-            fetched: f[0],
-            wrong_path_fetched: f[1],
-            committed: f[2],
-            squashed_mispredict: f[3],
-            squashed_flush: f[4],
-            gated_cycles: f[5],
-            blocked_cycles: f[6],
-            dispatch_stalls: f[7],
-            branches: f[8],
-            branch_mispredicts: f[9],
-        });
+        )?);
     }
 
     let nmem: usize = field(
@@ -503,19 +490,14 @@ fn parse_body(body: &str, expect_key: Option<&str>) -> Result<SimResult, CacheFa
     )?;
     let mut mem = Vec::with_capacity(nmem.min(64));
     for _ in 0..nmem {
-        let f = field(
+        mem.push(field(
             lines
                 .next()
                 .and_then(|l| l.strip_prefix("m "))
-                .and_then(|l| parse_u64_fields(l, 4)),
+                .and_then(parse_u64_fields)
+                .and_then(|f| ThreadMemStats::from_values(&f)),
             "mem stats line",
-        )?;
-        mem.push(ThreadMemStats {
-            loads: f[0],
-            l1_misses: f[1],
-            l2_misses: f[2],
-            tlb_misses: f[3],
-        });
+        )?);
     }
 
     if lines.next() != Some("end") || lines.next().is_some() {
@@ -529,16 +511,8 @@ fn parse_body(body: &str, expect_key: Option<&str>) -> Result<SimResult, CacheFa
     })
 }
 
-fn parse_u64_fields(line: &str, n: usize) -> Option<Vec<u64>> {
-    let fields: Vec<u64> = line
-        .split(' ')
-        .map(|w| w.parse().ok())
-        .collect::<Option<Vec<u64>>>()?;
-    if fields.len() == n {
-        Some(fields)
-    } else {
-        None
-    }
+fn parse_u64_fields(line: &str) -> Option<Vec<u64>> {
+    line.split(' ').map(|w| w.parse().ok()).collect()
 }
 
 #[cfg(test)]
@@ -581,6 +555,18 @@ mod tests {
             std::env::temp_dir().join(format!("dwarn-cache-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         DiskCache::open(&dir).unwrap()
+    }
+
+    /// Entries already on disk must keep parsing into the same fields, so
+    /// the body layout (counter order included) is pinned byte for byte.
+    #[test]
+    fn entry_body_is_pinned() {
+        assert_eq!(
+            render_entry("k1", &sample_result()),
+            "dwarn-campaign-cache v1\nchecksum c763f8867669c9b6\nkey k1\ncycles 60000\n\
+             bp-rate 3fb0000000000000\nthreads 2\nt 100 7 80 5 3 11 13 17 19 2\n\
+             t 0 0 42 0 0 0 0 0 0 0\nmem 1\nm 30 4 1 0\nend\n"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ experiments:
 
   lint [--verbose] [--json PATH] [--cache PATH]
              static analysis over this repository's own sources (the
-             determinism/robustness rules SMT001..SMT013, allowlisted in
+             determinism/robustness rules SMT001..SMT012, allowlisted in
              lint.allow); same pass as `cargo run -p smt-lint`. --json
              writes machine-readable diagnostics (`-` for stdout);
              --cache enables the incremental per-file cache

@@ -14,11 +14,11 @@
 //! suppresses *nothing* is itself reported as [`RuleCode::Smt005`] so the
 //! list can only shrink as violations are fixed.
 //!
-//! Cross-file rules (SMT008+) report *item-granular* findings, and their
+//! Cross-file rules (SMT009+) report *item-granular* findings, and their
 //! entries name the item after a `#`:
 //!
 //! ```text
-//! SMT008 crates/pipeline/src/sim.rs#Simulator::waiter_pool  free-pool scratch, rebuilt on demand
+//! SMT009 crates/core/src/stall_flush.rs#Flush::quiescence_safe  contract inherited for a migration window
 //! ```
 //!
 //! An item entry suppresses only that item's finding; a plain path entry
@@ -245,33 +245,33 @@ mod tests {
     #[test]
     fn item_entries_parse_and_match_only_their_item() {
         let entries = parse_allowlist(
-            "SMT008 crates/pipeline/src/sim.rs#Simulator::waiter_pool  scratch pool rebuilt on demand\n",
+            "SMT009 crates/core/src/stall_flush.rs#Flush::quiescence_safe  contract inherited for a migration window\n",
         )
         .expect("valid");
-        assert_eq!(entries[0].path, "crates/pipeline/src/sim.rs");
-        assert_eq!(entries[0].item.as_deref(), Some("Simulator::waiter_pool"));
+        assert_eq!(entries[0].path, "crates/core/src/stall_flush.rs");
+        assert_eq!(entries[0].item.as_deref(), Some("Flush::quiescence_safe"));
         let diags = vec![
             item_diag(
-                RuleCode::Smt008,
-                "crates/pipeline/src/sim.rs",
-                "Simulator::waiter_pool",
+                RuleCode::Smt009,
+                "crates/core/src/stall_flush.rs",
+                "Flush::quiescence_safe",
             ),
             item_diag(
-                RuleCode::Smt008,
-                "crates/pipeline/src/sim.rs",
-                "Simulator::sanitizer",
+                RuleCode::Smt009,
+                "crates/core/src/stall_flush.rs",
+                "Stall::quiescence_safe",
             ),
         ];
         let r = apply(diags, &entries, "lint.allow");
         assert_eq!(r.suppressed.len(), 1);
         assert_eq!(
             r.suppressed[0].item.as_deref(),
-            Some("Simulator::waiter_pool")
+            Some("Flush::quiescence_safe")
         );
         assert!(r
             .active
             .iter()
-            .any(|d| d.item.as_deref() == Some("Simulator::sanitizer")));
+            .any(|d| d.item.as_deref() == Some("Stall::quiescence_safe")));
         assert!(
             !r.active.iter().any(|d| d.code == RuleCode::Smt005),
             "the item entry was used, so it is not stale"
@@ -281,13 +281,13 @@ mod tests {
     #[test]
     fn plain_path_entry_still_covers_item_diagnostics() {
         let entries = parse_allowlist(
-            "SMT008 crates/pipeline/src/sim.rs  whole-file waiver for a migration window\n",
+            "SMT009 crates/core/src/stall_flush.rs  whole-file waiver for a migration window\n",
         )
         .expect("valid");
         let diags = vec![item_diag(
-            RuleCode::Smt008,
-            "crates/pipeline/src/sim.rs",
-            "Simulator::waiter_pool",
+            RuleCode::Smt009,
+            "crates/core/src/stall_flush.rs",
+            "Flush::quiescence_safe",
         )];
         let r = apply(diags, &entries, "lint.allow");
         assert_eq!(r.suppressed.len(), 1);

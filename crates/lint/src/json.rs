@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let v = Value::obj(vec![
-            ("code", Value::str("SMT008")),
+            ("code", Value::str("SMT009")),
             ("line", Value::Int(42)),
             ("allowlisted", Value::Bool(false)),
             (

@@ -13,21 +13,19 @@
 //! | `SMT005` | no stale allowlist entries | the allowlist itself |
 //! | `SMT006` | cycle counter written only in `advance_clock` | pipeline |
 //! | `SMT007` | observability hooks behind `const ENABLED` (lexical) | pipeline |
-//! | `SMT008` | snapshot fields captured *and* restored | pipeline, uarch |
 //! | `SMT009` | `PolicyKind` dispatch exhaustive; policy contracts explicit | cross-file |
 //! | `SMT010` | every `INVxxx` invariant tested and documented | cross-file |
 //! | `SMT011` | hooks structurally dominated by `ENABLED` (token-tree) | pipeline |
 //! | `SMT012` | exit codes match the documented 0–5 contract | experiments, docs |
-//! | `SMT013` | fragment-stitch merges cover every stats/series field | pipeline, obs |
 //!
 //! `#[cfg(test)]` modules, `tests/`, `benches/` and `examples/` trees are
 //! exempt throughout: the rules guard production paths.
 //!
 //! SMT001–SMT007 are *local* rules: token scans over one masked file
-//! ([`lexer::mask_source`] → [`rules::scan_file`]). SMT008–SMT013 are
+//! ([`lexer::mask_source`] → [`rules::scan_file`]). SMT009–SMT012 are
 //! *cross-file* rules: every file is parsed into balanced-delimiter token
 //! trees ([`tokens`]) and distilled into a structural [`model::FileModel`]
-//! (struct fields, enum variants, fns with mention sets, match arms,
+//! (structs, enum variants, fns with mention sets, match arms,
 //! consts, strings, hook-call gating); [`xrules::scan_workspace`] then
 //! checks coverage invariants across the whole workspace model plus the
 //! documentation files. Per-file models and local diagnostics are cached

@@ -1,8 +1,8 @@
 //! Per-file structural model extracted from token trees.
 //!
 //! `extract` walks the token tree of one masked source file and produces a
-//! flat, serializable [`FileModel`]: struct field lists, enum variants,
-//! functions (with their identifier/`self.field`/match-arm mention sets),
+//! flat, serializable [`FileModel`]: structs, enum variants, functions
+//! (with their identifier and match-arm mention sets),
 //! impl blocks, integer consts, string literals, tracked observability-hook
 //! calls (with structural `ENABLED` gating), and `exit(..)` call sites.
 //! The cross-file rules in `xrules.rs` run entirely over these models, so
@@ -13,7 +13,7 @@ use crate::json::Value;
 use crate::lexer::{extract_strings, line_of, mask_source, test_region_lines};
 use crate::tokens::{self, Delim, Tok};
 
-/// Named item (struct field or enum variant) with its source line.
+/// Named item (an enum variant) with its source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Named {
     pub name: String,
@@ -24,7 +24,6 @@ pub struct Named {
 pub struct StructDef {
     pub name: String,
     pub line: usize,
-    pub fields: Vec<Named>,
     pub in_test: bool,
 }
 
@@ -49,8 +48,6 @@ pub struct FnDef {
     /// Sorted, deduplicated identifiers mentioned anywhere in the
     /// signature or body.
     pub idents: Vec<String>,
-    /// Sorted, deduplicated identifiers appearing as `self.<ident>`.
-    pub self_fields: Vec<String>,
     /// Sorted, deduplicated identifiers appearing in `match` arm heads.
     pub arm_idents: Vec<String>,
     pub in_test: bool,
@@ -60,12 +57,6 @@ impl FnDef {
     pub fn mentions(&self, ident: &str) -> bool {
         self.idents
             .binary_search_by(|s| s.as_str().cmp(ident))
-            .is_ok()
-    }
-
-    pub fn touches_self(&self, field: &str) -> bool {
-        self.self_fields
-            .binary_search_by(|s| s.as_str().cmp(field))
             .is_ok()
     }
 
@@ -240,15 +231,10 @@ impl Extractor<'_> {
             return kw + 1;
         };
         let line = self.line(name_tok.off());
-        let (body, next) = find_body(toks, kw + 2);
-        let fields = match body {
-            Some(b) => self.parse_fields(toks[b].group(Delim::Brace).unwrap_or(&[])),
-            None => Vec::new(), // unit or tuple struct: no named fields
-        };
+        let (_, next) = find_body(toks, kw + 2);
         self.model.structs.push(StructDef {
             name: name.to_string(),
             line,
-            fields,
             in_test: self.in_test(line),
         });
         next
@@ -274,45 +260,6 @@ impl Extractor<'_> {
             in_test: self.in_test(line),
         });
         next
-    }
-
-    /// Parse `name: Type,` entries of a struct body, skipping attributes
-    /// and visibility modifiers.
-    fn parse_fields(&self, toks: &[Tok]) -> Vec<Named> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < toks.len() {
-            if toks[i].is_punct(b'#') {
-                i += 1;
-                if toks
-                    .get(i)
-                    .is_some_and(|t| t.group(Delim::Bracket).is_some())
-                {
-                    i += 1;
-                }
-                continue;
-            }
-            if toks[i].is_ident("pub") {
-                i += 1;
-                if toks.get(i).is_some_and(|t| t.group(Delim::Paren).is_some()) {
-                    i += 1;
-                }
-                continue;
-            }
-            if let (Some(name), true) = (
-                toks[i].ident_text(),
-                toks.get(i + 1).is_some_and(|t| t.is_punct(b':')),
-            ) {
-                out.push(Named {
-                    name: name.to_string(),
-                    line: self.line(toks[i].off()),
-                });
-                i = skip_to_comma(toks, i + 2);
-                continue;
-            }
-            i += 1;
-        }
-        out
     }
 
     /// Parse enum variant names, skipping attributes, payloads, and
@@ -363,12 +310,10 @@ impl Extractor<'_> {
         let sig_end = body.unwrap_or(next);
         let mut idents: Vec<&str> = Vec::new();
         tokens::collect_idents(&toks[kw + 2..sig_end.min(toks.len())], &mut idents);
-        let mut self_fields: Vec<&str> = Vec::new();
         let mut arm_idents: Vec<String> = Vec::new();
         if let Some(b) = body {
             if let Some(inner) = toks[b].group(Delim::Brace) {
                 tokens::collect_idents(inner, &mut idents);
-                tokens::collect_self_fields(inner, &mut self_fields);
                 collect_arm_idents(inner, &mut arm_idents);
             }
         }
@@ -379,7 +324,6 @@ impl Extractor<'_> {
             trait_impl: owner.and_then(|(_, tr)| tr.map(str::to_string)),
             in_trait_decl: trait_decl.is_some(),
             idents: sort_dedup(idents),
-            self_fields: sort_dedup(self_fields),
             arm_idents: sort_dedup_owned(arm_idents),
             in_test: self.in_test(line),
         });
@@ -793,10 +737,6 @@ impl FileModel {
                             Value::obj(vec![
                                 ("name", Value::str(&s.name)),
                                 ("line", Value::Int(s.line as i64)),
-                                (
-                                    "fields",
-                                    Value::Arr(s.fields.iter().map(named_to_value).collect()),
-                                ),
                                 ("in_test", Value::Bool(s.in_test)),
                             ])
                         })
@@ -844,7 +784,6 @@ impl FileModel {
                                 ),
                                 ("in_trait_decl", Value::Bool(f.in_trait_decl)),
                                 ("idents", strs(&f.idents)),
-                                ("self_fields", strs(&f.self_fields)),
                                 ("arm_idents", strs(&f.arm_idents)),
                                 ("in_test", Value::Bool(f.in_test)),
                             ])
@@ -940,12 +879,6 @@ impl FileModel {
             m.structs.push(StructDef {
                 name: s.get("name")?.as_str()?.to_string(),
                 line: s.get("line")?.as_int()? as usize,
-                fields: s
-                    .get("fields")?
-                    .as_arr()?
-                    .iter()
-                    .map(named_from)
-                    .collect::<Option<_>>()?,
                 in_test: s.get("in_test")?.as_bool()?,
             });
         }
@@ -970,7 +903,6 @@ impl FileModel {
                 trait_impl: f.get("trait_impl")?.as_str().map(str::to_string),
                 in_trait_decl: f.get("in_trait_decl")?.as_bool()?,
                 idents: strs_from(f.get("idents")?)?,
-                self_fields: strs_from(f.get("self_fields")?)?,
                 arm_idents: strs_from(f.get("arm_idents")?)?,
                 in_test: f.get("in_test")?.as_bool()?,
             });
@@ -1070,11 +1002,9 @@ mod tests {
 "#;
 
     #[test]
-    fn extracts_struct_fields() {
+    fn extracts_structs() {
         let m = extract(SAMPLE);
         let s = m.struct_named("Machine").expect("Machine");
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["now", "stats", "scratch"]);
         assert!(!s.in_test);
     }
 
@@ -1087,14 +1017,10 @@ mod tests {
     }
 
     #[test]
-    fn fns_carry_owner_and_self_fields() {
+    fn fns_carry_owner_and_trait() {
         let m = extract(SAMPLE);
-        let save = m.methods_of("Machine", "save_state").next().expect("save");
-        assert!(save.touches_self("now"));
-        assert!(save.touches_self("stats"));
-        assert!(!save.touches_self("scratch"));
-        let load = m.methods_of("Machine", "load_state").next().expect("load");
-        assert!(load.touches_self("now"));
+        assert!(m.methods_of("Machine", "save_state").next().is_some());
+        assert!(m.methods_of("Machine", "load_state").next().is_some());
         let default = m.fns.iter().find(|f| f.name == "default").expect("default");
         assert_eq!(default.trait_impl.as_deref(), Some("Default"));
     }

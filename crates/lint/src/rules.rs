@@ -51,14 +51,6 @@ pub enum RuleCode {
     /// every unprobed run pay for telemetry it discards — and breaks the
     /// zero-cost-when-disabled contract bench `pr6` gates.
     Smt007,
-    /// Snapshot-coverage drift (cross-file): a field of a state-bearing
-    /// struct with snapshot machinery (`Simulator`'s save/restore surface,
-    /// or any pipeline/uarch struct with an inherent `save_state` /
-    /// `load_state` pair) is not touched by both the capture and restore
-    /// paths. A forgotten field passes every test today and silently
-    /// corrupts checkpoints after the next refactor; genuinely derived or
-    /// scratch fields carry a justified `path#Type::field` allowlist entry.
-    Smt008,
     /// `PolicyKind` dispatch exhaustiveness (cross-file): every variant
     /// must have explicit match arms in `name`/`parse`/`build`/`dispatch`,
     /// and every concrete policy type routed through `dispatch` must state
@@ -86,22 +78,10 @@ pub enum RuleCode {
     /// literals), and the usage text, README.md and EXPERIMENTS.md must
     /// document every value. Scripts and CI match on these codes.
     Smt012,
-    /// Stitch-coverage drift (cross-file): every field of the per-thread
-    /// stats and interval-series records (`ThreadStats`, `Interval`,
-    /// `ThreadWindow`) must be handled by the fragment stitcher's merge
-    /// functions (`stats_delta`/`stats_add` in the pipeline crate,
-    /// `merge_interval`/`merge_thread_window` in obs). Fragment replay
-    /// proves bit-identity by summing per-fragment deltas; a counter added
-    /// to the structs but not to the merges silently under-reports in
-    /// fragmented runs while every sequential test stays green. Fields
-    /// that are deliberately not additive (e.g. identifying indices
-    /// checked for equality instead) carry a `path#Type::field` allowlist
-    /// entry.
-    Smt013,
 }
 
 impl RuleCode {
-    pub const ALL: [RuleCode; 13] = [
+    pub const ALL: [RuleCode; 11] = [
         RuleCode::Smt001,
         RuleCode::Smt002,
         RuleCode::Smt003,
@@ -109,12 +89,10 @@ impl RuleCode {
         RuleCode::Smt005,
         RuleCode::Smt006,
         RuleCode::Smt007,
-        RuleCode::Smt008,
         RuleCode::Smt009,
         RuleCode::Smt010,
         RuleCode::Smt011,
         RuleCode::Smt012,
-        RuleCode::Smt013,
     ];
 
     pub fn as_str(self) -> &'static str {
@@ -126,12 +104,10 @@ impl RuleCode {
             RuleCode::Smt005 => "SMT005",
             RuleCode::Smt006 => "SMT006",
             RuleCode::Smt007 => "SMT007",
-            RuleCode::Smt008 => "SMT008",
             RuleCode::Smt009 => "SMT009",
             RuleCode::Smt010 => "SMT010",
             RuleCode::Smt011 => "SMT011",
             RuleCode::Smt012 => "SMT012",
-            RuleCode::Smt013 => "SMT013",
         }
     }
 
@@ -148,12 +124,10 @@ impl RuleCode {
             RuleCode::Smt005 => "stale allowlist entry (suppressed nothing)",
             RuleCode::Smt006 => "cycle counter written outside advance_clock",
             RuleCode::Smt007 => "ungated observability hook call in the cycle loop",
-            RuleCode::Smt008 => "snapshot field not covered by capture+restore",
             RuleCode::Smt009 => "PolicyKind variant or policy contract not dispatched",
             RuleCode::Smt010 => "invariant code without mutation test or doc mention",
             RuleCode::Smt011 => "hook call not structurally dominated by ENABLED",
             RuleCode::Smt012 => "exit-code contract drift (consts/calls/docs)",
-            RuleCode::Smt013 => "stitcher merge fn missing a stats/series field",
         }
     }
 }

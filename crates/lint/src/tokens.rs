@@ -191,38 +191,6 @@ pub fn collect_idents<'a>(toks: &'a [Tok], out: &mut Vec<&'a str>) {
     }
 }
 
-/// Collect identifiers that appear immediately after `self.` (recursing into
-/// groups).  This is the core of snapshot-coverage analysis: a field is
-/// "touched" by a method iff `self.<field>` appears somewhere in its body.
-pub fn collect_self_fields<'a>(toks: &'a [Tok], out: &mut Vec<&'a str>) {
-    let mut prev_was_self_dot = false;
-    let mut prev_was_self = false;
-    for t in toks {
-        match t {
-            Tok::Ident { text, .. } => {
-                if prev_was_self_dot {
-                    out.push(text);
-                }
-                prev_was_self = text == "self";
-                prev_was_self_dot = false;
-            }
-            Tok::Punct { ch: b'.', .. } => {
-                prev_was_self_dot = prev_was_self;
-                prev_was_self = false;
-            }
-            Tok::Group { toks, .. } => {
-                collect_self_fields(toks, out);
-                prev_was_self = false;
-                prev_was_self_dot = false;
-            }
-            _ => {
-                prev_was_self = false;
-                prev_was_self_dot = false;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,17 +244,5 @@ mod tests {
     fn masked_strings_do_not_tokenize() {
         let t = tree(r#"let s = "fn not_a_fn() {";"#);
         assert!(!t.iter().any(|t| t.is_ident("not_a_fn")));
-    }
-
-    #[test]
-    fn self_field_collection() {
-        let src = "fn save(&self) { put(self.now); self.stats.record(x); other.field; }";
-        let t = tree(src);
-        let mut fields = Vec::new();
-        collect_self_fields(&t, &mut fields);
-        assert!(fields.contains(&"now"));
-        assert!(fields.contains(&"stats"));
-        assert!(!fields.contains(&"field"));
-        assert!(!fields.contains(&"record"));
     }
 }

@@ -1,4 +1,4 @@
-//! Cross-file rules (SMT008–SMT013) over the workspace model.
+//! Cross-file rules (SMT009–SMT012) over the workspace model.
 //!
 //! These rules never read source text: they run entirely over the
 //! [`FileModel`]s extracted by `model.rs` (which is what makes the
@@ -36,27 +36,18 @@ impl Workspace {
     }
 }
 
-const SIM_PATH: &str = "crates/pipeline/src/sim.rs";
 const SANITIZER_PATH: &str = "crates/pipeline/src/sanitizer.rs";
 const SANITIZER_TESTS_PATH: &str = "crates/pipeline/tests/sanitizer.rs";
 const ERROR_PATH: &str = "crates/experiments/src/error.rs";
 const MAIN_PATH: &str = "crates/experiments/src/main.rs";
 
-/// `Simulator`'s machine-capture fns (beyond the generic `save_state` /
-/// `load_state` convention): a field is snapshot-covered if *any* capture
-/// fn touches it and *any* restore fn touches it.
-const SIM_SAVE_FNS: [&str; 3] = ["save_machine", "snapshot", "snapshot_with_run"];
-const SIM_LOAD_FNS: [&str; 3] = ["load_machine", "restore", "restore_run"];
-
 /// Run every cross-file rule.
 pub fn scan_workspace(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    snapshot_coverage(ws, &mut out);
     dispatch_exhaustiveness(ws, &mut out);
     invariant_coverage(ws, &mut out);
     hook_gating(ws, &mut out);
     exit_code_contract(ws, &mut out);
-    stitch_coverage(ws, &mut out);
     out
 }
 
@@ -68,93 +59,6 @@ fn diag(code: RuleCode, path: &str, line: usize, item: String, message: String) 
         snippet: item.clone(),
         message,
         item: Some(item),
-    }
-}
-
-// ---------------------------------------------------------------------
-// SMT008 — snapshot coverage
-// ---------------------------------------------------------------------
-
-fn snapshot_coverage(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    for (path, m) in &ws.files {
-        if !path.starts_with("crates/pipeline/") && !path.starts_with("crates/uarch/") {
-            continue;
-        }
-        for s in &m.structs {
-            if s.in_test || s.fields.is_empty() {
-                continue;
-            }
-            let (save_fns, load_fns): (Vec<&FnDef>, Vec<&FnDef>) =
-                if path == SIM_PATH && s.name == "Simulator" {
-                    (
-                        m.fns
-                            .iter()
-                            .filter(|f| {
-                                !f.in_test
-                                    && f.owner.as_deref() == Some("Simulator")
-                                    && SIM_SAVE_FNS.contains(&f.name.as_str())
-                            })
-                            .collect(),
-                        m.fns
-                            .iter()
-                            .filter(|f| {
-                                !f.in_test
-                                    && f.owner.as_deref() == Some("Simulator")
-                                    && SIM_LOAD_FNS.contains(&f.name.as_str())
-                            })
-                            .collect(),
-                    )
-                } else {
-                    // Generic convention: an inherent save_state/load_state
-                    // pair marks the struct as snapshot-bearing.
-                    let has_pair = m.impls.iter().any(|im| {
-                        !im.in_test
-                            && im.ty == s.name
-                            && im.trait_name.is_none()
-                            && im.methods.iter().any(|n| n == "save_state")
-                    }) && m.impls.iter().any(|im| {
-                        !im.in_test
-                            && im.ty == s.name
-                            && im.trait_name.is_none()
-                            && im.methods.iter().any(|n| n == "load_state")
-                    });
-                    if !has_pair {
-                        continue;
-                    }
-                    (
-                        m.methods_of(&s.name, "save_state").collect(),
-                        m.methods_of(&s.name, "load_state").collect(),
-                    )
-                };
-            if save_fns.is_empty() || load_fns.is_empty() {
-                continue;
-            }
-            for field in &s.fields {
-                let saved = save_fns.iter().any(|f| f.touches_self(&field.name));
-                let loaded = load_fns.iter().any(|f| f.touches_self(&field.name));
-                if saved && loaded {
-                    continue;
-                }
-                let missing = match (saved, loaded) {
-                    (false, false) => "capture or restore path",
-                    (false, true) => "capture path",
-                    (true, false) => "restore path",
-                    (true, true) => unreachable!(),
-                };
-                out.push(diag(
-                    RuleCode::Smt008,
-                    path,
-                    field.line,
-                    format!("{}::{}", s.name, field.name),
-                    format!(
-                        "field `{}` of snapshot-bearing `{}` is not touched by any {missing}; \
-                         capture+restore it, or allowlist `{}#{}::{}` with a derived/scratch \
-                         justification",
-                        field.name, s.name, path, s.name, field.name
-                    ),
-                ));
-            }
-        }
     }
 }
 
@@ -509,122 +413,6 @@ fn exit_code_contract(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// SMT013 — fragment-stitch coverage
-// ---------------------------------------------------------------------
-
-/// One stitched record type: where the struct lives, and the merge
-/// functions that must each handle every one of its fields.
-struct StitchSurface {
-    struct_path: &'static str,
-    struct_name: &'static str,
-    merge_path: &'static str,
-    merge_fns: &'static [&'static str],
-}
-
-/// The fragment stitcher's merge surface. `ThreadStats` is summed as
-/// per-fragment deltas by the replay engine; `Interval`/`ThreadWindow`
-/// are merged index-by-index when per-fragment interval series are
-/// stitched. The merge fns are deliberately written field-exhaustively
-/// (struct literal or one `+=` per field) so this rule can hold them to
-/// the struct definitions.
-const STITCH_SURFACES: [StitchSurface; 3] = [
-    StitchSurface {
-        struct_path: "crates/pipeline/src/stats.rs",
-        struct_name: "ThreadStats",
-        merge_path: "crates/pipeline/src/fragment.rs",
-        merge_fns: &["stats_delta", "stats_add"],
-    },
-    StitchSurface {
-        struct_path: "crates/obs/src/interval.rs",
-        struct_name: "Interval",
-        merge_path: "crates/obs/src/interval.rs",
-        merge_fns: &["merge_interval"],
-    },
-    StitchSurface {
-        struct_path: "crates/obs/src/interval.rs",
-        struct_name: "ThreadWindow",
-        merge_path: "crates/obs/src/interval.rs",
-        merge_fns: &["merge_thread_window"],
-    },
-];
-
-fn stitch_coverage(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    for surface in &STITCH_SURFACES {
-        let Some(sm) = ws.file(surface.struct_path) else {
-            continue; // stitcher not in this workspace (synthetic trees)
-        };
-        let Some(s) = sm
-            .structs
-            .iter()
-            .find(|s| !s.in_test && s.name == surface.struct_name)
-        else {
-            continue;
-        };
-        let merge_model = ws.file(surface.merge_path);
-        let merges: Vec<&FnDef> = surface
-            .merge_fns
-            .iter()
-            .filter_map(|name| {
-                merge_model.and_then(|m| {
-                    m.fns
-                        .iter()
-                        .find(|f| !f.in_test && f.owner.is_none() && f.name == *name)
-                })
-            })
-            .collect();
-        if merges.len() != surface.merge_fns.len() {
-            let missing: Vec<&str> = surface
-                .merge_fns
-                .iter()
-                .filter(|n| !merges.iter().any(|f| f.name == **n))
-                .copied()
-                .collect();
-            out.push(diag(
-                RuleCode::Smt013,
-                surface.struct_path,
-                s.line,
-                surface.struct_name.to_string(),
-                format!(
-                    "stitched `{}` has no merge fn(s) {} in {}; fragment replay cannot \
-                     prove bit-identity without them",
-                    surface.struct_name,
-                    missing.join(", "),
-                    surface.merge_path
-                ),
-            ));
-            continue;
-        }
-        for field in &s.fields {
-            let missing: Vec<&str> = merges
-                .iter()
-                .filter(|f| !f.mentions(&field.name))
-                .map(|f| f.name.as_str())
-                .collect();
-            if missing.is_empty() {
-                continue;
-            }
-            out.push(diag(
-                RuleCode::Smt013,
-                surface.struct_path,
-                field.line,
-                format!("{}::{}", surface.struct_name, field.name),
-                format!(
-                    "field `{}` of stitched `{}` is not handled by merge fn(s) {} in {}; \
-                     merge it, or allowlist `{}#{}::{}` with a non-additive justification",
-                    field.name,
-                    surface.struct_name,
-                    missing.join(", "),
-                    surface.merge_path,
-                    surface.struct_path,
-                    surface.struct_name,
-                    field.name
-                ),
-            ));
-        }
-    }
-}
-
 /// True when `text` contains the (single-digit) value as a standalone
 /// number — not as part of a longer number or identifier.
 fn mentions_digit(text: &str, v: i64) -> bool {
@@ -651,47 +439,6 @@ mod tests {
             aux: Vec::new(),
             docs: Vec::new(),
         }
-    }
-
-    fn codes_of(diags: &[Diagnostic]) -> Vec<&str> {
-        diags.iter().map(|d| d.code.as_str()).collect()
-    }
-
-    #[test]
-    fn smt008_flags_uncaptured_field() {
-        let src = r#"
-pub struct Wheel {
-    len: usize,
-    mask: u64,
-}
-impl Wheel {
-    pub fn save_state(&self, out: &mut Vec<u8>) { put(out, self.len); }
-    pub fn load_state(&mut self, b: &[u8]) { self.len = 0; self.mask = 1; }
-}
-"#;
-        let w = ws(vec![("crates/pipeline/src/events.rs", src)]);
-        let diags = scan_workspace(&w);
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == RuleCode::Smt008)
-            .collect();
-        assert_eq!(hits.len(), 1, "{:?}", codes_of(&diags));
-        assert_eq!(hits[0].item.as_deref(), Some("Wheel::mask"));
-        assert!(hits[0].message.contains("capture path"));
-    }
-
-    #[test]
-    fn smt008_ignores_structs_without_snapshot_pair() {
-        let src = r#"
-pub struct Scratch { a: u64 }
-impl Scratch {
-    pub fn save_state(&self, out: &mut Vec<u8>) { put(out, self.a); }
-}
-"#;
-        let w = ws(vec![("crates/pipeline/src/x.rs", src)]);
-        assert!(scan_workspace(&w)
-            .iter()
-            .all(|d| d.code != RuleCode::Smt008));
     }
 
     #[test]
@@ -856,85 +603,5 @@ fn main() { std::process::exit(3); }
         assert!(items.contains(&"usage-exit-codes".to_string()), "{items:?}");
         // EXPERIMENTS.md has no section at all
         assert!(items.contains(&"doc-exit-codes".to_string()), "{items:?}");
-    }
-    const STATS_SRC: &str = r#"
-pub struct ThreadStats {
-    pub fetched: u64,
-    pub committed: u64,
-}
-"#;
-
-    #[test]
-    fn smt013_flags_merge_fn_missing_a_field() {
-        // stats_add forgets `committed`.
-        let frag = r#"
-pub fn stats_delta(end: &ThreadStats, start: &ThreadStats) -> ThreadStats {
-    ThreadStats { fetched: end.fetched - start.fetched, committed: end.committed - start.committed }
-}
-pub fn stats_add(acc: &mut ThreadStats, d: &ThreadStats) {
-    acc.fetched += d.fetched;
-}
-"#;
-        let diags = scan_workspace(&ws(vec![
-            ("crates/pipeline/src/stats.rs", STATS_SRC),
-            ("crates/pipeline/src/fragment.rs", frag),
-        ]));
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == RuleCode::Smt013)
-            .collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].item.as_deref(), Some("ThreadStats::committed"));
-        assert!(hits[0].message.contains("stats_add"), "{}", hits[0].message);
-        assert!(
-            !hits[0].message.contains("stats_delta"),
-            "stats_delta does handle the field: {}",
-            hits[0].message
-        );
-    }
-
-    #[test]
-    fn smt013_is_clean_when_every_merge_fn_handles_every_field() {
-        let frag = r#"
-pub fn stats_delta(end: &ThreadStats, start: &ThreadStats) -> ThreadStats {
-    ThreadStats { fetched: end.fetched - start.fetched, committed: end.committed - start.committed }
-}
-pub fn stats_add(acc: &mut ThreadStats, d: &ThreadStats) {
-    acc.fetched += d.fetched;
-    acc.committed += d.committed;
-}
-"#;
-        let diags = scan_workspace(&ws(vec![
-            ("crates/pipeline/src/stats.rs", STATS_SRC),
-            ("crates/pipeline/src/fragment.rs", frag),
-        ]));
-        assert!(
-            diags.iter().all(|d| d.code != RuleCode::Smt013),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn smt013_flags_a_missing_merge_fn_outright() {
-        // The struct is stitched but fragment.rs lost stats_add entirely.
-        let frag = r#"
-pub fn stats_delta(end: &ThreadStats, start: &ThreadStats) -> ThreadStats {
-    ThreadStats { fetched: end.fetched - start.fetched, committed: end.committed - start.committed }
-}
-"#;
-        let diags = scan_workspace(&ws(vec![
-            ("crates/pipeline/src/stats.rs", STATS_SRC),
-            ("crates/pipeline/src/fragment.rs", frag),
-        ]));
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == RuleCode::Smt013)
-            .collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].item.as_deref(), Some("ThreadStats"));
-        assert!(hits[0].message.contains("stats_add"), "{}", hits[0].message);
-        // A workspace without the stitcher files at all stays silent.
-        let diags = scan_workspace(&ws(vec![("crates/pipeline/src/other.rs", "fn f() {}")]));
-        assert!(diags.iter().all(|d| d.code != RuleCode::Smt013));
     }
 }

@@ -23,6 +23,9 @@
 //! deliberately excluded from [`IntervalSeries::digest`] for the same
 //! reason `Simulator::skipped_cycles` stays out of `SimResult`.
 
+use smt_trace::snap_fields;
+use smt_trace::snapio::{self, ensure, Fnv1a, Same, Seq};
+
 use crate::json::Json;
 use crate::probe::{CycleState, GateReason, Probe};
 
@@ -106,44 +109,37 @@ impl IntervalSeries {
     /// the run was executed, not *what* it did, and excluding it is what
     /// lets skipped and `--no-skip` runs share one golden digest.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
-        eat(self.window);
-        eat(self.num_threads as u64);
-        eat(self.intervals.len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64(self.window);
+        h.u64(self.num_threads as u64);
+        h.u64(self.intervals.len() as u64);
         for iv in &self.intervals {
-            eat(iv.index);
-            eat(iv.start_cycle);
-            eat(iv.cycles);
+            h.u64(iv.index);
+            h.u64(iv.start_cycle);
+            h.u64(iv.cycles);
             for &q in &iv.iq_occ_acc {
-                eat(q);
+                h.u64(q);
             }
-            eat(iv.regs_acc.0);
-            eat(iv.regs_acc.1);
-            eat(iv.policy_switches);
-            eat(iv.threads.len() as u64);
+            h.u64(iv.regs_acc.0);
+            h.u64(iv.regs_acc.1);
+            h.u64(iv.policy_switches);
+            h.u64(iv.threads.len() as u64);
             for t in &iv.threads {
-                eat(t.committed);
-                eat(t.fetched);
-                eat(t.wrong_path_fetched);
+                h.u64(t.committed);
+                h.u64(t.fetched);
+                h.u64(t.wrong_path_fetched);
                 for &g in &t.gate_cycles {
-                    eat(g);
+                    h.u64(g);
                 }
-                eat(t.l1d_misses);
-                eat(t.l2_misses);
-                eat(t.outstanding_acc);
-                eat(t.rob_acc);
-                eat(t.iq_acc);
-                eat(t.warn_transitions);
+                h.u64(t.l1d_misses);
+                h.u64(t.l2_misses);
+                h.u64(t.outstanding_acc);
+                h.u64(t.rob_acc);
+                h.u64(t.iq_acc);
+                h.u64(t.warn_transitions);
             }
         }
-        h
+        h.finish()
     }
 
     /// Total cycles covered by the series.
@@ -516,161 +512,123 @@ impl IntervalProbe {
     }
 }
 
-/// Field-wise sum of one part's interval into the accumulator.
-///
-/// Every [`Interval`] field must be either summed or positionally
-/// checked here — lint rule SMT013 enforces full coverage so a new
-/// counter cannot silently vanish from stitched fragment output.
+/// Field-wise sum of one part's interval into the accumulator. Both
+/// sides are destructured exhaustively, so a new [`Interval`] field does
+/// not compile until it is merged here.
 fn merge_interval(acc: &mut Interval, part: &Interval) -> Result<(), String> {
-    if acc.index != part.index || acc.start_cycle != part.start_cycle {
+    let Interval {
+        index,
+        start_cycle,
+        cycles,
+        skipped,
+        iq_occ_acc,
+        regs_acc,
+        policy_switches,
+        threads,
+    } = acc;
+    let Interval {
+        index: p_index,
+        start_cycle: p_start_cycle,
+        cycles: p_cycles,
+        skipped: p_skipped,
+        iq_occ_acc: p_iq_occ_acc,
+        regs_acc: p_regs_acc,
+        policy_switches: p_policy_switches,
+        threads: p_threads,
+    } = part;
+    if index != p_index || start_cycle != p_start_cycle {
         return Err(format!(
-            "interval alignment mismatch: ({}, {}) vs ({}, {})",
-            acc.index, acc.start_cycle, part.index, part.start_cycle
+            "interval alignment mismatch: ({index}, {start_cycle}) vs ({p_index}, {p_start_cycle})"
         ));
     }
-    acc.cycles += part.cycles;
-    acc.skipped += part.skipped;
-    for i in 0..3 {
-        acc.iq_occ_acc[i] += part.iq_occ_acc[i];
+    *cycles += p_cycles;
+    *skipped += p_skipped;
+    for (a, p) in iq_occ_acc.iter_mut().zip(p_iq_occ_acc) {
+        *a += p;
     }
-    acc.regs_acc.0 += part.regs_acc.0;
-    acc.regs_acc.1 += part.regs_acc.1;
-    acc.policy_switches += part.policy_switches;
-    if acc.threads.len() < part.threads.len() {
-        acc.threads
-            .resize(part.threads.len(), ThreadWindow::default());
+    regs_acc.0 += p_regs_acc.0;
+    regs_acc.1 += p_regs_acc.1;
+    *policy_switches += p_policy_switches;
+    if threads.len() < p_threads.len() {
+        threads.resize(p_threads.len(), ThreadWindow::default());
     }
-    for (t, w) in part.threads.iter().enumerate() {
-        merge_thread_window(&mut acc.threads[t], w);
+    for (a, w) in threads.iter_mut().zip(p_threads) {
+        merge_thread_window(a, w);
     }
     Ok(())
 }
 
-/// Field-wise sum of one part's per-thread window into the
-/// accumulator. SMT013 requires every [`ThreadWindow`] field here.
+/// Field-wise sum of one part's per-thread window into the accumulator,
+/// destructured exhaustively like [`merge_interval`].
 fn merge_thread_window(acc: &mut ThreadWindow, w: &ThreadWindow) {
-    acc.committed += w.committed;
-    acc.fetched += w.fetched;
-    acc.wrong_path_fetched += w.wrong_path_fetched;
-    for i in 0..3 {
-        acc.gate_cycles[i] += w.gate_cycles[i];
+    let ThreadWindow {
+        committed,
+        fetched,
+        wrong_path_fetched,
+        gate_cycles,
+        l1d_misses,
+        l2_misses,
+        outstanding_acc,
+        rob_acc,
+        iq_acc,
+        warn_transitions,
+    } = w;
+    acc.committed += committed;
+    acc.fetched += fetched;
+    acc.wrong_path_fetched += wrong_path_fetched;
+    for (a, g) in acc.gate_cycles.iter_mut().zip(gate_cycles) {
+        *a += g;
     }
-    acc.l1d_misses += w.l1d_misses;
-    acc.l2_misses += w.l2_misses;
-    acc.outstanding_acc += w.outstanding_acc;
-    acc.rob_acc += w.rob_acc;
-    acc.iq_acc += w.iq_acc;
-    acc.warn_transitions += w.warn_transitions;
-}
-
-// Minimal little-endian u64 framing for the probe's snapshot section.
-// `smt-obs` sits below every other crate and stays dependency-free, so the
-// probe speaks raw bytes rather than the `smt-trace` snapshot vocabulary;
-// the layout is private to this impl (opaque bytes to the snapshot engine).
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn u64(&mut self) -> Result<u64, String> {
-        let end = self.pos + 8;
-        if end > self.buf.len() {
-            return Err("truncated interval-probe state".to_string());
-        }
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn len(&mut self, cap: usize) -> Result<usize, String> {
-        let v = self.u64()?;
-        if v > cap as u64 {
-            return Err(format!("interval-probe length {v} exceeds cap {cap}"));
-        }
-        Ok(v as usize)
-    }
-}
-
-fn push_window(out: &mut Vec<u8>, w: &ThreadWindow) {
-    push_u64(out, w.committed);
-    push_u64(out, w.fetched);
-    push_u64(out, w.wrong_path_fetched);
-    for &g in &w.gate_cycles {
-        push_u64(out, g);
-    }
-    push_u64(out, w.l1d_misses);
-    push_u64(out, w.l2_misses);
-    push_u64(out, w.outstanding_acc);
-    push_u64(out, w.rob_acc);
-    push_u64(out, w.iq_acc);
-    push_u64(out, w.warn_transitions);
-}
-
-fn read_window(r: &mut ByteReader<'_>) -> Result<ThreadWindow, String> {
-    let mut w = ThreadWindow {
-        committed: r.u64()?,
-        fetched: r.u64()?,
-        wrong_path_fetched: r.u64()?,
-        ..ThreadWindow::default()
-    };
-    for g in &mut w.gate_cycles {
-        *g = r.u64()?;
-    }
-    w.l1d_misses = r.u64()?;
-    w.l2_misses = r.u64()?;
-    w.outstanding_acc = r.u64()?;
-    w.rob_acc = r.u64()?;
-    w.iq_acc = r.u64()?;
-    w.warn_transitions = r.u64()?;
-    Ok(w)
-}
-
-fn push_interval(out: &mut Vec<u8>, iv: &Interval) {
-    push_u64(out, iv.index);
-    push_u64(out, iv.start_cycle);
-    push_u64(out, iv.cycles);
-    push_u64(out, iv.skipped);
-    for &q in &iv.iq_occ_acc {
-        push_u64(out, q);
-    }
-    push_u64(out, iv.regs_acc.0);
-    push_u64(out, iv.regs_acc.1);
-    push_u64(out, iv.policy_switches);
-    push_u64(out, iv.threads.len() as u64);
-    for w in &iv.threads {
-        push_window(out, w);
-    }
+    acc.l1d_misses += l1d_misses;
+    acc.l2_misses += l2_misses;
+    acc.outstanding_acc += outstanding_acc;
+    acc.rob_acc += rob_acc;
+    acc.iq_acc += iq_acc;
+    acc.warn_transitions += warn_transitions;
 }
 
 const MAX_SNAPSHOT_THREADS: usize = 1 << 10;
 const MAX_SNAPSHOT_INTERVALS: usize = 1 << 28;
 
-fn read_interval(r: &mut ByteReader<'_>) -> Result<Interval, String> {
-    let mut iv = Interval {
-        index: r.u64()?,
-        start_cycle: r.u64()?,
-        cycles: r.u64()?,
-        skipped: r.u64()?,
-        ..Interval::default()
-    };
-    for q in &mut iv.iq_occ_acc {
-        *q = r.u64()?;
+snap_fields!(ThreadWindow {
+    committed,
+    fetched,
+    wrong_path_fetched,
+    gate_cycles,
+    l1d_misses,
+    l2_misses,
+    outstanding_acc,
+    rob_acc,
+    iq_acc,
+    warn_transitions,
+});
+
+snap_fields!(Interval {
+    index,
+    start_cycle,
+    cycles,
+    skipped,
+    iq_occ_acc,
+    regs_acc,
+    policy_switches,
+    threads: Seq(MAX_SNAPSHOT_THREADS),
+});
+
+// The window is configuration, written so a probe of a different window
+// rejects the section.
+snap_fields! {
+    IntervalProbe {
+        window: Same,
+        num_threads,
+        cur_start,
+        cur,
+        intervals: Seq(MAX_SNAPSHOT_INTERVALS),
     }
-    iv.regs_acc.0 = r.u64()?;
-    iv.regs_acc.1 = r.u64()?;
-    iv.policy_switches = r.u64()?;
-    let n = r.len(MAX_SNAPSHOT_THREADS)?;
-    iv.threads.reserve(n);
-    for _ in 0..n {
-        iv.threads.push(read_window(r)?);
+    check {
+        ensure(*num_threads <= MAX_SNAPSHOT_THREADS, || {
+            format!("interval-probe thread count {num_threads} exceeds {MAX_SNAPSHOT_THREADS}")
+        })?;
     }
-    Ok(iv)
 }
 
 impl Probe for IntervalProbe {
@@ -735,44 +693,13 @@ impl Probe for IntervalProbe {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.window);
-        push_u64(out, self.num_threads as u64);
-        push_u64(out, self.cur_start);
-        push_interval(out, &self.cur);
-        push_u64(out, self.intervals.len() as u64);
-        for iv in &self.intervals {
-            push_interval(out, iv);
-        }
+        snapio::Snap::save_state(self, out);
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader { buf: bytes, pos: 0 };
-        let window = r.u64()?;
-        if window != self.window {
-            return Err(format!(
-                "interval window mismatch: snapshot has {window}, probe has {}",
-                self.window
-            ));
-        }
-        let num_threads = r.len(MAX_SNAPSHOT_THREADS)?;
-        let cur_start = r.u64()?;
-        let cur = read_interval(&mut r)?;
-        let n = r.len(MAX_SNAPSHOT_INTERVALS)?;
-        let mut intervals = Vec::with_capacity(n);
-        for _ in 0..n {
-            intervals.push(read_interval(&mut r)?);
-        }
-        if r.pos != bytes.len() {
-            return Err(format!(
-                "{} bytes of trailing data after interval-probe state",
-                bytes.len() - r.pos
-            ));
-        }
-        self.num_threads = num_threads;
-        self.cur_start = cur_start;
-        self.cur = cur;
-        self.intervals = intervals;
-        Ok(())
+        snapio::load_section(bytes, "interval-probe state", |r| {
+            snapio::Snap::load_state(self, r)
+        })
     }
 }
 
@@ -934,12 +861,7 @@ mod tests {
         assert!(trace.contains("\"interval_window\":4"));
         // Golden digest of the full export: any change to the counter-track
         // schema must be deliberate (update this value when it is).
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in trace.bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
+        let h = snapio::fnv1a(trace.as_bytes());
         assert_eq!(
             h,
             golden_trace_digest(),

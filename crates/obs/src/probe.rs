@@ -11,16 +11,23 @@
 //! when [`Probe::ENABLED`] is `false`, so a default run pays nothing at all.
 
 /// Why a thread did not deliver instructions in a fetch cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum GateReason {
     /// The fetch policy excluded the thread from its fetch order
     /// (DWarn priority-group demotion, DG/PDG/STALL/FLUSH gating, ...).
+    #[default]
     Policy,
     /// The thread is waiting on an instruction-cache fill.
     IcacheMiss,
     /// The thread's fetch queue is full (back-end pressure).
     FetchQueueFull,
 }
+
+smt_trace::snap_tags!(GateReason {
+    Policy = 0,
+    IcacheMiss = 1,
+    FetchQueueFull = 2,
+});
 
 impl GateReason {
     pub const ALL: [GateReason; 3] = [
@@ -197,9 +204,9 @@ pub trait Probe {
     fn on_policy_switch(&mut self, _cycle: u64, _from: &'static str, _to: &'static str) {}
 
     /// Serialize the probe's evolving state for a machine snapshot. Probes
-    /// with no evolving state append nothing. Plain bytes (not a structured
-    /// writer) keep `smt-obs` dependency-free; stateful probes define their
-    /// own layout.
+    /// with no evolving state append nothing; stateful probes define their
+    /// layout with `smt_trace::snapio`, and the snapshot engine treats the
+    /// section as opaque bytes.
     fn save_state(&self, _out: &mut Vec<u8>) {}
 
     /// Restore the state captured by [`Probe::save_state`]. Called with

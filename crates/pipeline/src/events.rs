@@ -24,7 +24,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snapio::{self, ensure, Snap, SnapError, SnapReader};
 
 use crate::inflight::Handle;
 
@@ -221,20 +221,26 @@ impl EventWheel {
     /// `(at, seq, kind)` — placement (bucket vs. overflow) is a performance
     /// detail, so sorting makes equal queue *contents* byte-identical
     /// regardless of how the events arrived.
+    #[deny(unused_variables)]
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        let mut evs: Vec<Ev> = Vec::with_capacity(self.len);
-        for bucket in &self.buckets {
+        let EventWheel {
+            buckets,
+            mask: _,
+            overflow,
+            len,
+        } = self;
+        let mut evs: Vec<Ev> = Vec::with_capacity(*len);
+        for bucket in buckets {
             evs.extend_from_slice(bucket);
         }
-        evs.extend(self.overflow.iter().map(|&Reverse(ev)| ev));
+        evs.extend(overflow.iter().map(|&Reverse(ev)| ev));
         evs.sort_unstable();
         snapio::put_usize(out, evs.len());
-        for ev in &evs {
-            snapio::put_u64(out, ev.at);
-            snapio::put_u64(out, ev.seq);
-            snapio::put_u8(out, ev_kind_tag(ev.kind));
-            snapio::put_u32(out, ev.h.idx);
-            snapio::put_u32(out, ev.h.gen);
+        for Ev { at, seq, kind, h } in &evs {
+            at.save_state(out);
+            seq.save_state(out);
+            kind.save_state(out);
+            h.save_state(out);
         }
     }
 
@@ -243,36 +249,42 @@ impl EventWheel {
     /// due exactly at `now` are legal between cycles — they drain at the
     /// head of the next step). The horizon is construction-derived and not
     /// serialized; placement replicates [`EventWheel::push`].
+    #[deny(unused_variables)]
     pub fn load_state(&mut self, now: u64, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         const MAX_EVENTS: usize = 1 << 24;
-        let n = r.len_capped(MAX_EVENTS)?;
-        for b in &mut self.buckets {
+        let EventWheel {
+            buckets,
+            mask,
+            overflow,
+            len,
+        } = self;
+        *len = r.len_capped(MAX_EVENTS)?;
+        for b in buckets.iter_mut() {
             b.clear();
         }
-        self.overflow.clear();
-        self.len = 0;
-        for _ in 0..n {
-            let ev = Ev {
-                at: r.u64()?,
-                seq: r.u64()?,
-                kind: ev_kind_from_tag(r.u8()?)?,
-                h: Handle {
-                    idx: r.u32()?,
-                    gen: r.u32()?,
-                },
+        overflow.clear();
+        for _ in 0..*len {
+            let mut ev = Ev {
+                at: 0,
+                seq: 0,
+                kind: EvKind::Wakeup,
+                h: Handle::default(),
             };
-            if ev.at < now {
-                return Err(SnapError::malformed(format!(
+            ev.at.load_state(r)?;
+            ev.seq.load_state(r)?;
+            ev.kind.load_state(r)?;
+            ev.h.load_state(r)?;
+            ensure(ev.at >= now, || {
+                format!(
                     "event for seq {} due at cycle {} is already past (now {now})",
                     ev.seq, ev.at
-                )));
-            }
-            if ev.at - now < self.buckets.len() as u64 {
-                self.buckets[(ev.at & self.mask) as usize].push(ev);
+                )
+            })?;
+            if ev.at - now < buckets.len() as u64 {
+                buckets[(ev.at & *mask) as usize].push(ev);
             } else {
-                self.overflow.push(Reverse(ev));
+                overflow.push(Reverse(ev));
             }
-            self.len += 1;
         }
         Ok(())
     }
@@ -297,28 +309,14 @@ impl EventWheel {
     }
 }
 
-fn ev_kind_tag(k: EvKind) -> u8 {
-    match k {
-        EvKind::Wakeup => 0,
-        EvKind::Complete => 1,
-        EvKind::L1Outcome => 2,
-        EvKind::Fill => 3,
-        EvKind::ResolveNotice => 4,
-        EvKind::Declare => 5,
-    }
-}
-
-fn ev_kind_from_tag(t: u8) -> Result<EvKind, SnapError> {
-    Ok(match t {
-        0 => EvKind::Wakeup,
-        1 => EvKind::Complete,
-        2 => EvKind::L1Outcome,
-        3 => EvKind::Fill,
-        4 => EvKind::ResolveNotice,
-        5 => EvKind::Declare,
-        _ => return Err(SnapError::malformed(format!("EvKind tag {t}"))),
-    })
-}
+smt_trace::snap_tags!(EvKind {
+    Wakeup = 0,
+    Complete = 1,
+    L1Outcome = 2,
+    Fill = 3,
+    ResolveNotice = 4,
+    Declare = 5,
+});
 
 /// Result of [`EventWheel::audit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

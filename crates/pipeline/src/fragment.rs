@@ -79,7 +79,7 @@ impl<P, S> FragmentReplay<P, S> {
         self.end_stats
             .iter()
             .zip(self.start_stats.iter())
-            .map(|(e, s)| stats_delta(e, s))
+            .map(|(e, s)| e.delta(s))
             .collect()
     }
 }
@@ -100,40 +100,6 @@ pub struct FragmentReport<P, S> {
     pub scout_skipped: u64,
     /// Total serialized bytes across all scout snapshots.
     pub snapshot_bytes: u64,
-}
-
-/// Stats accrued between two cumulative readings (`end - start`).
-///
-/// Written as an exhaustive struct literal so adding a field to
-/// [`ThreadStats`] breaks this function at compile time — and lint
-/// rule SMT013 additionally requires every field to appear here.
-pub fn stats_delta(end: &ThreadStats, start: &ThreadStats) -> ThreadStats {
-    ThreadStats {
-        fetched: end.fetched - start.fetched,
-        wrong_path_fetched: end.wrong_path_fetched - start.wrong_path_fetched,
-        committed: end.committed - start.committed,
-        squashed_mispredict: end.squashed_mispredict - start.squashed_mispredict,
-        squashed_flush: end.squashed_flush - start.squashed_flush,
-        gated_cycles: end.gated_cycles - start.gated_cycles,
-        blocked_cycles: end.blocked_cycles - start.blocked_cycles,
-        dispatch_stalls: end.dispatch_stalls - start.dispatch_stalls,
-        branches: end.branches - start.branches,
-        branch_mispredicts: end.branch_mispredicts - start.branch_mispredicts,
-    }
-}
-
-/// Accumulate a fragment delta into a running total (field-wise `+=`).
-pub fn stats_add(acc: &mut ThreadStats, d: &ThreadStats) {
-    acc.fetched += d.fetched;
-    acc.wrong_path_fetched += d.wrong_path_fetched;
-    acc.committed += d.committed;
-    acc.squashed_mispredict += d.squashed_mispredict;
-    acc.squashed_flush += d.squashed_flush;
-    acc.gated_cycles += d.gated_cycles;
-    acc.blocked_cycles += d.blocked_cycles;
-    acc.dispatch_stalls += d.dispatch_stalls;
-    acc.branches += d.branches;
-    acc.branch_mispredicts += d.branch_mispredicts;
 }
 
 fn frag_err(fragment: Option<usize>, detail: impl Into<String>) -> SimError {
@@ -481,7 +447,7 @@ where
         let mut totals = vec![ThreadStats::default(); n];
         for frag in &fragments {
             for (t, d) in frag.stats_delta_vec().iter().enumerate() {
-                stats_add(&mut totals[t], d);
+                totals[t].add(d);
             }
         }
         if totals != scout_end_stats {

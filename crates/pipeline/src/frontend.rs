@@ -8,7 +8,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snap_fields;
+use smt_trace::snapio::{self, ensure, Seq, Snap, SnapError, SnapReader};
 use smt_trace::{BenchProfile, DynInst, RecordedTrace, StaticProgram, SynthState, ThreadTrace};
 
 use crate::inflight::Handle;
@@ -201,94 +202,7 @@ impl ThreadFront {
         self.on_wrong_path = false;
     }
 
-    /// Serialize the front-end's evolving state: stream position, wrong-path
-    /// synthesizer, fetch PC / path flag, replay buffer, fetch queue, and
-    /// I-cache wait state. Construction-derived state (program image,
-    /// profile, code base, recorded instruction array) is not written;
-    /// [`ThreadFront::load_state`] restores into an identically-constructed
-    /// front-end.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        match &self.source {
-            CorrectPath::Synthetic(t) => {
-                snapio::put_u8(out, 0);
-                t.save_state(out);
-            }
-            CorrectPath::Recorded { pos, emitted, .. } => {
-                snapio::put_u8(out, 1);
-                snapio::put_usize(out, *pos);
-                snapio::put_u64(out, *emitted);
-            }
-        }
-        self.synth.save_state(out);
-        snapio::put_u64(out, self.fetch_pc);
-        snapio::put_bool(out, self.on_wrong_path);
-        snapio::put_usize(out, self.replay.len());
-        for d in &self.replay {
-            d.save_state(out);
-        }
-        snapio::put_usize(out, self.queue.len());
-        for h in &self.queue {
-            snapio::put_u32(out, h.idx);
-            snapio::put_u32(out, h.gen);
-        }
-        snapio::put_u64(out, self.icache_ready_at);
-    }
-
-    /// Restore evolving state written by [`ThreadFront::save_state`]. The
-    /// stream kind (synthetic vs. recorded) must match the constructed
-    /// front-end; on error the front-end is unspecified and must be
-    /// discarded.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        const MAX_QUEUE: usize = 1 << 20;
-        let tag = r.u8()?;
-        match (&mut self.source, tag) {
-            (CorrectPath::Synthetic(t), 0) => t.load_state(r)?,
-            (
-                CorrectPath::Recorded {
-                    insts,
-                    pos,
-                    emitted,
-                    ..
-                },
-                1,
-            ) => {
-                let new_pos = r.usize()?;
-                if new_pos >= insts.len() {
-                    return Err(SnapError::malformed(format!(
-                        "recorded-trace position {new_pos} out of {} instructions",
-                        insts.len()
-                    )));
-                }
-                *pos = new_pos;
-                *emitted = r.u64()?;
-            }
-            _ => {
-                return Err(SnapError::malformed(format!(
-                    "correct-path stream kind tag {tag} does not match the constructed front-end"
-                )))
-            }
-        }
-        self.synth.load_state(r)?;
-        self.fetch_pc = r.u64()?;
-        self.on_wrong_path = r.bool()?;
-        let n_replay = r.len_capped(MAX_QUEUE)?;
-        self.replay.clear();
-        for _ in 0..n_replay {
-            self.replay.push_back(DynInst::load_state(r)?);
-        }
-        let n_queue = r.len_capped(MAX_QUEUE)?;
-        self.queue.clear();
-        for _ in 0..n_queue {
-            self.queue.push_back(Handle {
-                idx: r.u32()?,
-                gen: r.u32()?,
-            });
-        }
-        self.icache_ready_at = r.u64()?;
-        Ok(())
-    }
-
-    /// Structurally unable to fetch this cycle?
+    /// Structurally unable to fetch this cycle?    /// Structurally unable to fetch this cycle?
     pub fn blocked(&self, now: u64, fetch_queue_cap: u32) -> bool {
         now < self.icache_ready_at || self.queue.len() >= fetch_queue_cap as usize
     }
@@ -303,6 +217,80 @@ impl ThreadFront {
             pc
         } else {
             base + pc.wrapping_sub(base) % size
+        }
+    }
+}
+
+/// Fetch-queue and replay-buffer snapshot cap.
+const MAX_QUEUE: usize = 1 << 20;
+
+// The front-end's evolving state: stream position, wrong-path synthesizer,
+// fetch PC and path flag, replay buffer, fetch queue, and I-cache wait
+// state. The program image, profile, and code base are construction-
+// derived; restore targets an identically-constructed front-end.
+snap_fields! {
+    ThreadFront {
+        source,
+        synth,
+        fetch_pc,
+        on_wrong_path,
+        replay: Seq(MAX_QUEUE),
+        queue: Seq(MAX_QUEUE),
+        icache_ready_at,
+    }
+    derived { program, profile, code_base }
+}
+
+/// A tag for the stream kind, which must match the constructed front-end,
+/// then the stream position. The recorded instruction array and its
+/// rebase delta are construction-derived.
+impl Snap for CorrectPath {
+    #[deny(unused_variables)]
+    fn save_state(&self, out: &mut Vec<u8>) {
+        match self {
+            CorrectPath::Synthetic(t) => {
+                snapio::put_u8(out, 0);
+                t.save_state(out);
+            }
+            CorrectPath::Recorded {
+                insts: _,
+                pos,
+                delta: _,
+                emitted,
+            } => {
+                snapio::put_u8(out, 1);
+                pos.save_state(out);
+                emitted.save_state(out);
+            }
+        }
+    }
+
+    #[deny(unused_variables)]
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let tag = r.u8()?;
+        match (self, tag) {
+            (CorrectPath::Synthetic(t), 0) => t.load_state(r),
+            (
+                CorrectPath::Recorded {
+                    insts,
+                    pos,
+                    delta: _,
+                    emitted,
+                },
+                1,
+            ) => {
+                pos.load_state(r)?;
+                ensure(*pos < insts.len(), || {
+                    format!(
+                        "recorded-trace position {pos} out of {} instructions",
+                        insts.len()
+                    )
+                })?;
+                emitted.load_state(r)
+            }
+            _ => Err(SnapError::malformed(format!(
+                "correct-path stream kind tag {tag} does not match the constructed front-end"
+            ))),
         }
     }
 }

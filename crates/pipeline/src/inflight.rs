@@ -16,12 +16,13 @@
 //! instead of striding over ~200-byte records, which is where the cycle
 //! loop spends its scan time.
 
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snap_fields;
+use smt_trace::snapio::{self, ensure, Codec, Seq, Snap, SnapError, SnapReader};
 use smt_trace::DynInst;
 use smt_uarch::{IqKind, MemAccess};
 
 /// Generational handle to an in-flight instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Handle {
     pub idx: u32,
     pub gen: u32,
@@ -45,7 +46,7 @@ pub enum Stage {
 /// An in-flight dynamic instruction's cold state. The hot fields — stage
 /// and sequence number — live in the [`Slab`]'s parallel arrays and are
 /// read through [`Slab::stage`] / [`Slab::seq_of`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InFlight {
     pub thread: usize,
     pub inst: DynInst,
@@ -202,198 +203,134 @@ impl Slab {
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
+}
 
-    /// Serialize the complete slab — occupied and free slots, generations,
-    /// and the free stack *in order* — so a restored slab recycles slots in
-    /// exactly the sequence the original would have (handle values, and
-    /// therefore everything keyed on them, stay bit-identical).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_usize(out, self.items.len());
-        for i in 0..self.items.len() {
-            snapio::put_u32(out, self.gens[i]);
-            put_stage(out, self.stages[i]);
-            snapio::put_u64(out, self.seqs[i]);
-            snapio::put_opt(out, self.items[i].as_ref(), |out, item| {
-                put_inflight(out, item)
-            });
+/// The complete slab — occupied and free slots, generations, and the free
+/// stack *in order* — so a restored slab recycles slots in exactly the
+/// sequence the original would have (handle values, and therefore
+/// everything keyed on them, stay bit-identical). The slab has no
+/// construction-derived shape, so a load replaces everything.
+impl Snap for Slab {
+    #[deny(unused_variables)]
+    fn save_state(&self, out: &mut Vec<u8>) {
+        let Slab {
+            items,
+            gens,
+            stages,
+            seqs,
+            free,
+            live: _,
+        } = self;
+        snapio::put_usize(out, items.len());
+        for i in 0..items.len() {
+            gens[i].save_state(out);
+            stages[i].save_state(out);
+            seqs[i].save_state(out);
+            items[i].save_state(out);
         }
-        snapio::put_usize(out, self.free.len());
-        for &idx in &self.free {
-            snapio::put_u32(out, idx);
-        }
+        Seq(MAX_SLOTS).save(free, out);
     }
 
-    /// Rebuild the slab from a snapshot section. The slab has no
-    /// construction-derived shape, so the load replaces everything; on error
-    /// the slab is unspecified and must be discarded.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        const MAX_SLOTS: usize = 1 << 24;
+    #[deny(unused_variables)]
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Slab {
+            items,
+            gens,
+            stages,
+            seqs,
+            free,
+            live,
+        } = self;
         let n = r.len_capped(MAX_SLOTS)?;
-        let mut items = Vec::with_capacity(n);
-        let mut gens = Vec::with_capacity(n);
-        let mut stages = Vec::with_capacity(n);
-        let mut seqs = Vec::with_capacity(n);
-        let mut live = 0usize;
-        for _ in 0..n {
-            gens.push(r.u32()?);
-            stages.push(read_stage(r)?);
-            seqs.push(r.u64()?);
-            let item = r.opt(read_inflight)?;
-            if item.is_some() {
-                live += 1;
-            }
-            items.push(item);
+        items.resize(n, None);
+        gens.resize(n, 0);
+        stages.resize(n, Stage::Done);
+        seqs.resize(n, 0);
+        for i in 0..n {
+            gens[i].load_state(r)?;
+            stages[i].load_state(r)?;
+            seqs[i].load_state(r)?;
+            items[i].load_state(r)?;
         }
-        let n_free = r.len_capped(MAX_SLOTS)?;
-        if n_free + live != n {
-            return Err(SnapError::malformed(format!(
-                "slab free count {n_free} + live {live} != slots {n}"
-            )));
-        }
-        let mut free = Vec::with_capacity(n_free);
+        // `live` is derived: recounted from the restored occupancy and
+        // cross-checked against the free stack.
+        *live = items.iter().filter(|i| i.is_some()).count();
+        Seq(MAX_SLOTS).load(free, r)?;
+        ensure(free.len() + *live == n, || {
+            format!(
+                "slab free count {} + live {} != slots {n}",
+                free.len(),
+                *live
+            )
+        })?;
         let mut seen = vec![false; n];
-        for _ in 0..n_free {
-            let idx = r.u32()?;
+        for &idx in free.iter() {
             let i = idx as usize;
-            if i >= n || items[i].is_some() || seen[i] {
-                return Err(SnapError::malformed(format!(
-                    "slab free-stack entry {idx} is out of range, occupied, or duplicated"
-                )));
-            }
+            ensure(i < n && items[i].is_none() && !seen[i], || {
+                format!("slab free-stack entry {idx} is out of range, occupied, or duplicated")
+            })?;
             seen[i] = true;
-            free.push(idx);
         }
-        self.items = items;
-        self.gens = gens;
-        self.stages = stages;
-        self.seqs = seqs;
-        self.free = free;
-        self.live = live;
         Ok(())
     }
 }
 
-// --- Snapshot field codecs for the slab's record types. ---
+const MAX_SLOTS: usize = 1 << 24;
 
-pub(crate) fn put_handle(out: &mut Vec<u8>, h: Handle) {
-    snapio::put_u32(out, h.idx);
-    snapio::put_u32(out, h.gen);
-}
+snap_fields!(Handle { idx, gen });
 
-pub(crate) fn read_handle(r: &mut SnapReader<'_>) -> Result<Handle, SnapError> {
-    Ok(Handle {
-        idx: r.u32()?,
-        gen: r.u32()?,
-    })
-}
-
-fn put_stage(out: &mut Vec<u8>, s: Stage) {
-    match s {
-        Stage::Frontend { ready_at } => {
-            snapio::put_u8(out, 0);
-            snapio::put_u64(out, ready_at);
+impl Snap for Stage {
+    fn save_state(&self, out: &mut Vec<u8>) {
+        match *self {
+            Stage::Frontend { ready_at } => {
+                snapio::put_u8(out, 0);
+                snapio::put_u64(out, ready_at);
+            }
+            Stage::Waiting => snapio::put_u8(out, 1),
+            Stage::Ready { at } => {
+                snapio::put_u8(out, 2);
+                snapio::put_u64(out, at);
+            }
+            Stage::Executing { complete_at } => {
+                snapio::put_u8(out, 3);
+                snapio::put_u64(out, complete_at);
+            }
+            Stage::Done => snapio::put_u8(out, 4),
         }
-        Stage::Waiting => snapio::put_u8(out, 1),
-        Stage::Ready { at } => {
-            snapio::put_u8(out, 2);
-            snapio::put_u64(out, at);
-        }
-        Stage::Executing { complete_at } => {
-            snapio::put_u8(out, 3);
-            snapio::put_u64(out, complete_at);
-        }
-        Stage::Done => snapio::put_u8(out, 4),
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match r.u8()? {
+            0 => Stage::Frontend { ready_at: r.u64()? },
+            1 => Stage::Waiting,
+            2 => Stage::Ready { at: r.u64()? },
+            3 => Stage::Executing {
+                complete_at: r.u64()?,
+            },
+            4 => Stage::Done,
+            t => return Err(SnapError::malformed(format!("Stage tag {t}"))),
+        };
+        Ok(())
     }
 }
 
-fn read_stage(r: &mut SnapReader<'_>) -> Result<Stage, SnapError> {
-    Ok(match r.u8()? {
-        0 => Stage::Frontend { ready_at: r.u64()? },
-        1 => Stage::Waiting,
-        2 => Stage::Ready { at: r.u64()? },
-        3 => Stage::Executing {
-            complete_at: r.u64()?,
-        },
-        4 => Stage::Done,
-        t => return Err(SnapError::malformed(format!("Stage tag {t}"))),
-    })
-}
-
-fn iq_kind_tag(k: IqKind) -> u8 {
-    match k {
-        IqKind::Int => 0,
-        IqKind::Fp => 1,
-        IqKind::LdSt => 2,
-    }
-}
-
-fn iq_kind_from_tag(t: u8) -> Result<IqKind, SnapError> {
-    Ok(match t {
-        0 => IqKind::Int,
-        1 => IqKind::Fp,
-        2 => IqKind::LdSt,
-        _ => return Err(SnapError::malformed(format!("IqKind tag {t}"))),
-    })
-}
-
-fn put_inflight(out: &mut Vec<u8>, i: &InFlight) {
-    snapio::put_usize(out, i.thread);
-    i.inst.save_state(out);
-    snapio::put_u8(out, i.remaining_srcs);
-    snapio::put_usize(out, i.waiters.len());
-    for &w in &i.waiters {
-        put_handle(out, w);
-    }
-    snapio::put_opt(out, i.iq, |out, k| snapio::put_u8(out, iq_kind_tag(k)));
-    snapio::put_bool(out, i.holds_reg);
-    snapio::put_opt(out, i.prev_producer, put_handle);
-    snapio::put_bool(out, i.result_ready);
-    snapio::put_opt(out, i.mem.as_ref(), |out, m| {
-        snapio::put_u64(out, m.complete_at);
-        snapio::put_bool(out, m.l1_miss);
-        snapio::put_bool(out, m.l2_miss);
-        snapio::put_bool(out, m.tlb_miss);
-    });
-    snapio::put_bool(out, i.dmiss_counted);
-    snapio::put_bool(out, i.declared);
-    snapio::put_u64(out, i.fetch_next_pc);
-    snapio::put_bool(out, i.mispredicted);
-    snapio::put_bool(out, i.squashed);
-}
-
-fn read_inflight(r: &mut SnapReader<'_>) -> Result<InFlight, SnapError> {
-    const MAX_WAITERS: usize = 1 << 20;
-    let thread = r.usize()?;
-    let inst = DynInst::load_state(r)?;
-    let remaining_srcs = r.u8()?;
-    let n_waiters = r.len_capped(MAX_WAITERS)?;
-    let mut waiters = Vec::with_capacity(n_waiters);
-    for _ in 0..n_waiters {
-        waiters.push(read_handle(r)?);
-    }
-    Ok(InFlight {
+snap_fields! {
+    InFlight {
         thread,
         inst,
         remaining_srcs,
-        waiters,
-        iq: r.opt(|r| iq_kind_from_tag(r.u8()?))?,
-        holds_reg: r.bool()?,
-        prev_producer: r.opt(read_handle)?,
-        result_ready: r.bool()?,
-        mem: r.opt(|r| {
-            Ok(MemAccess {
-                complete_at: r.u64()?,
-                l1_miss: r.bool()?,
-                l2_miss: r.bool()?,
-                tlb_miss: r.bool()?,
-            })
-        })?,
-        dmiss_counted: r.bool()?,
-        declared: r.bool()?,
-        fetch_next_pc: r.u64()?,
-        mispredicted: r.bool()?,
-        squashed: r.bool()?,
-    })
+        waiters: Seq(1 << 20),
+        iq,
+        holds_reg,
+        prev_producer,
+        result_ready,
+        mem,
+        dmiss_counted,
+        declared,
+        fetch_next_pc,
+        mispredicted,
+        squashed,
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 
 use smt_obs::{CycleState, GateReason, NullProbe, OccupancySample, Probe, SquashKind};
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snapio::{self, ensure, Codec, Seq, Snap, SnapError, SnapReader};
 use smt_trace::{BenchProfile, DynInst, OpClass, INST_BYTES, NUM_ARCH_REGS};
 use smt_uarch::{
     BranchUnit, FuKind, FuPools, IqKind, IssueQueues, MemHierarchy, RegPool, RobCounters,
@@ -25,9 +25,8 @@ use smt_uarch::{
 use crate::config::SimConfig;
 use crate::error::{ConfigError, ProgressSnapshot, SimError, ThreadProgress, Watchdog};
 use crate::events::{Ev, EvKind, EventWheel};
-use crate::fragment::stats_delta;
 use crate::frontend::ThreadFront;
-use crate::inflight::{put_handle, read_handle, Handle, InFlight, Slab, Stage};
+use crate::inflight::{Handle, InFlight, Slab, Stage};
 use crate::policy::{DeclareAction, FetchPolicy, PolicyEvent, PolicyView, ThreadView};
 use crate::sanitizer::{InvariantCode, InvariantViolation, NullSanitizer, Sanitizer};
 use crate::snapshot::{cfg_fingerprint, MachineSnapshot, SnapshotError};
@@ -46,6 +45,10 @@ const EVENT_HORIZON: usize = 1024;
 /// Upper bound on pooled waiter vectors; enough for every in-flight
 /// instruction of the largest configuration to hold one.
 const WAITER_POOL_CAP: usize = 4096;
+
+/// Snapshot cap on a ROB or ready-list length: far above any machine, low
+/// enough that a corrupt length fails before it is trusted.
+const MAX_LIST: usize = 1 << 24;
 
 /// One hardware context's program: which benchmark to run, with which trace
 /// seed and stream shift.
@@ -1039,19 +1042,10 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             .stats
             .iter()
             .zip(&base.stats)
-            .map(|(a, b)| stats_delta(a, b))
+            .map(|(a, b)| a.delta(b))
             .collect();
         let mem = (0..self.num_threads())
-            .map(|t| {
-                let a = self.hier.thread_stats(t);
-                let b = base.mem[t];
-                smt_uarch::ThreadMemStats {
-                    loads: a.loads - b.loads,
-                    l1_misses: a.l1_misses - b.l1_misses,
-                    l2_misses: a.l2_misses - b.l2_misses,
-                    tlb_misses: a.tlb_misses - b.tlb_misses,
-                }
-            })
+            .map(|t| self.hier.thread_stats(t).delta(&base.mem[t]))
             .collect();
         let preds = self.branches.predictions - base.pred.0;
         let mis = self.branches.mispredictions - base.pred.1;
@@ -2571,67 +2565,6 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
 // Checkpoint / restore
 // ----------------------------------------------------------------------
 
-fn put_thread_stats(out: &mut Vec<u8>, s: &ThreadStats) {
-    snapio::put_u64(out, s.fetched);
-    snapio::put_u64(out, s.wrong_path_fetched);
-    snapio::put_u64(out, s.committed);
-    snapio::put_u64(out, s.squashed_mispredict);
-    snapio::put_u64(out, s.squashed_flush);
-    snapio::put_u64(out, s.gated_cycles);
-    snapio::put_u64(out, s.blocked_cycles);
-    snapio::put_u64(out, s.dispatch_stalls);
-    snapio::put_u64(out, s.branches);
-    snapio::put_u64(out, s.branch_mispredicts);
-}
-
-fn read_thread_stats(r: &mut SnapReader<'_>) -> Result<ThreadStats, SnapError> {
-    Ok(ThreadStats {
-        fetched: r.u64()?,
-        wrong_path_fetched: r.u64()?,
-        committed: r.u64()?,
-        squashed_mispredict: r.u64()?,
-        squashed_flush: r.u64()?,
-        gated_cycles: r.u64()?,
-        blocked_cycles: r.u64()?,
-        dispatch_stalls: r.u64()?,
-        branches: r.u64()?,
-        branch_mispredicts: r.u64()?,
-    })
-}
-
-fn put_mem_stats(out: &mut Vec<u8>, m: &ThreadMemStats) {
-    snapio::put_u64(out, m.loads);
-    snapio::put_u64(out, m.l1_misses);
-    snapio::put_u64(out, m.l2_misses);
-    snapio::put_u64(out, m.tlb_misses);
-}
-
-fn read_mem_stats(r: &mut SnapReader<'_>) -> Result<ThreadMemStats, SnapError> {
-    Ok(ThreadMemStats {
-        loads: r.u64()?,
-        l1_misses: r.u64()?,
-        l2_misses: r.u64()?,
-        tlb_misses: r.u64()?,
-    })
-}
-
-fn gate_tag(g: GateReason) -> u8 {
-    match g {
-        GateReason::Policy => 0,
-        GateReason::IcacheMiss => 1,
-        GateReason::FetchQueueFull => 2,
-    }
-}
-
-fn gate_from_tag(t: u8) -> Result<GateReason, SnapError> {
-    Ok(match t {
-        0 => GateReason::Policy,
-        1 => GateReason::IcacheMiss,
-        2 => GateReason::FetchQueueFull,
-        _ => return Err(SnapError::malformed(format!("unknown gate reason tag {t}"))),
-    })
-}
-
 /// How a checkpointed run ended: it either ran its budgets to completion
 /// like [`Simulator::try_run`], or a stop request interrupted it and the
 /// resumable machine state is handed back instead.
@@ -2767,154 +2700,195 @@ pub struct CheckpointOpts<'a> {
 
 impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// Serialize the complete evolving machine state (everything
-    /// [`Simulator::step`] can change). Scratch buffers, configuration, and
-    /// construction-time caches are excluded: restore targets an
-    /// identically-constructed simulator that already has them.
+    /// [`Simulator::step`] can change). Scratch buffers, configuration,
+    /// construction-time caches, the attached observers, and the cached
+    /// active-candidate name are excluded: restore targets an
+    /// identically-constructed simulator that already has them (the name
+    /// is re-derived from the restored policy).
+    #[deny(unused_variables)]
     fn save_machine(&self, out: &mut Vec<u8>) {
-        let n = self.num_threads();
-        snapio::put_u64(out, self.now);
-        snapio::put_u64(out, self.seq);
-        snapio::put_usize(out, self.rr);
-        snapio::put_usize(out, n);
-        for f in &self.fronts {
-            f.save_state(out);
+        let Simulator {
+            cfg: _,
+            policy: _,
+            probe: _,
+            sanitizer: _,
+            gate_state,
+            warn_state,
+            active_state: _,
+            obs_rob: _,
+            obs_iq: _,
+            obs_out: _,
+            obs_gate: _,
+            fronts,
+            slab,
+            robs,
+            rename_int,
+            rename_fp,
+            regs_int,
+            regs_fp,
+            iqs,
+            fus,
+            rob_count,
+            hier,
+            branches,
+            events,
+            ready,
+            due_buf: _,
+            cands_buf: _,
+            view_buf: _,
+            order_buf: _,
+            waiter_pool: _,
+            icount,
+            dmiss,
+            declared,
+            iq_held,
+            regs_held,
+            now,
+            seq,
+            rr,
+            stats,
+            total_committed,
+            skip_enabled: _,
+            skip_ok: _,
+            policy_wants_commits: _,
+            skipped_cycles,
+            skip_spans,
+        } = self;
+        now.save_state(out);
+        seq.save_state(out);
+        rr.save_state(out);
+        snapio::put_usize(out, fronts.len());
+        fronts.save_state(out);
+        slab.save_state(out);
+        for rob in robs {
+            Seq(MAX_LIST).save(rob, out);
         }
-        self.slab.save_state(out);
-        for rob in &self.robs {
-            snapio::put_usize(out, rob.len());
-            for &h in rob {
-                put_handle(out, h);
-            }
-        }
-        for table in self.rename_int.iter().chain(self.rename_fp.iter()) {
-            for &slot in table.iter() {
-                snapio::put_opt(out, slot, put_handle);
-            }
-        }
-        self.regs_int.save_state(out);
-        self.regs_fp.save_state(out);
-        self.iqs.save_state(out);
-        self.fus.save_state(out);
-        self.rob_count.save_state(out);
-        self.hier.save_state(out);
-        self.branches.save_state(out);
-        self.events.save_state(out);
+        rename_int.save_state(out);
+        rename_fp.save_state(out);
+        regs_int.save_state(out);
+        regs_fp.save_state(out);
+        iqs.save_state(out);
+        fus.save_state(out);
+        rob_count.save_state(out);
+        hier.save_state(out);
+        branches.save_state(out);
+        events.save_state(out);
         // Ready lists verbatim, stale handles included: lazy cleanup is
         // part of machine behavior (a restored run must compact the same
         // entries on the same cycles the uninterrupted run would).
-        for list in &self.ready {
-            snapio::put_usize(out, list.len());
-            for &h in list {
-                put_handle(out, h);
-            }
+        for list in ready {
+            Seq(MAX_LIST).save(list, out);
         }
-        for counters in [
-            &self.icount,
-            &self.dmiss,
-            &self.declared,
-            &self.iq_held,
-            &self.regs_held,
-        ] {
-            for &c in counters.iter() {
-                snapio::put_u32(out, c);
-            }
+        for counters in [icount, dmiss, declared, iq_held, regs_held] {
+            counters.save_state(out);
         }
-        for s in &self.stats {
-            put_thread_stats(out, s);
-        }
-        snapio::put_u64(out, self.total_committed);
-        snapio::put_u64(out, self.skipped_cycles);
-        snapio::put_u64(out, self.skip_spans);
-        for &g in &self.gate_state {
-            snapio::put_opt(out, g, |o, g| snapio::put_u8(o, gate_tag(g)));
-        }
-        for &w in &self.warn_state {
-            snapio::put_u8(out, w);
-        }
+        stats.save_state(out);
+        total_committed.save_state(out);
+        skipped_cycles.save_state(out);
+        skip_spans.save_state(out);
+        gate_state.save_state(out);
+        warn_state.save_state(out);
     }
 
     /// Restore the machine section into this (identically-constructed)
     /// simulator. On error the machine state is unspecified — discard the
     /// simulator (the caller-facing [`Simulator::restore`] documents this).
+    #[deny(unused_variables)]
     fn load_machine(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        const MAX_LIST: usize = 1 << 24;
-        let n = self.num_threads();
-        let now = r.u64()?;
-        let seq = r.u64()?;
-        let rr = r.usize()?;
-        if rr >= n {
-            return Err(SnapError::malformed(format!(
-                "round-robin offset {rr} with {n} threads"
-            )));
+        let Simulator {
+            cfg: _,
+            policy: _,
+            probe: _,
+            sanitizer: _,
+            gate_state,
+            warn_state,
+            active_state: _,
+            obs_rob: _,
+            obs_iq: _,
+            obs_out: _,
+            obs_gate: _,
+            fronts,
+            slab,
+            robs,
+            rename_int,
+            rename_fp,
+            regs_int,
+            regs_fp,
+            iqs,
+            fus,
+            rob_count,
+            hier,
+            branches,
+            events,
+            ready,
+            due_buf: _,
+            cands_buf: _,
+            view_buf: _,
+            order_buf: _,
+            waiter_pool: _,
+            icount,
+            dmiss,
+            declared,
+            iq_held,
+            regs_held,
+            now,
+            seq,
+            rr,
+            stats,
+            total_committed,
+            skip_enabled: _,
+            skip_ok: _,
+            policy_wants_commits: _,
+            skipped_cycles,
+            skip_spans,
+        } = self;
+        let n = fronts.len();
+        // The clock is rebased through the engine's single advance point
+        // below (`advance_clock`; SMT006): the wrapping delta lands exactly
+        // on the checkpointed cycle even when the snapshot predates this
+        // machine's clock.
+        let target = r.u64()?;
+        let clock_delta = target.wrapping_sub(*now);
+        seq.load_state(r)?;
+        rr.load_state(r)?;
+        ensure(*rr < n, || {
+            format!("round-robin offset {rr} with {n} threads")
+        })?;
+        let snap_fronts = r.usize()?;
+        ensure(snap_fronts == n, || {
+            format!("snapshot has {snap_fronts} front-ends, simulator has {n}")
+        })?;
+        fronts.load_state(r)?;
+        slab.load_state(r)?;
+        for rob in robs {
+            Seq(MAX_LIST).load(rob, r)?;
         }
-        let fronts = r.usize()?;
-        if fronts != n {
-            return Err(SnapError::malformed(format!(
-                "snapshot has {fronts} front-ends, simulator has {n}"
-            )));
+        rename_int.load_state(r)?;
+        rename_fp.load_state(r)?;
+        regs_int.load_state(r)?;
+        regs_fp.load_state(r)?;
+        iqs.load_state(r)?;
+        fus.load_state(r)?;
+        rob_count.load_state(r)?;
+        hier.load_state(r)?;
+        branches.load_state(r)?;
+        events.load_state(target, r)?;
+        for list in ready {
+            Seq(MAX_LIST).load(list, r)?;
         }
-        for f in &mut self.fronts {
-            f.load_state(r)?;
+        for counters in [icount, dmiss, declared, iq_held, regs_held] {
+            counters.load_state(r)?;
         }
-        self.slab.load_state(r)?;
-        for rob in &mut self.robs {
-            let len = r.len_capped(MAX_LIST)?;
-            rob.clear();
-            for _ in 0..len {
-                rob.push_back(read_handle(r)?);
-            }
-        }
-        for table in self.rename_int.iter_mut().chain(self.rename_fp.iter_mut()) {
-            for slot in table.iter_mut() {
-                *slot = r.opt(read_handle)?;
-            }
-        }
-        self.regs_int.load_state(r)?;
-        self.regs_fp.load_state(r)?;
-        self.iqs.load_state(r)?;
-        self.fus.load_state(r)?;
-        self.rob_count.load_state(r)?;
-        self.hier.load_state(r)?;
-        self.branches.load_state(r)?;
-        self.events.load_state(now, r)?;
-        for list in &mut self.ready {
-            let len = r.len_capped(MAX_LIST)?;
-            list.clear();
-            for _ in 0..len {
-                list.push(read_handle(r)?);
-            }
-        }
-        for counters in [
-            &mut self.icount,
-            &mut self.dmiss,
-            &mut self.declared,
-            &mut self.iq_held,
-            &mut self.regs_held,
-        ] {
-            for c in counters.iter_mut() {
-                *c = r.u32()?;
-            }
-        }
-        for s in &mut self.stats {
-            *s = read_thread_stats(r)?;
-        }
-        self.total_committed = r.u64()?;
-        self.skipped_cycles = r.u64()?;
-        self.skip_spans = r.u64()?;
-        for g in &mut self.gate_state {
-            *g = r.opt(|r| gate_from_tag(r.u8()?))?;
-        }
-        for w in &mut self.warn_state {
-            *w = r.u8()?;
-        }
-        // Rebase the clock through the engine's single advance point
-        // (`advance_clock`; SMT006): the wrapping delta lands exactly on
-        // the checkpointed cycle even when the snapshot predates this
-        // machine's clock. The round-robin offset it derives is then
-        // replaced by the checkpointed one.
-        let target = now;
-        self.advance_clock(target.wrapping_sub(self.now));
-        self.seq = seq;
+        stats.load_state(r)?;
+        total_committed.load_state(r)?;
+        skipped_cycles.load_state(r)?;
+        skip_spans.load_state(r)?;
+        gate_state.load_state(r)?;
+        warn_state.load_state(r)?;
+        // The round-robin offset the clock advance derives is replaced by
+        // the checkpointed one.
+        let rr = *rr;
+        self.advance_clock(clock_delta);
         self.rr = rr;
         // Scratch hygiene: the hot-loop buffers are rebuilt each cycle, but
         // a restored simulator should not carry another run's leftovers.
@@ -3104,25 +3078,34 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// start is deliberately not serialized — on resume the wall budget
     /// restarts, since time spent before a crash is not time spent in the
     /// resumed process.
+    #[deny(unused_variables)]
     fn snapshot_with_run(&self, phase: &RunPhase, watch: &WatchState) -> MachineSnapshot {
+        let RunPhase {
+            warmup_left,
+            measure_left,
+            measure_total,
+            bases,
+        } = phase;
+        let WatchState {
+            cycles,
+            last_commit_total,
+            last_commit_cycle,
+            started: _,
+        } = watch;
         let mut snap = self.snapshot();
         let mut run = Vec::new();
-        snapio::put_u64(&mut run, phase.warmup_left);
-        snapio::put_u64(&mut run, phase.measure_left);
-        snapio::put_u64(&mut run, phase.measure_total);
-        snapio::put_opt(&mut run, phase.bases.as_ref(), |out, b| {
-            for s in &b.stats {
-                put_thread_stats(out, s);
-            }
-            for m in &b.mem {
-                put_mem_stats(out, m);
-            }
-            snapio::put_u64(out, b.pred.0);
-            snapio::put_u64(out, b.pred.1);
-        });
-        snapio::put_u64(&mut run, watch.cycles);
-        snapio::put_u64(&mut run, watch.last_commit_total);
-        snapio::put_u64(&mut run, watch.last_commit_cycle);
+        warmup_left.save_state(&mut run);
+        measure_left.save_state(&mut run);
+        measure_total.save_state(&mut run);
+        snapio::put_bool(&mut run, bases.is_some());
+        if let Some(RunBases { stats, mem, pred }) = bases {
+            stats.save_state(&mut run);
+            mem.save_state(&mut run);
+            pred.save_state(&mut run);
+        }
+        cycles.save_state(&mut run);
+        last_commit_total.save_state(&mut run);
+        last_commit_cycle.save_state(&mut run);
         snap.run = Some(run);
         snap
     }
@@ -3243,49 +3226,54 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// in-progress run state. Pass the result to [`Simulator::resume_run`]
     /// to continue the run. A machine-only snapshot is
     /// [`SnapshotError::NoRunState`].
+    #[deny(unused_variables)]
     pub fn restore_run(&mut self, snap: &MachineSnapshot) -> Result<PendingRun, SnapshotError> {
         let Some(run_bytes) = &snap.run else {
             return Err(SnapshotError::NoRunState);
         };
         self.restore(snap)?;
         let n = self.num_threads();
-        let mut r = SnapReader::new(run_bytes);
-        let warmup_left = r.u64()?;
-        let measure_left = r.u64()?;
-        let measure_total = r.u64()?;
+        let mut phase = RunPhase::new(0, 0);
+        let mut watch = WatchState::new(self);
+        let RunPhase {
+            warmup_left,
+            measure_left,
+            measure_total,
+            bases,
+        } = &mut phase;
+        let WatchState {
+            cycles,
+            last_commit_total,
+            last_commit_cycle,
+            started: _,
+        } = &mut watch;
+        let r = &mut SnapReader::new(run_bytes);
+        warmup_left.load_state(r)?;
+        measure_left.load_state(r)?;
+        measure_total.load_state(r)?;
         if measure_left > measure_total {
             return Err(SnapshotError::Malformed(format!(
                 "run section: {measure_left} measure cycles left of {measure_total} total"
             )));
         }
-        let bases = r.opt(|r| {
-            let mut stats = Vec::with_capacity(n);
-            for _ in 0..n {
-                stats.push(read_thread_stats(r)?);
-            }
-            let mut mem = Vec::with_capacity(n);
-            for _ in 0..n {
-                mem.push(read_mem_stats(r)?);
-            }
-            let pred = (r.u64()?, r.u64()?);
-            Ok(RunBases { stats, mem, pred })
-        })?;
-        let watch = WatchState {
-            cycles: r.u64()?,
-            last_commit_total: r.u64()?,
-            last_commit_cycle: r.u64()?,
-            started: std::time::Instant::now(),
+        *bases = if r.bool()? {
+            let mut b = RunBases {
+                stats: vec![ThreadStats::default(); n],
+                mem: vec![ThreadMemStats::default(); n],
+                pred: (0, 0),
+            };
+            b.stats.load_state(r)?;
+            b.mem.load_state(r)?;
+            b.pred.load_state(r)?;
+            Some(b)
+        } else {
+            None
         };
+        cycles.load_state(r)?;
+        last_commit_total.load_state(r)?;
+        last_commit_cycle.load_state(r)?;
         r.finish("run section")?;
-        Ok(PendingRun {
-            phase: RunPhase {
-                warmup_left,
-                measure_left,
-                measure_total,
-                bases,
-            },
-            watch,
-        })
+        Ok(PendingRun { phase, watch })
     }
 
     /// Continue a run restored by [`Simulator::restore_run`], with the same

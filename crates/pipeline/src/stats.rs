@@ -1,31 +1,35 @@
 //! Simulation statistics.
 
-/// Per-thread counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ThreadStats {
-    /// Instructions fetched (correct-path + wrong-path).
-    pub fetched: u64,
-    /// The wrong-path subset of `fetched` — instructions fetched past a
-    /// mispredicted branch before recovery redirected the front-end.
-    pub wrong_path_fetched: u64,
-    /// Correct-path instructions committed.
-    pub committed: u64,
-    /// Instructions squashed by branch-misprediction recovery.
-    pub squashed_mispredict: u64,
-    /// Instructions squashed by the FLUSH policy's response action.
-    pub squashed_flush: u64,
-    /// Cycles this thread was gated (absent from the policy's fetch order).
-    pub gated_cycles: u64,
-    /// Cycles this thread could not fetch for structural reasons
-    /// (I-cache miss pending or full fetch queue).
-    pub blocked_cycles: u64,
-    /// Dispatch stalls due to exhausted shared resources (registers or
-    /// issue-queue entries).
-    pub dispatch_stalls: u64,
-    /// Branch instructions committed.
-    pub branches: u64,
-    /// Committed branches that had been mispredicted.
-    pub branch_mispredicts: u64,
+use smt_trace::snapio::Fnv1a;
+
+smt_trace::counters! {
+    /// Per-thread counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ThreadStats {
+        /// Instructions fetched (correct-path + wrong-path).
+        fetched,
+        /// The wrong-path subset of `fetched` — instructions fetched past a
+        /// mispredicted branch before recovery redirected the front-end.
+        wrong_path_fetched,
+        /// Correct-path instructions committed.
+        committed,
+        /// Instructions squashed by branch-misprediction recovery.
+        squashed_mispredict,
+        /// Instructions squashed by the FLUSH policy's response action.
+        squashed_flush,
+        /// Cycles this thread was gated (absent from the policy's fetch order).
+        gated_cycles,
+        /// Cycles this thread could not fetch for structural reasons
+        /// (I-cache miss pending or full fetch queue).
+        blocked_cycles,
+        /// Dispatch stalls due to exhausted shared resources (registers or
+        /// issue-queue entries).
+        dispatch_stalls,
+        /// Branch instructions committed.
+        branches,
+        /// Committed branches that had been mispredicted.
+        branch_mispredicts,
+    }
 }
 
 impl ThreadStats {
@@ -81,40 +85,18 @@ impl SimResult {
     /// rely on this: any behavioral drift in the simulator, however small,
     /// changes the digest.
     pub fn digest(&self) -> u64 {
-        // FNV-1a, 64-bit. Hand-rolled: the workspace is dependency-free,
-        // and `DefaultHasher` is allowed to change across Rust releases,
-        // which would silently invalidate stored golden digests.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
-        eat(self.cycles);
-        eat(self.threads.len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64(self.cycles);
+        h.u64(self.threads.len() as u64);
         for t in &self.threads {
-            eat(t.fetched);
-            eat(t.wrong_path_fetched);
-            eat(t.committed);
-            eat(t.squashed_mispredict);
-            eat(t.squashed_flush);
-            eat(t.gated_cycles);
-            eat(t.blocked_cycles);
-            eat(t.dispatch_stalls);
-            eat(t.branches);
-            eat(t.branch_mispredicts);
+            t.named().for_each(|(_, v)| h.u64(v));
         }
-        eat(self.mem.len() as u64);
+        h.u64(self.mem.len() as u64);
         for m in &self.mem {
-            eat(m.loads);
-            eat(m.l1_misses);
-            eat(m.l2_misses);
-            eat(m.tlb_misses);
+            m.named().for_each(|(_, v)| h.u64(v));
         }
-        eat(self.branch_mispredict_rate.to_bits());
-        h
+        h.u64(self.branch_mispredict_rate.to_bits());
+        h.finish()
     }
 
     /// Per-thread IPCs.

@@ -18,9 +18,10 @@ pub const INST_BYTES: u64 = 4;
 
 /// Operation classes. Each class maps to one functional-unit pool and one
 /// issue queue in the back-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Single-cycle integer ALU op.
+    #[default]
     IntAlu,
     /// Multi-cycle integer multiply/divide.
     IntMul,
@@ -70,9 +71,10 @@ impl OpClass {
 
 /// Refinement of control-flow instructions, used by the front-end to choose
 /// the right predictor structure (gshare, BTB, or return-address stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CtrlKind {
     /// Not a control-flow instruction.
+    #[default]
     None,
     /// Conditional branch: gshare direction + BTB target.
     CondBr,
@@ -128,7 +130,7 @@ pub struct StaticInst {
 
 /// A *dynamic* instruction: one element of the executed (or wrong-path)
 /// instruction stream handed to the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DynInst {
     /// Byte PC of this instruction.
     pub pc: u64,
@@ -162,95 +164,41 @@ impl DynInst {
 // --- evolving machine state (replay buffers, in-flight slabs), so they
 // --- round-trip through the checkpoint format with explicit enum tags.
 
-use crate::snapio::{self, SnapError, SnapReader};
+use crate::snapio::ensure;
 
-impl OpClass {
-    fn snap_tag(self) -> u8 {
-        match self {
-            OpClass::IntAlu => 0,
-            OpClass::IntMul => 1,
-            OpClass::FpAlu => 2,
-            OpClass::Load => 3,
-            OpClass::Store => 4,
-            OpClass::CondBranch => 5,
-            OpClass::Jump => 6,
+crate::snap_tags!(OpClass {
+    IntAlu = 0,
+    IntMul = 1,
+    FpAlu = 2,
+    Load = 3,
+    Store = 4,
+    CondBranch = 5,
+    Jump = 6,
+});
+
+crate::snap_tags!(CtrlKind {
+    None = 0,
+    CondBr = 1,
+    Jump = 2,
+    Call = 3,
+    Return = 4,
+});
+
+// Register names index the per-thread rename tables, so a restored name
+// must be in range before any stage can use it.
+crate::snap_fields! {
+    DynInst { pc, static_idx, class, ctrl, dest, srcs, mem_addr, taken, next_pc, wrong_path }
+    check {
+        for &reg in dest.iter().chain(srcs.iter().flatten()) {
+            ensure(reg < NUM_ARCH_REGS, || format!("register name {reg} out of range"))?;
         }
-    }
-
-    fn from_snap_tag(t: u8) -> Result<OpClass, SnapError> {
-        Ok(match t {
-            0 => OpClass::IntAlu,
-            1 => OpClass::IntMul,
-            2 => OpClass::FpAlu,
-            3 => OpClass::Load,
-            4 => OpClass::Store,
-            5 => OpClass::CondBranch,
-            6 => OpClass::Jump,
-            _ => return Err(SnapError::malformed(format!("OpClass tag {t}"))),
-        })
-    }
-}
-
-impl CtrlKind {
-    fn snap_tag(self) -> u8 {
-        match self {
-            CtrlKind::None => 0,
-            CtrlKind::CondBr => 1,
-            CtrlKind::Jump => 2,
-            CtrlKind::Call => 3,
-            CtrlKind::Return => 4,
-        }
-    }
-
-    fn from_snap_tag(t: u8) -> Result<CtrlKind, SnapError> {
-        Ok(match t {
-            0 => CtrlKind::None,
-            1 => CtrlKind::CondBr,
-            2 => CtrlKind::Jump,
-            3 => CtrlKind::Call,
-            4 => CtrlKind::Return,
-            _ => return Err(SnapError::malformed(format!("CtrlKind tag {t}"))),
-        })
-    }
-}
-
-impl DynInst {
-    /// Serialize for a machine snapshot.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_u64(out, self.pc);
-        snapio::put_u32(out, self.static_idx);
-        snapio::put_u8(out, self.class.snap_tag());
-        snapio::put_u8(out, self.ctrl.snap_tag());
-        snapio::put_opt(out, self.dest, snapio::put_u8);
-        for s in self.srcs {
-            snapio::put_opt(out, s, snapio::put_u8);
-        }
-        snapio::put_opt(out, self.mem_addr, snapio::put_u64);
-        snapio::put_bool(out, self.taken);
-        snapio::put_u64(out, self.next_pc);
-        snapio::put_bool(out, self.wrong_path);
-    }
-
-    /// Deserialize one instruction from a snapshot section.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<DynInst, SnapError> {
-        Ok(DynInst {
-            pc: r.u64()?,
-            static_idx: r.u32()?,
-            class: OpClass::from_snap_tag(r.u8()?)?,
-            ctrl: CtrlKind::from_snap_tag(r.u8()?)?,
-            dest: r.opt(|r| r.u8())?,
-            srcs: [r.opt(|r| r.u8())?, r.opt(|r| r.u8())?],
-            mem_addr: r.opt(|r| r.u64())?,
-            taken: r.bool()?,
-            next_pc: r.u64()?,
-            wrong_path: r.bool()?,
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapio::{Snap, SnapError, SnapReader};
 
     #[test]
     fn op_class_predicates() {
@@ -309,17 +257,40 @@ mod tests {
         for d in &insts {
             d.save_state(&mut buf);
         }
-        let mut r = crate::snapio::SnapReader::new(&buf);
+        let mut r = SnapReader::new(&buf);
         for d in &insts {
-            assert_eq!(DynInst::load_state(&mut r).unwrap(), *d);
+            let mut back = DynInst::default();
+            back.load_state(&mut r).unwrap();
+            assert_eq!(back, *d);
         }
         r.finish("insts").unwrap();
         // Unknown enum tags are typed errors, not panics.
         let mut bad = Vec::new();
         insts[0].save_state(&mut bad);
         bad[12] = 0xFF; // OpClass tag byte (after pc + static_idx)
-        let mut r = crate::snapio::SnapReader::new(&bad);
-        assert!(DynInst::load_state(&mut r).is_err());
+        let mut r = SnapReader::new(&bad);
+        assert!(DynInst::default().load_state(&mut r).is_err());
+    }
+
+    #[test]
+    fn out_of_range_register_names_are_rejected_on_restore() {
+        for inst in [
+            DynInst {
+                dest: Some(NUM_ARCH_REGS),
+                ..DynInst::default()
+            },
+            DynInst {
+                srcs: [None, Some(200)],
+                ..DynInst::default()
+            },
+        ] {
+            let mut buf = Vec::new();
+            inst.save_state(&mut buf);
+            let e = DynInst::default()
+                .load_state(&mut SnapReader::new(&buf))
+                .unwrap_err();
+            assert!(matches!(e, SnapError::Malformed(_)), "{e}");
+        }
     }
 
     #[test]

@@ -117,20 +117,11 @@ impl Rng {
         }
         v
     }
-
-    /// The raw xoshiro256** state, for machine snapshots. Together with
-    /// [`Rng::from_state`] this round-trips the generator exactly: a
-    /// restored stream continues with precisely the draws the original
-    /// would have produced.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from a previously captured [`Rng::state`].
-    pub fn from_state(s: [u64; 4]) -> Rng {
-        Rng { s }
-    }
 }
+
+// The raw xoshiro256** state: a restored stream continues with precisely
+// the draws the original would have produced.
+crate::snap_fields!(Rng { s });
 
 #[cfg(test)]
 mod tests {

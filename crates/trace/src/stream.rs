@@ -21,7 +21,7 @@ use crate::instr::{CtrlKind, DynInst, MemPool, OpClass, INST_BYTES};
 use crate::profile::BenchProfile;
 use crate::program::StaticProgram;
 use crate::rng::Rng;
-use crate::snapio::{self, SnapError, SnapReader};
+use crate::snapio::{ensure, Exact, Seq};
 
 /// Size of the L1-resident hot pool (bytes).
 pub const HOT_BYTES: u64 = 4 * 1024;
@@ -180,30 +180,13 @@ impl PoolState {
     pub fn draw_counts(&self) -> (u64, [u64; 3]) {
         (self.n_loads, self.n_pool)
     }
+}
 
-    /// Serialize the evolving draw state (pointers and feedback counters).
-    /// Bases, targets, and capacities are construction-derived and omitted:
-    /// [`PoolState::load_state`] restores into an identically-constructed
-    /// pool.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_u64(out, self.warm_ptr);
-        snapio::put_u64(out, self.cold_ptr);
-        snapio::put_u64(out, self.n_loads);
-        for &n in &self.n_pool {
-            snapio::put_u64(out, n);
-        }
-    }
-
-    /// Restore the evolving draw state captured by [`PoolState::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.warm_ptr = r.u64()?;
-        self.cold_ptr = r.u64()?;
-        self.n_loads = r.u64()?;
-        for n in &mut self.n_pool {
-            *n = r.u64()?;
-        }
-        Ok(())
-    }
+// Bases, targets, and capacities are construction-derived: the snapshot
+// carries only the draw pointers and feedback counters.
+crate::snap_fields! {
+    PoolState { warm_ptr, cold_ptr, n_loads, n_pool }
+    derived { hot_base, warm_base, cold_base, agg, concentration, warm_bytes }
 }
 
 /// Wrong-path instruction synthesis state (one per hardware context).
@@ -259,25 +242,11 @@ impl SynthState {
         let rel = pc.wrapping_sub(self.code_base) / INST_BYTES;
         (rel % program.len() as u64) as u32
     }
+}
 
-    /// Serialize the synthesis state (PRNG + pool pointers; `code_base` is
-    /// construction-derived).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for w in self.rng.state() {
-            snapio::put_u64(out, w);
-        }
-        self.pools.save_state(out);
-    }
-
-    /// Restore the synthesis state captured by [`SynthState::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = r.u64()?;
-        }
-        self.rng = Rng::from_state(s);
-        self.pools.load_state(r)
-    }
+crate::snap_fields! {
+    SynthState { rng, pools }
+    derived { code_base }
 }
 
 /// The correct-path dynamic instruction stream for one thread.
@@ -453,73 +422,28 @@ impl ThreadTrace {
             wrong_path: false,
         }
     }
+}
 
-    /// Serialize the walker's evolving position: current index, shadow call
-    /// stack, PRNG, pool pointers, emitted count, and loop counters. The
-    /// static program, profile identity, and address layout are
-    /// construction-derived and omitted.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_u32(out, self.cur_idx);
-        snapio::put_usize(out, self.shadow_stack.len());
-        for &f in &self.shadow_stack {
-            snapio::put_u32(out, f);
-        }
-        for w in self.rng.state() {
-            snapio::put_u64(out, w);
-        }
-        self.pools.save_state(out);
-        snapio::put_u64(out, self.emitted);
-        snapio::put_usize(out, self.loop_counts.len());
-        for &c in &self.loop_counts {
-            snapio::put_u16(out, c);
-        }
+// The walker's evolving position; the static program, profile identity,
+// and address layout are construction-derived. Restoring rejects indices
+// and a loop-counter table that do not fit the constructed program.
+crate::snap_fields! {
+    ThreadTrace {
+        cur_idx,
+        shadow_stack: Seq(SHADOW_STACK_CAP),
+        rng,
+        pools,
+        emitted,
+        loop_counts: Exact,
     }
-
-    /// Restore a position captured by [`ThreadTrace::save_state`] into a
-    /// trace built with the same `(profile, seed, addr_base)`. Rejects
-    /// snapshots whose shape (indices, loop-counter length) does not match
-    /// the constructed program.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let prog_len = self.program.len() as u32;
-        let cur_idx = r.u32()?;
-        if cur_idx >= prog_len {
-            return Err(SnapError::malformed(format!(
-                "trace index {cur_idx} out of range for program of {prog_len}"
-            )));
+    derived { program, profile_name, code_base, seed }
+    check {
+        let prog_len = program.len() as u32;
+        for &idx in std::iter::once(&*cur_idx).chain(shadow_stack.iter()) {
+            ensure(idx < prog_len, || {
+                format!("trace index {idx} out of range for program of {prog_len}")
+            })?;
         }
-        let depth = r.len_capped(SHADOW_STACK_CAP)?;
-        let mut shadow_stack = Vec::with_capacity(SHADOW_STACK_CAP);
-        for _ in 0..depth {
-            let f = r.u32()?;
-            if f >= prog_len {
-                return Err(SnapError::malformed(format!(
-                    "shadow-stack frame {f} out of range for program of {prog_len}"
-                )));
-            }
-            shadow_stack.push(f);
-        }
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = r.u64()?;
-        }
-        let rng = Rng::from_state(s);
-        self.pools.load_state(r)?;
-        let emitted = r.u64()?;
-        let n_counts = r.usize()?;
-        if n_counts != self.loop_counts.len() {
-            return Err(SnapError::malformed(format!(
-                "loop-counter length {n_counts} does not match program of {}",
-                self.loop_counts.len()
-            )));
-        }
-        for c in &mut self.loop_counts {
-            *c = r.u16()?;
-        }
-        self.cur_idx = cur_idx;
-        self.shadow_stack = shadow_stack;
-        self.rng = rng;
-        self.emitted = emitted;
-        Ok(())
     }
 }
 
@@ -527,6 +451,7 @@ impl ThreadTrace {
 mod tests {
     use super::*;
     use crate::profile::{bzip2, gzip, mcf, twolf};
+    use crate::snapio::{Snap, SnapError, SnapReader};
 
     fn take(trace: &mut ThreadTrace, n: usize) -> Vec<DynInst> {
         (0..n).map(|_| trace.next_inst()).collect()

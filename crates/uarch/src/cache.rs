@@ -6,7 +6,7 @@
 //! a busy bank delays the access, which is the "resource conflicts" caveat
 //! the paper attaches to its L1-miss-detection timing.
 
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snap_fields;
 
 /// Geometry and timing of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,40 +220,6 @@ impl Cache {
         self.sets.iter().filter(|l| l.valid).count()
     }
 
-    /// Serialize the evolving tag-array state: every line's (tag, valid,
-    /// LRU stamp), the per-bank free cycles, the global stamp, and the
-    /// statistics. Geometry is construction-derived and omitted.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for l in &self.sets {
-            snapio::put_u64(out, l.tag);
-            snapio::put_bool(out, l.valid);
-            snapio::put_u64(out, l.stamp);
-        }
-        for &f in &self.bank_free {
-            snapio::put_u64(out, f);
-        }
-        snapio::put_u64(out, self.stamp);
-        snapio::put_u64(out, self.stats.accesses);
-        snapio::put_u64(out, self.stats.misses);
-    }
-
-    /// Restore the state captured by [`Cache::save_state`] into a cache of
-    /// the same geometry.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for l in &mut self.sets {
-            l.tag = r.u64()?;
-            l.valid = r.bool()?;
-            l.stamp = r.u64()?;
-        }
-        for f in &mut self.bank_free {
-            *f = r.u64()?;
-        }
-        self.stamp = r.u64()?;
-        self.stats.accesses = r.u64()?;
-        self.stats.misses = r.u64()?;
-        Ok(())
-    }
-
     /// Tag-array integrity audit (sanitizer invariant `INV014`): within a
     /// set, valid lines must carry distinct tags — a duplicate would make
     /// hit results depend on probe order. Returns the first offending
@@ -298,6 +264,16 @@ impl Cache {
         }
         false
     }
+}
+
+snap_fields!(Line { tag, valid, stamp });
+snap_fields!(CacheStats { accesses, misses });
+
+// The tag array's contents; the geometry and the indexing masks derived
+// from it are construction-time.
+snap_fields! {
+    Cache { sets, bank_free, stamp, stats }
+    derived { cfg, set_mask, line_shift, bank_mask }
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 use crate::fasthash::FastMap;
 
 use smt_obs::{NullProbe, Probe};
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snapio::{self, Snap, SnapError, SnapReader};
+use smt_trace::{counters, snap_fields};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::tlb::{Tlb, TlbConfig};
@@ -47,7 +48,7 @@ impl MemTiming {
 }
 
 /// Outcome of a data-side access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemAccess {
     /// Cycle at which the data is available.
     pub complete_at: u64,
@@ -58,6 +59,13 @@ pub struct MemAccess {
     pub tlb_miss: bool,
 }
 
+snap_fields!(MemAccess {
+    complete_at,
+    l1_miss,
+    l2_miss,
+    tlb_miss,
+});
+
 /// Outcome of an instruction fetch probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IFetchAccess {
@@ -65,13 +73,15 @@ pub struct IFetchAccess {
     pub miss: bool,
 }
 
-/// Per-thread data-side counters (drives the Table 2a reproduction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadMemStats {
-    pub loads: u64,
-    pub l1_misses: u64,
-    pub l2_misses: u64,
-    pub tlb_misses: u64,
+counters! {
+    /// Per-thread data-side counters (drives the Table 2a reproduction).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ThreadMemStats {
+        loads,
+        l1_misses,
+        l2_misses,
+        tlb_misses,
+    }
 }
 
 impl ThreadMemStats {
@@ -382,46 +392,58 @@ impl MemHierarchy {
     pub fn l2_stats(&self) -> CacheStats {
         self.l2.stats()
     }
+}
 
-    /// Serialize the complete evolving hierarchy state: all three cache
-    /// levels, every DTLB, the in-flight fill maps (written sorted by line
-    /// so equal state is byte-identical), the bus schedule, and the
-    /// per-thread counters.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.l1i.save_state(out);
-        self.l1d.save_state(out);
-        self.l2.save_state(out);
-        for tlb in &self.dtlbs {
-            tlb.save_state(out);
-        }
-        for map in [&self.inflight_d, &self.inflight_i] {
+/// The complete evolving hierarchy state. The in-flight fill maps are
+/// written sorted by line, so equal state is byte-identical.
+impl Snap for MemHierarchy {
+    #[deny(unused_variables)]
+    fn save_state(&self, out: &mut Vec<u8>) {
+        let MemHierarchy {
+            timing: _,
+            l1i,
+            l1d,
+            l2,
+            dtlbs,
+            inflight_d,
+            inflight_i,
+            bus_free,
+            line_bytes: _,
+            thread_stats,
+        } = self;
+        l1i.save_state(out);
+        l1d.save_state(out);
+        l2.save_state(out);
+        dtlbs.save_state(out);
+        for map in [inflight_d, inflight_i] {
             let mut entries: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
             entries.sort_unstable();
             snapio::put_usize(out, entries.len());
-            for (line, at) in entries {
-                snapio::put_u64(out, line);
-                snapio::put_u64(out, at);
-            }
+            entries.save_state(out);
         }
-        snapio::put_u64(out, self.bus_free);
-        for s in &self.thread_stats {
-            snapio::put_u64(out, s.loads);
-            snapio::put_u64(out, s.l1_misses);
-            snapio::put_u64(out, s.l2_misses);
-            snapio::put_u64(out, s.tlb_misses);
-        }
+        bus_free.save_state(out);
+        thread_stats.save_state(out);
     }
 
-    /// Restore the state captured by [`MemHierarchy::save_state`] into an
-    /// identically-configured hierarchy.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.l1i.load_state(r)?;
-        self.l1d.load_state(r)?;
-        self.l2.load_state(r)?;
-        for tlb in &mut self.dtlbs {
-            tlb.load_state(r)?;
-        }
-        for map in [&mut self.inflight_d, &mut self.inflight_i] {
+    #[deny(unused_variables)]
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let MemHierarchy {
+            timing: _,
+            l1i,
+            l1d,
+            l2,
+            dtlbs,
+            inflight_d,
+            inflight_i,
+            bus_free,
+            line_bytes: _,
+            thread_stats,
+        } = self;
+        l1i.load_state(r)?;
+        l1d.load_state(r)?;
+        l2.load_state(r)?;
+        dtlbs.load_state(r)?;
+        for map in [inflight_d, inflight_i] {
             let n = r.len_capped(1 << 24)?;
             map.clear();
             for _ in 0..n {
@@ -430,14 +452,8 @@ impl MemHierarchy {
                 map.insert(line, at);
             }
         }
-        self.bus_free = r.u64()?;
-        for s in &mut self.thread_stats {
-            s.loads = r.u64()?;
-            s.l1_misses = r.u64()?;
-            s.l2_misses = r.u64()?;
-            s.tlb_misses = r.u64()?;
-        }
-        Ok(())
+        bus_free.load_state(r)?;
+        thread_stats.load_state(r)
     }
 }
 

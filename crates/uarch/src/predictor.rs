@@ -2,7 +2,8 @@
 //! return-address stacks, matching the paper's Table 3 configuration
 //! (2048-entry gshare, 256-entry 4-way BTB, 256-entry RAS).
 
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snap_fields;
+use smt_trace::snapio::ensure;
 use smt_trace::{CtrlKind, INST_BYTES};
 
 /// Predictor configuration.
@@ -93,26 +94,17 @@ impl Gshare {
         let h = &mut self.history[thread];
         *h = ((*h << 1) | taken as u64) & ((1 << self.history_bits) - 1);
     }
+}
 
-    /// Serialize the PHT counters and per-context history registers.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for &c in &self.pht {
-            snapio::put_u8(out, c);
-        }
-        for &h in &self.history {
-            snapio::put_u64(out, h);
-        }
-    }
-
-    /// Restore the state captured by [`Gshare::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for c in &mut self.pht {
-            *c = r.u8()?;
-        }
-        for h in &mut self.history {
-            *h = r.u64()?;
-        }
-        Ok(())
+// The PHT is restored into a constructed table of the same size; a counter
+// outside the 2-bit range would overflow `counter_update`.
+snap_fields! {
+    Gshare { pht, history }
+    derived { mask, history_bits }
+    check {
+        ensure(pht.iter().all(|&c| c <= 3), || {
+            "gshare counter exceeds the 2-bit range".to_string()
+        })?;
     }
 }
 
@@ -179,27 +171,11 @@ impl Btb {
             .expect("ways >= 1");
         set[victim] = (pc, target, self.stamp);
     }
+}
 
-    /// Serialize every BTB entry and the LRU stamp.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for &(pc, target, stamp) in &self.entries {
-            snapio::put_u64(out, pc);
-            snapio::put_u64(out, target);
-            snapio::put_u64(out, stamp);
-        }
-        snapio::put_u64(out, self.stamp);
-    }
-
-    /// Restore the state captured by [`Btb::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for e in &mut self.entries {
-            e.0 = r.u64()?;
-            e.1 = r.u64()?;
-            e.2 = r.u64()?;
-        }
-        self.stamp = r.u64()?;
-        Ok(())
-    }
+snap_fields! {
+    Btb { entries, stamp }
+    derived { ways, sets }
 }
 
 /// Return-address stack, one per hardware context. Overflow wraps (oldest
@@ -238,32 +214,17 @@ impl Ras {
     pub fn depth(&self) -> usize {
         self.depth
     }
+}
 
-    /// Serialize the ring buffer, top pointer, and depth.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for &a in &self.buf {
-            snapio::put_u64(out, a);
-        }
-        snapio::put_usize(out, self.top);
-        snapio::put_usize(out, self.depth);
-    }
-
-    /// Restore the state captured by [`Ras::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for a in &mut self.buf {
-            *a = r.u64()?;
-        }
-        let top = r.usize()?;
-        let depth = r.usize()?;
-        if top >= self.buf.len() || depth > self.buf.len() {
-            return Err(SnapError::malformed(format!(
+snap_fields! {
+    Ras { buf, top, depth }
+    check {
+        ensure(*top < buf.len() && *depth <= buf.len(), || {
+            format!(
                 "RAS pointers ({top}, {depth}) out of range for {} entries",
-                self.buf.len()
-            )));
-        }
-        self.top = top;
-        self.depth = depth;
-        Ok(())
+                buf.len()
+            )
+        })?;
     }
 }
 
@@ -387,44 +348,33 @@ impl BranchUnit {
             self.mispredictions as f64 / self.predictions as f64
         }
     }
-
-    /// Serialize the full branch-unit state: gshare, BTB, every RAS, and
-    /// the prediction counters.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        self.gshare.save_state(out);
-        self.btb.save_state(out);
-        for ras in &self.ras {
-            ras.save_state(out);
-        }
-        snapio::put_u64(out, self.predictions);
-        snapio::put_u64(out, self.mispredictions);
-        for &(p, m) in &self.by_kind {
-            snapio::put_u64(out, p);
-            snapio::put_u64(out, m);
-        }
-    }
-
-    /// Restore the state captured by [`BranchUnit::save_state`] into an
-    /// identically-configured unit.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.gshare.load_state(r)?;
-        self.btb.load_state(r)?;
-        for ras in &mut self.ras {
-            ras.load_state(r)?;
-        }
-        self.predictions = r.u64()?;
-        self.mispredictions = r.u64()?;
-        for k in &mut self.by_kind {
-            k.0 = r.u64()?;
-            k.1 = r.u64()?;
-        }
-        Ok(())
-    }
 }
+
+snap_fields!(BranchUnit {
+    gshare,
+    btb,
+    ras,
+    predictions,
+    mispredictions,
+    by_kind,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_trace::snapio::{Snap, SnapError, SnapReader};
+
+    #[test]
+    fn gshare_restore_rejects_counters_outside_two_bits() {
+        let g = Gshare::new(64, 1);
+        let mut buf = Vec::new();
+        g.save_state(&mut buf);
+        let mut back = Gshare::new(64, 1);
+        back.load_state(&mut SnapReader::new(&buf)).unwrap();
+        buf[5] = 255; // one PHT counter
+        let e = back.load_state(&mut SnapReader::new(&buf)).unwrap_err();
+        assert!(matches!(e, SnapError::Malformed(_)), "{e}");
+    }
 
     #[test]
     fn gshare_learns_a_biased_branch() {

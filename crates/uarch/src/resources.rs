@@ -7,8 +7,9 @@
 //! at rename/dispatch and a thread stalls when any of them is exhausted —
 //! which is exactly the clog the fetch policies try to prevent.
 
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snapio::{self, ensure, Snap, SnapError, SnapReader};
 use smt_trace::OpClass;
+use smt_trace::{snap_fields, snap_tags};
 
 /// A counted pool of physical registers (one per class: int / fp).
 ///
@@ -67,31 +68,25 @@ impl RegPool {
         debug_assert!(self.in_use > 0, "register double-free");
         self.in_use -= 1;
     }
+}
 
-    /// Serialize the occupancy counters (capacities are construction-derived).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_u32(out, self.in_use);
-        snapio::put_u32(out, self.peak);
-    }
-
-    /// Restore the counters captured by [`RegPool::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let in_use = r.u32()?;
-        if in_use > self.total - self.reserved {
-            return Err(SnapError::malformed(format!(
+snap_fields! {
+    RegPool { in_use, peak }
+    derived { total, reserved }
+    check {
+        ensure(*in_use <= *total - *reserved, || {
+            format!(
                 "register occupancy {in_use} exceeds pool of {}",
-                self.total - self.reserved
-            )));
-        }
-        self.in_use = in_use;
-        self.peak = r.u32()?;
-        Ok(())
+                *total - *reserved
+            )
+        })?;
     }
 }
 
 /// The three issue queues of Table 3 (32 int, 32 fp, 32 ld/st entries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum IqKind {
+    #[default]
     Int,
     Fp,
     LdSt,
@@ -109,6 +104,12 @@ impl IqKind {
 
     pub const ALL: [IqKind; 3] = [IqKind::Int, IqKind::Fp, IqKind::LdSt];
 }
+
+snap_tags!(IqKind {
+    Int = 0,
+    Fp = 1,
+    LdSt = 2,
+});
 
 /// Occupancy accounting for the shared issue queues.
 #[derive(Debug, Clone, Copy)]
@@ -169,32 +170,39 @@ impl IssueQueues {
     pub fn total_used(&self) -> u32 {
         self.used.iter().sum()
     }
+}
 
-    /// Serialize per-queue occupancy and high-water marks.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for i in 0..3 {
-            snapio::put_u32(out, self.used[i]);
-            snapio::put_u32(out, self.peaks[i]);
+/// Per-queue occupancy and high-water marks, interleaved per queue.
+impl Snap for IssueQueues {
+    #[deny(unused_variables)]
+    fn save_state(&self, out: &mut Vec<u8>) {
+        let IssueQueues {
+            caps: _,
+            used,
+            peaks,
+        } = self;
+        for (u, p) in used.iter().zip(peaks) {
+            snapio::put_u32(out, *u);
+            snapio::put_u32(out, *p);
         }
     }
 
-    /// Restore the counters captured by [`IssueQueues::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+    #[deny(unused_variables)]
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let IssueQueues { caps, used, peaks } = self;
         for i in 0..3 {
-            let used = r.u32()?;
-            if used > self.caps[i] {
-                return Err(SnapError::malformed(format!(
-                    "issue-queue occupancy {used} exceeds capacity {}",
-                    self.caps[i]
-                )));
-            }
-            self.used[i] = used;
-            self.peaks[i] = r.u32()?;
+            used[i] = r.u32()?;
+            ensure(used[i] <= caps[i], || {
+                format!(
+                    "issue-queue occupancy {} exceeds capacity {}",
+                    used[i], caps[i]
+                )
+            })?;
+            peaks[i] = r.u32()?;
         }
         Ok(())
     }
 }
-
 /// Functional-unit pools. The paper's FUs are fully pipelined, so a pool of
 /// `n` units means at most `n` operations of that class can *begin* execution
 /// per cycle; occupancy across cycles is unconstrained.
@@ -259,21 +267,11 @@ impl FuPools {
         let i = Self::idx(kind);
         self.caps[i] - self.used_this_cycle[i]
     }
+}
 
-    /// Serialize the intra-cycle issue counters.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for &u in &self.used_this_cycle {
-            snapio::put_u32(out, u);
-        }
-    }
-
-    /// Restore the counters captured by [`FuPools::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for u in &mut self.used_this_cycle {
-            *u = r.u32()?;
-        }
-        Ok(())
-    }
+snap_fields! {
+    FuPools { used_this_cycle }
+    derived { caps }
 }
 
 /// Per-thread reorder-buffer occupancy (Table 3: 256 entries per thread; the
@@ -313,27 +311,15 @@ impl RobCounters {
         debug_assert!(self.used[thread] > 0, "ROB double-free");
         self.used[thread] -= 1;
     }
+}
 
-    /// Serialize per-thread ROB occupancy.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        for &u in &self.used {
-            snapio::put_u32(out, u);
-        }
-    }
-
-    /// Restore the counters captured by [`RobCounters::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for u in &mut self.used {
-            let v = r.u32()?;
-            if v > self.cap {
-                return Err(SnapError::malformed(format!(
-                    "ROB occupancy {v} exceeds capacity {}",
-                    self.cap
-                )));
-            }
-            *u = v;
-        }
-        Ok(())
+snap_fields! {
+    RobCounters { used }
+    derived { cap }
+    check {
+        ensure(used.iter().all(|u| u <= cap), || {
+            format!("ROB occupancy exceeds capacity {cap}")
+        })?;
     }
 }
 

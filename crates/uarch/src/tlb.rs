@@ -5,7 +5,8 @@
 //! policies — also triggers the policy's long-latency response, as specified
 //! in the paper's §5 implementation notes.
 
-use smt_trace::snapio::{self, SnapError, SnapReader};
+use smt_trace::snap_fields;
+use smt_trace::snapio::Seq;
 
 /// DTLB configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,36 +97,13 @@ impl Tlb {
     pub fn misses(&self) -> u64 {
         self.misses
     }
+}
 
-    /// Serialize the evolving translation state. Entry order matters:
-    /// `swap_remove` eviction makes behaviour depend on the vector layout,
-    /// so entries are written in their exact in-memory order.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        snapio::put_usize(out, self.entries.len());
-        for &(vpn, stamp) in &self.entries {
-            snapio::put_u64(out, vpn);
-            snapio::put_u64(out, stamp);
-        }
-        snapio::put_u64(out, self.stamp);
-        snapio::put_u64(out, self.accesses);
-        snapio::put_u64(out, self.misses);
-    }
-
-    /// Restore the state captured by [`Tlb::save_state`] into a TLB of the
-    /// same configuration.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.len_capped(self.cfg.entries)?;
-        self.entries.clear();
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            let stamp = r.u64()?;
-            self.entries.push((vpn, stamp));
-        }
-        self.stamp = r.u64()?;
-        self.accesses = r.u64()?;
-        self.misses = r.u64()?;
-        Ok(())
-    }
+// Entry order matters: `swap_remove` eviction makes behaviour depend on
+// the vector layout, so entries are written in their in-memory order.
+snap_fields! {
+    Tlb { entries: Seq(cfg.entries), stamp, accesses, misses }
+    derived { cfg, page_shift }
 }
 
 #[cfg(test)]
