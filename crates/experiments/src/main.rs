@@ -53,13 +53,6 @@ experiments:
              and configs, then verify every fault resolves to a typed
              error or a bit-identical golden result
 
-  lint [--verbose] [--json PATH] [--cache PATH]
-             static analysis over this repository's own sources (the
-             determinism/robustness rules SMT001..SMT012, allowlisted in
-             lint.allow); same pass as `cargo run -p smt-lint`. --json
-             writes machine-readable diagnostics (`-` for stdout);
-             --cache enables the incremental per-file cache
-
   report [<dir>]
              segment the interval time-series a previous `--intervals <dir>`
              campaign wrote into phases and print per-run phase summary
@@ -359,68 +352,6 @@ fn build_campaign(params: ExpParams, cache_dir: Option<&PathBuf>, opts: &Campaig
     campaign
 }
 
-/// The `lint` subcommand: the workspace's own determinism/robustness
-/// static analysis (also available as `cargo run -p smt-lint`).
-fn lint_cmd(args: &[String]) -> ! {
-    let mut verbose = false;
-    let mut json_out: Option<PathBuf> = None;
-    let mut cache: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--verbose" | "-v" => verbose = true,
-            "--json" => match it.next() {
-                Some(p) => json_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("lint: --json needs a path (or `-` for stdout)");
-                    std::process::exit(EXIT_USAGE);
-                }
-            },
-            "--cache" => match it.next() {
-                Some(p) => cache = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("lint: --cache needs a path");
-                    std::process::exit(EXIT_USAGE);
-                }
-            },
-            other => {
-                eprintln!("lint: unknown argument {other:?}");
-                std::process::exit(EXIT_USAGE);
-            }
-        }
-    }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let Some(root) = smt_lint::find_workspace_root(&cwd) else {
-        eprintln!("lint: not inside the cargo workspace");
-        std::process::exit(EXIT_USAGE);
-    };
-    match smt_lint::run_with_cache(&root, cache.as_deref()) {
-        Ok(report) => {
-            let json = smt_lint::render_json(&report);
-            match &json_out {
-                Some(p) if p.as_os_str() == "-" => print!("{json}"),
-                Some(p) => {
-                    if let Err(e) = std::fs::write(p, &json) {
-                        eprintln!("lint: writing {}: {e}", p.display());
-                        std::process::exit(EXIT_USAGE);
-                    }
-                    print!("{}", smt_lint::render(&report, verbose));
-                }
-                None => print!("{}", smt_lint::render(&report, verbose)),
-            }
-            std::process::exit(if report.is_clean() {
-                error::EXIT_OK
-            } else {
-                EXIT_RUNTIME
-            });
-        }
-        Err(e) => {
-            eprintln!("lint: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-    }
-}
-
 /// Write any collected stats artifacts; called on every exit path.
 fn flush_artifacts() {
     match artifacts::flush() {
@@ -459,10 +390,6 @@ fn main() {
         resume: resume_dir.clone().map(|dir| (dir, checkpoint_interval)),
         fragments,
     };
-
-    if args.first().map(String::as_str) == Some("lint") {
-        lint_cmd(&args[1..]);
-    }
 
     if args.first().map(String::as_str) == Some("report") {
         let dir = args

@@ -56,9 +56,7 @@ fn known_commands() -> BTreeSet<String> {
         .iter()
         .map(|(n, _)| n.to_string())
         .collect();
-    for extra in [
-        "all", "compare", "cache", "trace", "chaos", "lint", "report",
-    ] {
+    for extra in ["all", "compare", "cache", "trace", "chaos", "report"] {
         names.insert(extra.to_string());
     }
     names

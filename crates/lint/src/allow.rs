@@ -123,10 +123,6 @@ pub struct Report {
     pub suppressed: Vec<Diagnostic>,
     /// Files scanned.
     pub files: usize,
-    /// Files served from the incremental cache (0 on cold/uncached runs).
-    pub cache_hits: usize,
-    /// Files freshly analyzed this run.
-    pub cache_misses: usize,
 }
 
 impl Report {

@@ -12,7 +12,6 @@
 //! | `SMT004` | no float `==` / `!=` | metrics |
 //! | `SMT005` | no stale allowlist entries | the allowlist itself |
 //! | `SMT006` | cycle counter written only in `advance_clock` | pipeline |
-//! | `SMT007` | observability hooks behind `const ENABLED` (lexical) | pipeline |
 //! | `SMT009` | `PolicyKind` dispatch exhaustive; policy contracts explicit | cross-file |
 //! | `SMT010` | every `INVxxx` invariant tested and documented | cross-file |
 //! | `SMT011` | hooks structurally dominated by `ENABLED` (token-tree) | pipeline |
@@ -21,29 +20,24 @@
 //! `#[cfg(test)]` modules, `tests/`, `benches/` and `examples/` trees are
 //! exempt throughout: the rules guard production paths.
 //!
-//! SMT001–SMT007 are *local* rules: token scans over one masked file
+//! SMT001–SMT006 are *local* rules: token scans over one masked file
 //! ([`lexer::mask_source`] → [`rules::scan_file`]). SMT009–SMT012 are
 //! *cross-file* rules: every file is parsed into balanced-delimiter token
 //! trees ([`tokens`]) and distilled into a structural [`model::FileModel`]
-//! (structs, enum variants, fns with mention sets, match arms,
+//! (enum variants, fns with mention sets, match arms, impl blocks,
 //! consts, strings, hook-call gating); [`xrules::scan_workspace`] then
 //! checks coverage invariants across the whole workspace model plus the
-//! documentation files. Per-file models and local diagnostics are cached
-//! by content hash ([`cache`]), so warm runs re-analyze only edited files
-//! while cross-file rules always see the full, current model.
+//! documentation files.
 //!
 //! Intentional exceptions live in `lint.allow` at the repository root,
 //! one per line with a mandatory justification (`CODE path  why`, or
 //! item-granular `CODE path#Type::field  why` for the cross-file rules);
 //! an entry that stops matching anything becomes an `SMT005` error so the
-//! list can only shrink. Run it as `cargo run -p smt-lint` or
-//! `smt-experiments lint`; CI runs it as the "Static analysis" gate. The
-//! implementation is dependency-free, including its JSON reader/writer
-//! ([`json`]) for the cache and `--json` diagnostics.
+//! list can only shrink. Run it as `cargo run -p smt-lint`; CI runs it as
+//! the "Static analysis" gate. Its only dependency is the workspace's
+//! `smt-obs`, whose [`smt_obs::Json`] builds the `--json` report.
 
 pub mod allow;
-pub mod cache;
-pub mod json;
 pub mod lexer;
 pub mod model;
 pub mod rules;
@@ -54,6 +48,8 @@ pub use allow::{apply, parse_allowlist, AllowEntry, Report};
 pub use rules::{scan_file, Diagnostic, RuleCode};
 
 use std::path::{Path, PathBuf};
+
+use smt_obs::Json;
 
 /// The allowlist's canonical location, relative to the workspace root.
 pub const ALLOWLIST_NAME: &str = "lint.allow";
@@ -106,24 +102,13 @@ const AUX_SOURCES: [&str; 1] = ["crates/pipeline/tests/sanitizer.rs"];
 const DOC_SOURCES: [&str; 3] = ["DESIGN.md", "README.md", "EXPERIMENTS.md"];
 
 /// Scan the whole workspace and apply the allowlist at `root/lint.allow`
-/// (an absent allowlist means "no exceptions"). Purely in-memory: no
-/// cache file is read or written. `Err` carries usage-level failures:
-/// unreadable files, malformed allowlist.
+/// (an absent allowlist means "no exceptions"). `Err` carries usage-level
+/// failures: an unreadable source, auxiliary source or documentation
+/// file, or a malformed allowlist.
 pub fn run(root: &Path) -> Result<Report, String> {
-    run_with_cache(root, None)
-}
-
-/// [`run`], optionally with an incremental cache file: per-file models and
-/// local diagnostics are reused when the file's content hash is unchanged,
-/// and the cache is rewritten after the scan. Cross-file rules always
-/// recompute over the (cached or fresh) models, so cached and cold runs
-/// produce identical diagnostics.
-pub fn run_with_cache(root: &Path, cache_path: Option<&Path>) -> Result<Report, String> {
     let allow_path = root.join(ALLOWLIST_NAME);
     let entries = if allow_path.is_file() {
-        let text = std::fs::read_to_string(&allow_path)
-            .map_err(|e| format!("reading {}: {e}", allow_path.display()))?;
-        parse_allowlist(&text).map_err(|errs| errs.join("\n"))?
+        parse_allowlist(&read(&allow_path)?).map_err(|errs| errs.join("\n"))?
     } else {
         Vec::new()
     };
@@ -131,38 +116,21 @@ pub fn run_with_cache(root: &Path, cache_path: Option<&Path>) -> Result<Report, 
     if files.is_empty() {
         return Err(format!("no sources under {}/crates", root.display()));
     }
-    let mut cache = cache_path.map(cache::Cache::load).unwrap_or_default();
     let mut diags = Vec::new();
     let mut models = Vec::with_capacity(files.len());
     for f in &files {
         let path = rel(root, f);
-        let src =
-            std::fs::read_to_string(f).map_err(|e| format!("reading {}: {e}", f.display()))?;
-        let hash = cache::fnv1a(src.as_bytes());
-        let (m, local) = match cache.lookup(&path, hash) {
-            Some(hit) => hit,
-            None => {
-                let m = model::extract(&src);
-                let local = scan_file(&path, &src);
-                cache.insert(&path, hash, m.clone(), local.clone());
-                (m, local)
-            }
-        };
-        diags.extend(local);
-        models.push((path, m));
+        let src = read(f)?;
+        diags.extend(scan_file(&path, &src));
+        models.push((path, model::extract(&src)));
     }
     let mut aux = Vec::new();
     for a in AUX_SOURCES {
-        let p = root.join(a);
-        if let Ok(src) = std::fs::read_to_string(&p) {
-            aux.push((a.to_string(), model::extract(&src)));
-        }
+        aux.push((a.to_string(), model::extract(&read(&root.join(a))?)));
     }
     let mut docs = Vec::new();
     for d in DOC_SOURCES {
-        if let Ok(text) = std::fs::read_to_string(root.join(d)) {
-            docs.push((d.to_string(), text));
-        }
+        docs.push((d.to_string(), read(&root.join(d))?));
     }
     let ws = xrules::Workspace {
         files: models,
@@ -172,41 +140,41 @@ pub fn run_with_cache(root: &Path, cache_path: Option<&Path>) -> Result<Report, 
     diags.extend(xrules::scan_workspace(&ws));
     let mut report = apply(diags, &entries, ALLOWLIST_NAME);
     report.files = files.len();
-    if let Some(cp) = cache_path {
-        report.cache_hits = cache.hits;
-        report.cache_misses = cache.misses;
-        cache
-            .store(cp)
-            .map_err(|e| format!("writing cache {}: {e}", cp.display()))?;
-    }
     Ok(report)
 }
 
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
+}
+
 /// Machine-readable report: one object with every diagnostic (active and
-/// suppressed), for CI annotation and artifact upload.
+/// suppressed), for CI annotation and artifact upload. Keys are emitted
+/// in sorted order.
 pub fn render_json(report: &Report) -> String {
-    let mut diags: Vec<json::Value> = Vec::new();
-    for (d, allowed) in report
+    let diags = report
         .active
         .iter()
         .map(|d| (d, false))
         .chain(report.suppressed.iter().map(|d| (d, true)))
-    {
-        let mut v = cache::diag_to_value(d);
-        if let json::Value::Obj(m) = &mut v {
-            m.insert("allowlisted".to_string(), json::Value::Bool(allowed));
-        }
-        diags.push(v);
-    }
-    json::Value::obj(vec![
-        ("version", json::Value::Int(1)),
-        ("clean", json::Value::Bool(report.is_clean())),
-        ("files", json::Value::Int(report.files as i64)),
-        ("cache_hits", json::Value::Int(report.cache_hits as i64)),
-        ("cache_misses", json::Value::Int(report.cache_misses as i64)),
-        ("diagnostics", json::Value::Arr(diags)),
+        .map(|(d, allowed)| {
+            Json::obj(vec![
+                ("allowlisted", Json::Bool(allowed)),
+                ("code", Json::str(d.code.as_str())),
+                ("item", d.item.as_deref().map_or(Json::Null, Json::str)),
+                ("line", Json::U64(d.line as u64)),
+                ("message", Json::str(&d.message)),
+                ("path", Json::str(&d.path)),
+                ("snippet", Json::str(&d.snippet)),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        ("clean", Json::Bool(report.is_clean())),
+        ("diagnostics", Json::Arr(diags)),
+        ("files", Json::U64(report.files as u64)),
+        ("version", Json::U64(2)),
     ])
-    .render()
+    .render_pretty()
 }
 
 /// Walk upward from `start` to the workspace root (the directory whose
@@ -248,12 +216,6 @@ pub fn render(report: &Report, verbose: bool) -> String {
         report.active.len(),
         report.suppressed.len()
     ));
-    if report.cache_hits + report.cache_misses > 0 {
-        s.push_str(&format!(
-            "cache: {} unchanged, {} re-analyzed\n",
-            report.cache_hits, report.cache_misses
-        ));
-    }
     s
 }
 
@@ -278,5 +240,55 @@ mod tests {
             f.components()
                 .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "examples")
         }));
+    }
+
+    #[test]
+    fn json_report_is_pinned() {
+        let report = Report {
+            active: vec![Diagnostic {
+                code: RuleCode::Smt003,
+                path: "crates/experiments/src/x.rs".to_string(),
+                line: 7,
+                snippet: r#"let p = "a\b".unwrap();"#.to_string(),
+                message: "unwrap() aborts the campaign".to_string(),
+                item: None,
+            }],
+            suppressed: vec![Diagnostic {
+                code: RuleCode::Smt009,
+                path: "crates/core/src/stall_flush.rs".to_string(),
+                line: 12,
+                snippet: "Flush::quiescence_safe".to_string(),
+                message: "relies on the trait default".to_string(),
+                item: Some("Flush::quiescence_safe".to_string()),
+            }],
+            files: 2,
+        };
+        let expected = r#"{
+  "clean": false,
+  "diagnostics": [
+    {
+      "allowlisted": false,
+      "code": "SMT003",
+      "item": null,
+      "line": 7,
+      "message": "unwrap() aborts the campaign",
+      "path": "crates/experiments/src/x.rs",
+      "snippet": "let p = \"a\\b\".unwrap();"
+    },
+    {
+      "allowlisted": true,
+      "code": "SMT009",
+      "item": "Flush::quiescence_safe",
+      "line": 12,
+      "message": "relies on the trait default",
+      "path": "crates/core/src/stall_flush.rs",
+      "snippet": "Flush::quiescence_safe"
+    }
+  ],
+  "files": 2,
+  "version": 2
+}
+"#;
+        assert_eq!(render_json(&report), expected);
     }
 }

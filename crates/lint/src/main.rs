@@ -1,29 +1,26 @@
 //! `smt-lint` — CLI for the workspace determinism lint.
 //!
 //! ```text
-//! smt-lint [--root DIR] [--verbose] [--rules] [--json PATH] [--cache PATH]
+//! smt-lint [--root DIR] [--verbose] [--rules] [--json PATH]
 //! ```
 //!
 //! `--json PATH` writes machine-readable diagnostics (every finding with
 //! code, file, line, item, message, allowlisted flag) alongside the human
 //! report; `-` writes the JSON to stdout instead of the human report.
-//! `--cache PATH` enables the incremental per-file cache: unchanged files
-//! are served from it, and it is rewritten after the run.
 //!
 //! Exit 0: clean. Exit 1: non-allowlisted diagnostics (printed one per
-//! line as `path:line: CODE message`). Exit 2: usage or I/O failure.
+//! line as `path:line: CODE message`). Exit 2: usage or I/O failure,
+//! including a missing source or documentation input.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: smt-lint [--root DIR] [--verbose] [--rules] [--json PATH] [--cache PATH]";
+const USAGE: &str = "usage: smt-lint [--root DIR] [--verbose] [--rules] [--json PATH]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut verbose = false;
     let mut json_out: Option<PathBuf> = None;
-    let mut cache: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -34,10 +31,6 @@ fn main() -> ExitCode {
             "--json" => match args.next() {
                 Some(p) => json_out = Some(PathBuf::from(p)),
                 None => return usage("--json needs a path (or `-` for stdout)"),
-            },
-            "--cache" => match args.next() {
-                Some(p) => cache = Some(PathBuf::from(p)),
-                None => return usage("--cache needs a path"),
             },
             "--verbose" | "-v" => verbose = true,
             "--rules" => {
@@ -63,7 +56,7 @@ fn main() -> ExitCode {
             }
         }
     };
-    match smt_lint::run_with_cache(&root, cache.as_deref()) {
+    match smt_lint::run(&root) {
         Ok(report) => {
             let json = smt_lint::render_json(&report);
             match &json_out {

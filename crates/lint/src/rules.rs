@@ -41,16 +41,6 @@ pub enum RuleCode {
     /// statistics) is only correct if every advance — naive step or bulk
     /// skip — funnels through that one function.
     Smt006,
-    /// An expensive observability hook call (state-constructing probe
-    /// hooks, the sanitizer's cycle audit, the interval feeder) in the
-    /// pipeline crate without a `const ENABLED` gate earlier in the same
-    /// function. Identity-argument hook calls (`on_commit(self.now, …)`)
-    /// monomorphize to nothing for the Null impls and are exempt; the
-    /// hooks this rule tracks *build state* (snapshots, views,
-    /// classification scans) before the call, so an ungated call makes
-    /// every unprobed run pay for telemetry it discards — and breaks the
-    /// zero-cost-when-disabled contract bench `pr6` gates.
-    Smt007,
     /// `PolicyKind` dispatch exhaustiveness (cross-file): every variant
     /// must have explicit match arms in `name`/`parse`/`build`/`dispatch`,
     /// and every concrete policy type routed through `dispatch` must state
@@ -64,13 +54,17 @@ pub enum RuleCode {
     /// DESIGN.md §10. An untested invariant is one refactor away from
     /// never firing; an undocumented one cannot be triaged.
     Smt010,
-    /// Structurally ungated observability hook call (cross-file
-    /// generalization of SMT007): a tracked probe/sanitizer hook call in
-    /// the pipeline crate that is not dominated by a positive
-    /// `const ENABLED` branch (or an `if !ENABLED { return }` guard, or
-    /// the body of another tracked hook). Where SMT007 scans lexically,
-    /// this rule walks the token tree, so a hook moved out of its gate
-    /// fires even when `ENABLED` still appears earlier in the function.
+    /// Structurally ungated observability hook call: a call to one of
+    /// the state-constructing hooks in [`crate::model::GATED_HOOKS`]
+    /// (probe hooks that take snapshots or views, the sanitizer's cycle
+    /// audit, the interval feeder) in the pipeline crate that is not
+    /// dominated by a positive `const ENABLED` branch (or an
+    /// `if !ENABLED { return }` guard, or the body of another tracked
+    /// hook). The rule walks the token tree, so a hook moved out of its
+    /// gate fires even when `ENABLED` still appears earlier in the
+    /// function. An ungated call makes every unprobed run pay for
+    /// telemetry it discards, breaking the zero-cost-when-disabled
+    /// contract bench `pr6` gates.
     Smt011,
     /// Exit-code contract drift (cross-file): the `EXIT_*` constants in
     /// `crates/experiments/src/error.rs` must form exactly the documented
@@ -81,14 +75,13 @@ pub enum RuleCode {
 }
 
 impl RuleCode {
-    pub const ALL: [RuleCode; 11] = [
+    pub const ALL: [RuleCode; 10] = [
         RuleCode::Smt001,
         RuleCode::Smt002,
         RuleCode::Smt003,
         RuleCode::Smt004,
         RuleCode::Smt005,
         RuleCode::Smt006,
-        RuleCode::Smt007,
         RuleCode::Smt009,
         RuleCode::Smt010,
         RuleCode::Smt011,
@@ -103,7 +96,6 @@ impl RuleCode {
             RuleCode::Smt004 => "SMT004",
             RuleCode::Smt005 => "SMT005",
             RuleCode::Smt006 => "SMT006",
-            RuleCode::Smt007 => "SMT007",
             RuleCode::Smt009 => "SMT009",
             RuleCode::Smt010 => "SMT010",
             RuleCode::Smt011 => "SMT011",
@@ -123,7 +115,6 @@ impl RuleCode {
             RuleCode::Smt004 => "exact float equality in metrics",
             RuleCode::Smt005 => "stale allowlist entry (suppressed nothing)",
             RuleCode::Smt006 => "cycle counter written outside advance_clock",
-            RuleCode::Smt007 => "ungated observability hook call in the cycle loop",
             RuleCode::Smt009 => "PolicyKind variant or policy contract not dispatched",
             RuleCode::Smt010 => "invariant code without mutation test or doc mention",
             RuleCode::Smt011 => "hook call not structurally dominated by ENABLED",
@@ -157,16 +148,6 @@ pub struct Diagnostic {
     pub item: Option<String>,
 }
 
-impl Diagnostic {
-    /// `path` or `path#item` — the spelling an allowlist entry uses.
-    pub fn target(&self) -> String {
-        match &self.item {
-            Some(it) => format!("{}#{}", self.path, it),
-            None => self.path.clone(),
-        }
-    }
-}
-
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -176,21 +157,6 @@ impl std::fmt::Display for Diagnostic {
         )
     }
 }
-
-/// The state-constructing observability hooks: the work happens *before*
-/// the call (snapshot vecs, PolicyView, gate classification), so the call
-/// site itself must sit under a `const ENABLED` gate. Shared by SMT007
-/// (lexical scan) and SMT011 (structural walk, see `model`/`xrules`).
-pub const GATED_HOOKS: [&str; 8] = [
-    "on_cycle_state",
-    "on_quiescent_span",
-    "on_sample",
-    "on_gate",
-    "on_ungate",
-    "on_warn_change",
-    "audit_cycle",
-    "feed_cycle_probe",
-];
 
 fn in_crate(path: &str, krate: &str) -> bool {
     path.starts_with(&format!("crates/{krate}/"))
@@ -362,43 +328,7 @@ pub fn scan_file(path: &str, src: &str) -> Vec<Diagnostic> {
         }
     }
 
-    if in_crate(path, "pipeline") {
-        for hook in GATED_HOOKS {
-            for at in find_idents(&masked, hook) {
-                let b = masked.as_bytes();
-                let dotted = at > 0 && prev_nonspace(b, at) == Some(b'.');
-                let called = masked[at + hook.len()..].trim_start().starts_with('(');
-                if !dotted || !called {
-                    continue;
-                }
-                let line = line_of(&masked, at);
-                if !in_test(line) && !gated_by_enabled(&masked, at) {
-                    push(
-                        RuleCode::Smt007,
-                        line,
-                        format!("{hook} call without a const-ENABLED gate in the enclosing function; ungated observability work taxes every unprobed run"),
-                    );
-                }
-            }
-        }
-    }
-
     out
-}
-
-/// Whether a hook call at offset `at` has a `const ENABLED` gate earlier in
-/// its enclosing function: the standalone identifier `ENABLED` appears
-/// between the function's `fn` keyword and the call. Covers both the
-/// `if P::ENABLED { … }` block shape and an `if !P::ENABLED { return; }`
-/// early guard. The enclosing function is approximated as the last `fn`
-/// keyword before the call — exact for this codebase's shapes (closures
-/// don't introduce `fn`).
-fn gated_by_enabled(masked: &str, at: usize) -> bool {
-    let from = find_idents(&masked[..at], "fn")
-        .into_iter()
-        .next_back()
-        .unwrap_or(0);
-    !find_idents(&masked[from..at], "ENABLED").is_empty()
 }
 
 /// Offsets of standalone occurrences of identifier `name` in `s`.
@@ -615,47 +545,6 @@ mod tests {
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].code, RuleCode::Smt006);
         assert_eq!(got[0].line, 7, "only the write outside advance_clock");
-    }
-
-    #[test]
-    fn ungated_observability_hooks_are_flagged_in_pipeline() {
-        let bad = "impl Sim { fn tick(&mut self) { self.probe.on_cycle_state(&s); } }\n";
-        assert_eq!(
-            codes("crates/pipeline/src/sim.rs", bad),
-            vec![RuleCode::Smt007]
-        );
-        // Rule is scoped to the pipeline crate (probe impls call their own
-        // hooks freely in obs).
-        assert!(codes("crates/obs/src/interval.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn enabled_gates_satisfy_smt007() {
-        let block =
-            "impl Sim { fn tick(&mut self) { if P::ENABLED { self.probe.on_sample(&s); } } }\n";
-        assert!(codes("crates/pipeline/src/sim.rs", block).is_empty());
-        let guard = "impl Sim { fn feed(&mut self) { if !P::ENABLED { return; } self.probe.on_quiescent_span(&s, 4); } }\n";
-        assert!(codes("crates/pipeline/src/sim.rs", guard).is_empty());
-        // The gate must be in the *same* function: an ENABLED in an earlier
-        // function does not cover a later ungated call.
-        let elsewhere = "impl Sim { fn a(&self) -> bool { P::ENABLED }\n\
-                         fn tick(&mut self) { self.sanitizer.audit_cycle(); } }\n";
-        assert_eq!(
-            codes("crates/pipeline/src/sim.rs", elsewhere),
-            vec![RuleCode::Smt007]
-        );
-    }
-
-    #[test]
-    fn identity_argument_hooks_are_not_smt007_tracked() {
-        // Plain event hooks monomorphize to nothing for NullProbe; they
-        // need no lexical gate.
-        let src =
-            "impl Sim { fn commit(&mut self) { self.probe.on_commit(self.now, t, seq, pc); } }\n";
-        assert!(codes("crates/pipeline/src/sim.rs", src).is_empty());
-        // Definitions (not calls) of the tracked hooks are fine too.
-        let def = "impl Probe for P { fn on_sample(&mut self, _s: &S) {} }\n";
-        assert!(codes("crates/pipeline/src/sim.rs", def).is_empty());
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Cross-file rules (SMT009–SMT012) over the workspace model.
 //!
 //! These rules never read source text: they run entirely over the
-//! [`FileModel`]s extracted by `model.rs` (which is what makes the
-//! per-file content-hash cache sound — a file whose model is cached
-//! contributes to cross-file analysis exactly as if it had been re-read).
+//! [`FileModel`]s extracted by `model.rs` and the documentation texts.
 
 use crate::model::{FileModel, FnDef};
 use crate::rules::{Diagnostic, RuleCode};
@@ -542,6 +540,14 @@ fn foo_fires() { assert_caught(Mutation::Leak, InvariantCode::FooCheck); }
 
     #[test]
     fn smt011_flags_structurally_ungated_hook() {
+        let flagged = |path: &str, src: &str| -> Vec<String> {
+            scan_workspace(&ws(vec![(path, src)]))
+                .into_iter()
+                .filter(|d| d.code == RuleCode::Smt011)
+                .filter_map(|d| d.item)
+                .collect()
+        };
+        let sim = "crates/pipeline/src/sim.rs";
         let src = r#"
 impl<P: Probe> Sim<P> {
     fn step(&mut self) {
@@ -552,14 +558,37 @@ impl<P: Probe> Sim<P> {
     }
 }
 "#;
-        let w = ws(vec![("crates/pipeline/src/sim.rs", src)]);
-        let diags = scan_workspace(&w);
-        let hits: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == RuleCode::Smt011)
-            .collect();
-        assert_eq!(hits.len(), 1, "{diags:?}");
-        assert_eq!(hits[0].item.as_deref(), Some("on_gate"));
+        assert_eq!(flagged(sim, src), ["on_gate"]);
+        // Scoped to the pipeline crate: probe impls in obs call their own
+        // hooks freely.
+        let bad = "impl Sim { fn tick(&mut self) { self.probe.on_cycle_state(&s); } }\n";
+        assert_eq!(flagged(sim, bad), ["on_cycle_state"]);
+        assert!(flagged("crates/obs/src/interval.rs", bad).is_empty());
+        // A positive block and an early-return guard both gate.
+        let block =
+            "impl Sim { fn tick(&mut self) { if P::ENABLED { self.probe.on_sample(&s); } } }\n";
+        assert!(flagged(sim, block).is_empty());
+        let guard = "impl Sim { fn feed(&mut self) { if !P::ENABLED { return; } \
+                     self.probe.on_quiescent_span(&s, 4); } }\n";
+        assert!(flagged(sim, guard).is_empty());
+        // The gate must dominate the call: an ENABLED in an earlier fn, an
+        // ENABLED read into a local, or a negated condition does not.
+        let elsewhere = "impl Sim { fn a(&self) -> bool { P::ENABLED }\n\
+                         fn tick(&mut self) { self.sanitizer.audit_cycle(); } }\n";
+        assert_eq!(flagged(sim, elsewhere), ["audit_cycle"]);
+        let local = "impl Sim { fn tick(&mut self) { let on = P::ENABLED; \
+                     self.probe.on_ungate(&s); } }\n";
+        assert_eq!(flagged(sim, local), ["on_ungate"]);
+        let negated = "impl Sim { fn tick(&mut self) { if !S::ENABLED || x { \
+                       self.sanitizer.audit_cycle(); } } }\n";
+        assert_eq!(flagged(sim, negated), ["audit_cycle"]);
+        // Identity-argument hooks are not tracked, and definitions of the
+        // tracked hooks are not calls.
+        let identity =
+            "impl Sim { fn commit(&mut self) { self.probe.on_commit(self.now, t, seq, pc); } }\n";
+        assert!(flagged(sim, identity).is_empty());
+        let def = "impl Probe for P { fn on_sample(&mut self, _s: &S) {} }\n";
+        assert!(flagged(sim, def).is_empty());
     }
 
     #[test]

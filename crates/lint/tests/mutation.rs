@@ -90,3 +90,11 @@ fn exit_const_drift_fires_smt012() {
         smt_lint::render(&r, false)
     );
 }
+
+#[test]
+fn a_missing_doc_input_is_an_error() {
+    let ws = TempWorkspace::copy_current("nodoc");
+    std::fs::remove_file(ws.root.join("README.md")).expect("README.md was copied");
+    let err = smt_lint::run(&ws.root).expect_err("a missing lint input must fail the run");
+    assert!(err.contains("README.md"), "{err}");
+}

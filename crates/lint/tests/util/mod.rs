@@ -64,7 +64,7 @@ impl TempWorkspace {
         std::fs::write(&path, body).expect("write appended file");
     }
 
-    /// Lint the copied tree (no cache).
+    /// Lint the copied tree.
     pub fn run(&self) -> smt_lint::Report {
         smt_lint::run(&self.root).expect("lint runs on the copied tree")
     }
@@ -81,14 +81,4 @@ fn copy_into(real: &Path, root: &Path, src: &Path) {
     let dst = root.join(rel);
     std::fs::create_dir_all(dst.parent().expect("non-root destination")).expect("mkdir");
     std::fs::copy(src, &dst).expect("copy lint input");
-}
-
-/// Render every diagnostic (active then suppressed) as stable strings for
-/// cold-vs-cached comparisons.
-pub fn render_all(r: &smt_lint::Report) -> Vec<String> {
-    r.active
-        .iter()
-        .map(|d| format!("active {d}"))
-        .chain(r.suppressed.iter().map(|d| format!("suppressed {d}")))
-        .collect()
 }

@@ -53,6 +53,7 @@ impl Json {
         let mut p = Parser {
             b: src.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -170,12 +171,18 @@ impl Json {
     }
 }
 
-/// Recursive-descent parser over the input bytes. Depth is bounded by the
-/// caller's documents (our emitters nest a handful of levels), so plain
-/// recursion is fine.
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level and its input comes from files on disk, so
+/// without a bound a malformed document overflows the stack; our emitters
+/// nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
+/// Recursive-descent parser over the input bytes.
 struct Parser<'a> {
     b: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -213,11 +220,24 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.at)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -529,6 +549,17 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // Far past the bound: an error, not a stack overflow.
+        assert!(Json::parse(&deep(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -612,9 +612,8 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     #[inline(never)]
     fn feed_cycle_probe(&mut self, span: u64, skipped: bool) {
         if !P::ENABLED {
-            // Every call site is already gated; this guard makes the
-            // gating local (lint rule SMT007) and lets the Null
-            // instantiation compile to an empty body.
+            // Every call site is already gated; this guard lets the
+            // Null instantiation compile to an empty body.
             return;
         }
         let n = self.num_threads();
