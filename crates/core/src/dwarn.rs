@@ -49,15 +49,6 @@ impl DWarn {
         DWarn { hybrid_below: 0 }
     }
 
-    /// Custom hybrid threshold (ablation).
-    pub fn with_hybrid_below(hybrid_below: usize) -> DWarn {
-        DWarn { hybrid_below }
-    }
-
-    pub fn is_hybrid(&self) -> bool {
-        self.hybrid_below > 0
-    }
-
     pub fn classification() -> Classification {
         Classification::new(DetectionMoment::L1, ResponseAction::ReducePriority)
     }

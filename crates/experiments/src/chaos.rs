@@ -1,15 +1,15 @@
 //! Deterministic fault-injection ("chaos") harness.
 //!
 //! The harness drives the same campaign machinery the real experiments use
-//! while injecting faults drawn from a seeded [`smt_trace::Rng`]: truncated
-//! and bit-flipped trace files, corrupted / torn disk-cache entries,
-//! crash-mid-store leftovers, damaged resume checkpoints (truncated,
-//! bit-flipped, version-skewed, stale-generation), invalid configurations,
-//! panicking fetch policies, and bad user input. Every fault must resolve to either a
-//! **correct result** (the fault was absorbed and the golden digest still
-//! matches) or a **typed error** recorded as a failure artifact — never a
-//! hang, an escaped panic, or a silently wrong number. Anything else is a
-//! [`Outcome::Violation`], and the CLI maps a violating report to
+//! while injecting faults drawn from a seeded [`smt_trace::Rng`]: corrupted
+//! / torn disk-cache entries, crash-mid-store leftovers, damaged resume
+//! checkpoints (truncated, bit-flipped, version-skewed, stale-generation),
+//! invalid configurations, panicking fetch policies, and bad user input.
+//! Every fault must resolve to either a **correct result** (the fault was
+//! absorbed and the golden digest still matches) or a **typed error**
+//! recorded as a failure artifact — never a hang, an escaped panic, or a
+//! silently wrong number. Anything else is a [`Outcome::Violation`], and
+//! the CLI maps a violating report to
 //! [`crate::error::EXIT_CHAOS_VIOLATION`].
 //!
 //! Determinism: the fault plan is a pure function of the seed, so
@@ -24,10 +24,10 @@ use std::time::Duration;
 
 use dwarn_core::PolicyKind;
 use smt_pipeline::{
-    CheckpointOpts, FetchPolicy, MachineSnapshot, NullSanitizer, PolicyView, RunOutcome, SimConfig,
-    Simulator, ThreadFront, Watchdog,
+    CheckpointOpts, FetchPolicy, MachineSnapshot, PolicyView, RunOutcome, SimConfig, Simulator,
+    Watchdog,
 };
-use smt_trace::{RecordedTrace, Rng};
+use smt_trace::Rng;
 use smt_workloads::WorkloadClass;
 
 use crate::checkpoint::CheckpointStore;
@@ -67,15 +67,11 @@ impl ChaosOpts {
 }
 
 /// The fault kinds the plan draws from, spanning every injection surface
-/// the acceptance criteria name: trace bytes, disk-cache entries,
-/// configurations, and resume checkpoints (plus panic and usage faults for
-/// the isolation and typed-input paths).
+/// the acceptance criteria name: disk-cache entries, configurations, and
+/// resume checkpoints (plus panic and usage faults for the isolation and
+/// typed-input paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FaultKind {
-    /// Truncate a serialized trace at a random byte.
-    TraceTruncate,
-    /// Flip one random bit of a serialized trace.
-    TraceBitFlip,
     /// Truncate a cache entry mid-file.
     CacheTruncate,
     /// Replace a cache entry with random garbage.
@@ -106,9 +102,7 @@ enum FaultKind {
     CkptStaleGeneration,
 }
 
-const ALL_KINDS: [FaultKind; 15] = [
-    FaultKind::TraceTruncate,
-    FaultKind::TraceBitFlip,
+const ALL_KINDS: [FaultKind; 13] = [
     FaultKind::CacheTruncate,
     FaultKind::CacheGarbage,
     FaultKind::CacheBitFlip,
@@ -127,8 +121,6 @@ const ALL_KINDS: [FaultKind; 15] = [
 impl FaultKind {
     fn name(self) -> &'static str {
         match self {
-            FaultKind::TraceTruncate => "trace-truncate",
-            FaultKind::TraceBitFlip => "trace-bitflip",
             FaultKind::CacheTruncate => "cache-truncate",
             FaultKind::CacheGarbage => "cache-garbage",
             FaultKind::CacheBitFlip => "cache-bitflip",
@@ -148,7 +140,6 @@ impl FaultKind {
     /// Injection surface, for the report and the coverage assertion.
     fn surface(self) -> &'static str {
         match self {
-            FaultKind::TraceTruncate | FaultKind::TraceBitFlip => "trace",
             FaultKind::CacheTruncate
             | FaultKind::CacheGarbage
             | FaultKind::CacheBitFlip
@@ -392,7 +383,7 @@ pub fn run(opts: &ChaosOpts) -> Result<ChaosReport, ExpError> {
     // Phase 2: the fault plan. Every decision below flows from this RNG,
     // so the whole run is a pure function of the seed. The first pass
     // cycles through every kind once (guaranteeing full coverage —
-    // including the panic-isolation path — whenever `faults` >= 11);
+    // including the panic-isolation path — whenever `faults` >= 13);
     // after that, kinds are drawn at random.
     let mut rng = Rng::new(opts.seed ^ 0xC4A0_5EED);
     let mut reports = Vec::with_capacity(opts.faults);
@@ -456,7 +447,6 @@ fn inject(
     no_skip: bool,
 ) -> Outcome {
     match kind {
-        FaultKind::TraceTruncate | FaultKind::TraceBitFlip => trace_fault(kind, rng, no_skip),
         FaultKind::CacheTruncate
         | FaultKind::CacheGarbage
         | FaultKind::CacheBitFlip
@@ -471,65 +461,6 @@ fn inject(
         | FaultKind::CkptVersionSkew
         | FaultKind::CkptStaleGeneration => {
             ckpt_fault(kind, rng, dir, p, keys, goldens, index, no_skip)
-        }
-    }
-}
-
-// --- Trace faults ---------------------------------------------------------
-
-fn trace_fault(kind: FaultKind, rng: &mut Rng, no_skip: bool) -> Outcome {
-    let benches = smt_trace::all_benchmarks();
-    let profile = &benches[rng.below(benches.len() as u64) as usize];
-    let rec = RecordedTrace::record(profile, rng.range(1, 1 << 20), 0x1_0000, 1_500);
-    let mut bytes = rec.to_bytes();
-    match kind {
-        FaultKind::TraceTruncate => {
-            let keep = rng.below(bytes.len() as u64) as usize;
-            bytes.truncate(keep);
-        }
-        _ => {
-            let pos = rng.below(bytes.len() as u64) as usize;
-            bytes[pos] ^= 1 << rng.below(8);
-        }
-    }
-    match RecordedTrace::from_bytes(&bytes) {
-        Err(e) => Outcome::TypedError {
-            kind: "trace-parse",
-            detail: e.to_string(),
-        },
-        // The corruption left a structurally valid trace (e.g. a flipped
-        // data bit). Parsing alone is not enough: replay it briefly behind
-        // the isolation boundary — the pipeline must digest whatever the
-        // validated parser accepts.
-        Ok(rec) => {
-            let replay = crate::error::protect("chaos trace replay", || {
-                let front = ThreadFront::from_recording(&rec, 7, Simulator::thread_addr_base(0));
-                let mut sim = Simulator::try_with_parts(
-                    SimConfig::baseline(),
-                    PolicyKind::Icount.build(),
-                    vec![front],
-                    smt_obs::NullProbe,
-                    NullSanitizer,
-                )?;
-                sim.set_skip_enabled(!no_skip);
-                sim.try_run(200, 800, &chaos_watchdog())
-                    .map_err(ExpError::from)
-            });
-            match replay {
-                Ok(_) => Outcome::Recovered {
-                    detail: "corruption preserved trace validity; replay clean".into(),
-                },
-                // A watchdog trip or config rejection is a typed error; an
-                // isolated panic means the parser let something through
-                // that the pipeline could not digest — a robustness hole.
-                Err(ExpError::Panicked { payload, .. }) => Outcome::Violation {
-                    detail: format!("replay of parsed-but-corrupt trace panicked: {payload}"),
-                },
-                Err(e) => Outcome::TypedError {
-                    kind: e.kind(),
-                    detail: e.to_string(),
-                },
-            }
         }
     }
 }
@@ -953,10 +884,7 @@ mod tests {
     fn every_kind_names_a_surface() {
         for k in ALL_KINDS {
             assert!(!k.name().is_empty());
-            assert!(
-                ["trace", "cache", "config", "policy", "input", "checkpoint"]
-                    .contains(&k.surface())
-            );
+            assert!(["cache", "config", "policy", "input", "checkpoint"].contains(&k.surface()));
         }
     }
 }

@@ -49,9 +49,9 @@ experiments:
              trace-event JSON (Perfetto / chrome://tracing) plus stats JSON
 
   chaos [--seed N] [--faults N] [--keep-dir <dir>]
-             deterministic fault injection: corrupt traces, cache entries,
-             and configs, then verify every fault resolves to a typed
-             error or a bit-identical golden result
+             deterministic fault injection: corrupt cache entries,
+             checkpoints, and configs, then verify every fault resolves to
+             a typed error or a bit-identical golden result
 
   report [<dir>]
              segment the interval time-series a previous `--intervals <dir>`

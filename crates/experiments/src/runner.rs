@@ -565,11 +565,6 @@ impl Campaign {
         Ok(())
     }
 
-    /// Whether the interval sampler is attached ([`Campaign::set_intervals`]).
-    pub fn intervals_enabled(&self) -> bool {
-        self.intervals.is_some()
-    }
-
     /// Print a progress line on stderr for every completed run (`--live`):
     /// source (disk/sim), cache counters, and — inside a prefetch batch —
     /// runs/sec and ETA.

@@ -1,12 +1,11 @@
 //! Property-style acceptance tests for the chaos harness.
 //!
-//! The robustness contract (ISSUE 3): a chaos campaign with >= 32
-//! deterministic faults across the trace, cache, config, and resume
-//! checkpoint surfaces must
-//! complete with partial results, every injected fault must resolve to a
-//! typed error artifact or an absorbed (still bit-identical) result, no
-//! fault may hang or escape as a panic, and every non-faulted golden run
-//! must reproduce its digest exactly.
+//! The robustness contract: a chaos campaign with >= 32 deterministic
+//! faults across the cache, config, policy, input, and resume checkpoint
+//! surfaces must complete with partial results, every injected fault must
+//! resolve to a typed error artifact or an absorbed (still bit-identical)
+//! result, no fault may hang or escape as a panic, and every non-faulted
+//! golden run must reproduce its digest exactly.
 
 use smt_experiments::chaos::{self, ChaosOpts, Outcome};
 
@@ -33,7 +32,7 @@ fn thirty_two_faults_all_resolve_typed_or_recovered() {
     }
 
     // The plan must actually span every mandated surface.
-    for surface in ["trace", "cache", "config", "checkpoint"] {
+    for surface in ["cache", "config", "policy", "input", "checkpoint"] {
         assert!(
             report.faults.iter().any(|f| f.surface == surface),
             "no fault hit the {surface} surface"

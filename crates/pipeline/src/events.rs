@@ -468,6 +468,70 @@ mod tests {
         assert!(e.to_string().contains("already past"), "{e}");
     }
 
+    /// Shadow model: seeded random schedules against the heap the wheel
+    /// replaced, checked at every cycle. Push distances run from 1 to three
+    /// horizons, so events wrap their buckets and spill into the overflow
+    /// heap; several kinds per `seq` exercise the same-cycle tie-break.
+    #[test]
+    fn matches_a_heap_reference_on_random_schedules() {
+        const KINDS: [EvKind; 6] = [
+            EvKind::Wakeup,
+            EvKind::Complete,
+            EvKind::L1Outcome,
+            EvKind::Fill,
+            EvKind::ResolveNotice,
+            EvKind::Declare,
+        ];
+        for (seed, horizon) in [(1, 4), (2, 4), (3, 16), (4, 16), (5, 64), (6, 64)] {
+            let mut rng = smt_trace::Rng::new(seed);
+            let mut wheel = EventWheel::new(horizon);
+            let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
+            let (mut seq, mut kinds_used) = (0u64, 0u8);
+            let mut buf = Vec::new();
+            let mut now = 0u64;
+            for _ in 0..3_000 {
+                // A burst of pushes, sometimes none, then one cycle. The
+                // frontier is checked on both sides of the advance: right
+                // after the burst it may sit a full horizon out.
+                for _ in 0..rng.below(4) {
+                    if kinds_used == 0b11_1111 || rng.chance(0.6) {
+                        (seq, kinds_used) = (seq + 1, 0);
+                    }
+                    let kind = loop {
+                        let k = rng.below(6) as u8;
+                        if kinds_used & (1 << k) == 0 {
+                            kinds_used |= 1 << k;
+                            break KINDS[k as usize];
+                        }
+                    };
+                    let at = now + rng.range(1, 3 * horizon as u64 + 1);
+                    let e = ev(at, seq, kind);
+                    wheel.push(now, e);
+                    heap.push(Reverse(e));
+                }
+                let next = heap.peek().map(|&Reverse(e)| e.at);
+                assert_eq!(wheel.next_due(now), next, "seed {seed}, cycle {now}");
+                now += 1;
+                let next = heap.peek().map(|&Reverse(e)| e.at);
+                assert_eq!(wheel.next_due(now), next, "seed {seed}, cycle {now}");
+                assert_eq!(
+                    wheel.has_due(now),
+                    next == Some(now),
+                    "seed {seed}, cycle {now}"
+                );
+                let mut want = Vec::new();
+                while let Some(&Reverse(e)) = heap.peek().filter(|r| r.0.at == now) {
+                    want.push(e);
+                    heap.pop();
+                }
+                wheel.drain_due(now, &mut buf);
+                assert_eq!(buf, want, "seed {seed}, cycle {now}");
+                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(wheel.audit(now).past_due, None);
+            }
+        }
+    }
+
     #[test]
     fn same_cycle_ties_break_by_seq_then_kind() {
         let mut wheel = EventWheel::new(8);

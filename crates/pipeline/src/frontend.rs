@@ -6,43 +6,20 @@
 //! I-cache wait state.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use smt_trace::snap_fields;
-use smt_trace::snapio::{self, ensure, Seq, Snap, SnapError, SnapReader};
-use smt_trace::{BenchProfile, DynInst, RecordedTrace, StaticProgram, SynthState, ThreadTrace};
+use smt_trace::snapio::{self, ensure, Codec, Seq, Snap, SnapError, SnapReader};
+use smt_trace::{BenchProfile, DynInst, SynthState, ThreadTrace};
 
 use crate::inflight::Handle;
 
-/// Where a thread's correct-path instructions come from: a live synthetic
-/// generator, or a recorded trace replayed from a `DWTR` file.
-// `Synthetic` is much larger than `Recorded`, but there is exactly one
-// `CorrectPath` per hardware context (at most 8), so boxing would buy
-// nothing and cost an indirection on the per-fetch hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum CorrectPath {
-    Synthetic(ThreadTrace),
-    Recorded {
-        insts: Arc<Vec<DynInst>>,
-        pos: usize,
-        /// Address shift applied when rebasing the recording onto this
-        /// context's address space.
-        delta: u64,
-        emitted: u64,
-    },
-}
-
 /// Front-end state of one hardware context.
 #[derive(Debug)]
-pub struct ThreadFront {
-    pub source: CorrectPath,
+pub(crate) struct ThreadFront {
+    /// The correct-path stream; its static program is also the wrong-path
+    /// dictionary.
+    pub trace: ThreadTrace,
     pub synth: SynthState,
-    pub program: Arc<StaticProgram>,
-    /// Benchmark profile this thread runs (used for steady-state cache
-    /// pre-warming and diagnostics).
-    pub profile: BenchProfile,
-    code_base: u64,
     /// Next PC the fetch engine will fetch from.
     pub fetch_pc: u64,
     /// True while fetch follows a mispredicted (wrong) path; instructions
@@ -61,118 +38,34 @@ pub struct ThreadFront {
 impl ThreadFront {
     pub fn new(profile: &BenchProfile, seed: u64, addr_base: u64, skip: u64) -> ThreadFront {
         let trace = ThreadTrace::new(profile, seed, addr_base, skip);
-        let synth = trace.make_synth(profile);
-        let program = trace.program().clone();
-        let fetch_pc = trace.peek_pc();
         ThreadFront {
-            source: CorrectPath::Synthetic(trace),
-            synth,
-            program,
-            profile: profile.clone(),
-            code_base: addr_base,
-            fetch_pc,
+            synth: trace.make_synth(profile),
+            fetch_pc: trace.peek_pc(),
+            trace,
             on_wrong_path: false,
             replay: VecDeque::new(),
             queue: VecDeque::new(),
             icache_ready_at: 0,
-        }
-    }
-
-    /// Build a front-end that replays a recorded trace, rebased onto
-    /// `addr_base`. The recording's profile must name a known benchmark
-    /// (wrong-path synthesis needs its pool calibration). Replay wraps
-    /// around at the end of the recording.
-    pub fn from_recording(rec: &RecordedTrace, seed: u64, addr_base: u64) -> ThreadFront {
-        let profile = rec
-            .profile()
-            .expect("recorded trace names a known benchmark profile");
-        assert!(!rec.insts.is_empty(), "empty recording");
-        let delta = addr_base.wrapping_sub(rec.code_base);
-        let insts: Vec<DynInst> = rec
-            .insts
-            .iter()
-            .map(|d| DynInst {
-                pc: d.pc.wrapping_add(delta),
-                next_pc: d.next_pc.wrapping_add(delta),
-                mem_addr: d.mem_addr.map(|a| a.wrapping_add(delta)),
-                ..*d
-            })
-            .collect();
-        let fetch_pc = insts[0].pc;
-        ThreadFront {
-            source: CorrectPath::Recorded {
-                insts: Arc::new(insts),
-                pos: 0,
-                delta,
-                emitted: 0,
-            },
-            synth: SynthState::new(&profile, seed, addr_base),
-            program: Arc::new(rec.program.clone()),
-            profile,
-            code_base: addr_base,
-            fetch_pc,
-            on_wrong_path: false,
-            replay: VecDeque::new(),
-            queue: VecDeque::new(),
-            icache_ready_at: 0,
-        }
-    }
-
-    /// Base byte address of the code image.
-    pub fn code_base(&self) -> u64 {
-        self.code_base
-    }
-
-    /// Correct-path instructions emitted so far.
-    pub fn emitted(&self) -> u64 {
-        match &self.source {
-            CorrectPath::Synthetic(t) => t.emitted(),
-            CorrectPath::Recorded { emitted, .. } => *emitted,
-        }
-    }
-
-    /// Pool-draw statistics (synthetic streams only).
-    pub fn pool_draws(&self) -> (u64, [u64; 3]) {
-        match &self.source {
-            CorrectPath::Synthetic(t) => t.pool_draws(),
-            CorrectPath::Recorded { .. } => (0, [0; 3]),
         }
     }
 
     /// Next correct-path instruction: the replay buffer first, then the
-    /// stream. Recorded replays wrap around at the end of the recording.
+    /// stream.
     pub fn next_correct(&mut self) -> DynInst {
-        if let Some(d) = self.replay.pop_front() {
-            return d;
-        }
-        match &mut self.source {
-            CorrectPath::Synthetic(t) => t.next_inst(),
-            CorrectPath::Recorded {
-                insts,
-                pos,
-                emitted,
-                ..
-            } => {
-                let d = insts[*pos];
-                *pos = (*pos + 1) % insts.len();
-                *emitted += 1;
-                d
-            }
+        match self.replay.pop_front() {
+            Some(d) => d,
+            None => self.trace.next_inst(),
         }
     }
 
     /// Next instruction for the current path at the current fetch PC.
     pub fn next_to_fetch(&mut self) -> DynInst {
         if self.on_wrong_path {
-            let program = self.program.clone();
-            self.synth.synth_at(&program, self.fetch_pc)
+            self.synth.synth_at(self.trace.program(), self.fetch_pc)
         } else {
             let d = self.next_correct();
-            // Recorded replays wrap at the end of the recording, where the
-            // PC chain has a one-off discontinuity; synthetic streams must
-            // stay exactly in sync.
-            debug_assert!(
-                d.pc == self.fetch_pc || matches!(self.source, CorrectPath::Recorded { .. }),
+            debug_assert_eq!(
+                d.pc, self.fetch_pc,
                 "correct-path stream out of sync with fetch PC"
             );
             self.fetch_pc = d.pc;
@@ -202,7 +95,7 @@ impl ThreadFront {
         self.on_wrong_path = false;
     }
 
-    /// Structurally unable to fetch this cycle?    /// Structurally unable to fetch this cycle?
+    /// Structurally unable to fetch this cycle?
     pub fn blocked(&self, now: u64, fetch_queue_cap: u32) -> bool {
         now < self.icache_ready_at || self.queue.len() >= fetch_queue_cap as usize
     }
@@ -211,8 +104,8 @@ impl ThreadFront {
     /// wrong-path fetch would run past the end of the code and stream junk
     /// addresses through the I-cache and L2.
     pub fn wrap_pc(&self, pc: u64) -> u64 {
-        let base = self.code_base;
-        let size = self.program.code_bytes();
+        let base = self.trace.code_base();
+        let size = self.trace.program().code_bytes();
         if pc >= base && pc < base + size {
             pc
         } else {
@@ -226,11 +119,11 @@ const MAX_QUEUE: usize = 1 << 20;
 
 // The front-end's evolving state: stream position, wrong-path synthesizer,
 // fetch PC and path flag, replay buffer, fetch queue, and I-cache wait
-// state. The program image, profile, and code base are construction-
-// derived; restore targets an identically-constructed front-end.
+// state. The static program and code base belong to the stream's
+// construction; restore targets an identically-constructed front-end.
 snap_fields! {
     ThreadFront {
-        source,
+        trace: StreamTag,
         synth,
         fetch_pc,
         on_wrong_path,
@@ -238,60 +131,25 @@ snap_fields! {
         queue: Seq(MAX_QUEUE),
         icache_ready_at,
     }
-    derived { program, profile, code_base }
 }
 
-/// A tag for the stream kind, which must match the constructed front-end,
-/// then the stream position. The recorded instruction array and its
-/// rebase delta are construction-derived.
-impl Snap for CorrectPath {
-    #[deny(unused_variables)]
-    fn save_state(&self, out: &mut Vec<u8>) {
-        match self {
-            CorrectPath::Synthetic(t) => {
-                snapio::put_u8(out, 0);
-                t.save_state(out);
-            }
-            CorrectPath::Recorded {
-                insts: _,
-                pos,
-                delta: _,
-                emitted,
-            } => {
-                snapio::put_u8(out, 1);
-                pos.save_state(out);
-                emitted.save_state(out);
-            }
-        }
+/// The stream's state behind a one-byte stream-kind tag. The synthetic
+/// stream is the only kind, tag 0. Writing the byte keeps snapshot bytes,
+/// and so `SNAPSHOT_VERSION`, unchanged; a restore rejects any other tag.
+struct StreamTag;
+
+impl Codec<ThreadTrace> for StreamTag {
+    fn save(&self, trace: &ThreadTrace, out: &mut Vec<u8>) {
+        snapio::put_u8(out, 0);
+        trace.save_state(out);
     }
 
-    #[deny(unused_variables)]
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn load(&self, trace: &mut ThreadTrace, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let tag = r.u8()?;
-        match (self, tag) {
-            (CorrectPath::Synthetic(t), 0) => t.load_state(r),
-            (
-                CorrectPath::Recorded {
-                    insts,
-                    pos,
-                    delta: _,
-                    emitted,
-                },
-                1,
-            ) => {
-                pos.load_state(r)?;
-                ensure(*pos < insts.len(), || {
-                    format!(
-                        "recorded-trace position {pos} out of {} instructions",
-                        insts.len()
-                    )
-                })?;
-                emitted.load_state(r)
-            }
-            _ => Err(SnapError::malformed(format!(
-                "correct-path stream kind tag {tag} does not match the constructed front-end"
-            ))),
-        }
+        ensure(tag == 0, || {
+            format!("correct-path stream kind tag {tag} is not the synthetic stream's 0")
+        })?;
+        trace.load_state(r)
     }
 }
 
@@ -375,6 +233,22 @@ mod tests {
         let mut h = ThreadFront::new(&p, 7, 0x2000, 0);
         let mut r = SnapReader::new(&buf[..buf.len() / 2]);
         assert!(h.load_state(&mut r).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_an_unknown_stream_tag() {
+        let p = gzip();
+        let f = ThreadFront::new(&p, 7, 0x2000, 0);
+        let mut buf = Vec::new();
+        f.save_state(&mut buf);
+        assert_eq!(buf[0], 0, "the synthetic stream's tag leads the section");
+        buf[0] = 1;
+        let mut g = ThreadFront::new(&p, 7, 0x2000, 0);
+        let err = g.load_state(&mut SnapReader::new(&buf)).unwrap_err();
+        assert!(
+            matches!(&err, SnapError::Malformed(m) if m.contains("tag 1")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod config;
 pub mod error;
 mod events;
 pub mod fragment;
-pub mod frontend;
+mod frontend;
 pub mod inflight;
 pub mod policy;
 pub mod sanitizer;
@@ -44,7 +44,6 @@ pub mod stats;
 pub use config::SimConfig;
 pub use error::{ConfigError, ProgressSnapshot, SimError, ThreadProgress, Watchdog};
 pub use fragment::{FragmentOpts, FragmentReplay, FragmentReport};
-pub use frontend::{CorrectPath, ThreadFront};
 pub use inflight::{Handle, InFlight, Slab, Stage};
 pub use policy::{DeclareAction, FetchPolicy, PolicyEvent, PolicySwitch, PolicyView, ThreadView};
 pub use sanitizer::{

@@ -128,7 +128,7 @@ pub enum Mutation {
 /// likewise has `ENABLED = false`, so the per-cycle invariant audit
 /// monomorphizes away entirely unless a real sanitizer (e.g.
 /// [`RecordingSanitizer`](crate::sanitizer::RecordingSanitizer)) is
-/// attached via [`Simulator::try_with_parts`]. The audit is
+/// attached via [`Simulator::try_with_specs`]. The audit is
 /// observation-only: sanitized and unsanitized runs are bit-identical.
 ///
 /// Finally, generic over the fetch policy itself. The default
@@ -366,14 +366,6 @@ impl<F: FetchPolicy> Simulator<NullProbe, NullSanitizer, F> {
     pub fn try_new(cfg: SimConfig, policy: F, specs: &[ThreadSpec]) -> Result<Self, ConfigError> {
         Simulator::try_with_specs(cfg, policy, specs, NullProbe, NullSanitizer)
     }
-
-    /// Build a simulator from pre-constructed front-ends — the entry point
-    /// for replaying recorded traces ([`ThreadFront::from_recording`]) or
-    /// mixing recorded and synthetic contexts.
-    pub fn with_fronts(cfg: SimConfig, policy: F, fronts: Vec<ThreadFront>) -> Self {
-        Simulator::try_with_parts(cfg, policy, fronts, NullProbe, NullSanitizer)
-            .expect("invalid configuration")
-    }
 }
 
 impl Simulator {
@@ -418,8 +410,7 @@ impl<P: Probe, F: FetchPolicy> Simulator<P, NullSanitizer, F> {
 }
 
 impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
-    /// As [`Simulator::try_with_parts`], building the per-thread front-ends
-    /// from specs (the standard synthetic-trace path). Every spec-based
+    /// The full builder: thread specs, probe *and* sanitizer. Every other
     /// constructor delegates here.
     pub fn try_with_specs(
         cfg: SimConfig,
@@ -428,50 +419,35 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         probe: P,
         sanitizer: S,
     ) -> Result<Simulator<P, S, F>, ConfigError> {
-        let fronts: Vec<ThreadFront> = specs
-            .iter()
-            .enumerate()
-            .map(|(t, s)| {
-                ThreadFront::new(&s.profile, s.seed, Simulator::thread_addr_base(t), s.skip)
-            })
-            .collect();
-        Simulator::try_with_parts(cfg, policy, fronts, probe, sanitizer)
-    }
-
-    /// The full builder: explicit front-ends, probe *and* sanitizer. All
-    /// other constructors delegate here.
-    pub fn try_with_parts(
-        cfg: SimConfig,
-        policy: F,
-        fronts: Vec<ThreadFront>,
-        probe: P,
-        sanitizer: S,
-    ) -> Result<Simulator<P, S, F>, ConfigError> {
-        cfg.validate(fronts.len())?;
+        cfg.validate(specs.len())?;
         // Skipping requires the policy's idempotence contract and is
         // incompatible with per-cycle resource caps (they feed dispatch
         // every cycle, skipped or not).
         let skip_ok = policy.quiescence_safe() && !policy.uses_resource_caps();
         let policy_wants_commits = policy.wants_commit_events();
         let active_state = policy.active_policy();
-        let n = fronts.len();
+        let n = specs.len();
         let reserved = cfg.arch_regs_per_thread() * n as u32;
         let mut hier = MemHierarchy::new(cfg.l1i, cfg.l1d, cfg.l2, cfg.tlb, cfg.timing, n);
-        // Establish the steady state the profiles are calibrated for: hot
-        // sets L1-resident, warm sets and code images L2-resident, and the
+        // Each context gets a disjoint address-space base. Establish the
+        // steady state the profiles are calibrated for: hot sets
+        // L1-resident, warm sets and code images L2-resident, and the
         // resident regions' translations in the DTLB. A short simulation
         // window cannot reach this state by demand misses alone (one lap of
         // a warm set takes longer than practical windows).
-        for (t, front) in fronts.iter().enumerate() {
-            let base = front.code_base();
+        let mut fronts = Vec::with_capacity(n);
+        for (t, s) in specs.iter().enumerate() {
+            let base = Simulator::thread_addr_base(t);
+            let front = ThreadFront::new(&s.profile, s.seed, base, s.skip);
             let (hs, hb) = smt_trace::stream::hot_region(base);
             hier.prewarm_l1d(hs, hb);
-            hier.prewarm_l2(base, front.program.code_bytes());
+            hier.prewarm_l2(base, front.trace.program().code_bytes());
             hier.prewarm_dtlb(t, hs, hb);
-            for line in smt_trace::stream::warm_lines(base, &front.profile) {
+            for line in smt_trace::stream::warm_lines(base, &s.profile) {
                 hier.prewarm_l2(line, 1);
                 hier.prewarm_dtlb(t, line, 1);
             }
+            fronts.push(front);
         }
         Ok(Simulator {
             fronts,
@@ -535,12 +511,6 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// The attached probe.
     pub fn probe(&self) -> &P {
         &self.probe
-    }
-
-    /// The attached probe, mutably (e.g. to drain a recording between
-    /// windows).
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
     }
 
     /// Consume the simulator and return the probe (e.g. to export a
@@ -2473,35 +2443,6 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         assert_eq!(fp_holders, self.regs_fp.in_use(), "fp regs consistent");
     }
 
-    /// One-line debug summary of pipeline occupancy (for diagnostics).
-    pub fn debug_snapshot(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(s, "cycle {} live {} |", self.now, self.slab.live());
-        for t in 0..self.num_threads() {
-            let stages: Vec<&str> = self.robs[t]
-                .iter()
-                .take(4)
-                .map(|&h| match self.slab.stage(h).unwrap() {
-                    Stage::Frontend { .. } => "F",
-                    Stage::Waiting => "W",
-                    Stage::Ready { .. } => "R",
-                    Stage::Executing { .. } => "X",
-                    Stage::Done => "D",
-                })
-                .collect();
-            let _ = write!(
-                s,
-                " t{t}: q={} rob={} head[{}] ic={}",
-                self.fronts[t].queue.len(),
-                self.robs[t].len(),
-                stages.join(""),
-                self.icount[t],
-            );
-        }
-        s
-    }
-
     /// Current issue-queue occupancy: [int, fp, ldst].
     pub fn iq_usage(&self) -> [u32; 3] {
         [
@@ -2514,16 +2455,6 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// Current outstanding L1-D miss count of a thread (policy-visible).
     pub fn dmiss_count(&self, thread: usize) -> u32 {
         self.dmiss[thread]
-    }
-
-    /// Current declared-L2-miss count of a thread (policy-visible).
-    pub fn declared_count(&self, thread: usize) -> u32 {
-        self.declared[thread]
-    }
-
-    /// Memory hierarchy statistics for a thread.
-    pub fn mem_stats(&self, thread: usize) -> smt_uarch::ThreadMemStats {
-        self.hier.thread_stats(thread)
     }
 
     /// Cumulative per-thread statistics (from cycle 0).
@@ -2543,20 +2474,9 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         self.robs[thread].len()
     }
 
-    /// Pool-draw statistics of a thread's correct-path trace — diagnostics.
-    pub fn trace_pool_draws(&self, thread: usize) -> (u64, [u64; 3]) {
-        self.fronts[thread].pool_draws()
-    }
-
     /// Correct-path instructions emitted by a thread's trace — diagnostics.
     pub fn trace_emitted(&self, thread: usize) -> u64 {
-        self.fronts[thread].emitted()
-    }
-
-    /// Per-kind branch (predictions, mispredictions): [CondBr, Jump, Call,
-    /// Return] — diagnostics.
-    pub fn branch_kind_stats(&self) -> [(u64, u64); 4] {
-        self.branches.by_kind
+        self.fronts[thread].trace.emitted()
     }
 }
 

@@ -13,16 +13,13 @@
 //! * [`stream`] — the correct-path dynamic instruction stream
 //!   ([`ThreadTrace`]) and wrong-path synthesis ([`SynthState`]);
 //! * [`rng`] — a reproducible xoshiro256** PRNG so a `(profile, seed)` pair
-//!   pins the trace bit-for-bit;
-//! * [`mod@file`] — record/replay of traces in a compact binary format
-//!   (`DWTR`), carrying the dictionary so wrong-path fetch still works.
+//!   pins the trace bit-for-bit.
 //!
 //! Loads draw addresses from three pools — an L1-resident *hot* set, a
 //! circularly-streamed L2-resident *warm* set, and a *cold* streaming
 //! region — with probabilities taken from Table 2(a), so the **real**
 //! simulated cache hierarchy reproduces each benchmark's L1/L2 miss rates.
 
-pub mod file;
 pub mod instr;
 pub mod profile;
 pub mod program;
@@ -30,7 +27,6 @@ pub mod rng;
 pub mod snapio;
 pub mod stream;
 
-pub use file::RecordedTrace;
 pub use instr::{
     ArchReg, CtrlKind, DynInst, MemPool, OpClass, StaticInst, INST_BYTES, NUM_ARCH_REGS,
 };

@@ -414,55 +414,6 @@ impl StaticProgram {
         }
     }
 
-    /// Reassemble a program from its parts (trace-file loading). Validates
-    /// the block/function structure and rebuilds the instruction→block map.
-    pub fn from_parts(
-        insts: Vec<StaticInst>,
-        blocks: Vec<Block>,
-        functions: Vec<Function>,
-    ) -> Result<StaticProgram, String> {
-        if blocks.is_empty() || functions.is_empty() {
-            return Err("a program needs at least one block and function".into());
-        }
-        let mut block_of = Vec::with_capacity(insts.len());
-        let mut expected = 0u32;
-        for (bi, b) in blocks.iter().enumerate() {
-            if b.start != expected || b.len == 0 {
-                return Err(format!("block {bi} does not tile the image"));
-            }
-            if (b.func as usize) >= functions.len() {
-                return Err(format!("block {bi} references unknown function"));
-            }
-            expected += b.len;
-            for _ in 0..b.len {
-                block_of.push(bi as u32);
-            }
-        }
-        if expected as usize != insts.len() {
-            return Err("blocks do not cover the instruction array".into());
-        }
-        for (fi, f) in functions.iter().enumerate() {
-            if f.first_block > f.last_block || (f.last_block as usize) >= blocks.len() {
-                return Err(format!("function {fi} has an invalid block range"));
-            }
-        }
-        for (i, inst) in insts.iter().enumerate() {
-            if inst.class.is_branch()
-                && inst.ctrl != CtrlKind::Return
-                && inst.ctrl != CtrlKind::None
-                && (inst.taken_target as usize) >= blocks.len()
-            {
-                return Err(format!("instruction {i} targets an unknown block"));
-            }
-        }
-        Ok(StaticProgram {
-            insts,
-            blocks,
-            functions,
-            block_of,
-        })
-    }
-
     /// Total number of static instructions.
     pub fn len(&self) -> usize {
         self.insts.len()

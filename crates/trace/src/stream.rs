@@ -175,11 +175,6 @@ impl PoolState {
     fn draw_store(&mut self, rng: &mut Rng) -> u64 {
         self.hot_base + rng.below(HOT_BYTES / 8) * 8
     }
-
-    /// (total load draws, per-pool draw counts [hot, warm, cold]).
-    pub fn draw_counts(&self) -> (u64, [u64; 3]) {
-        (self.n_loads, self.n_pool)
-    }
 }
 
 // Bases, targets, and capacities are construction-derived: the snapshot
@@ -198,16 +193,6 @@ pub struct SynthState {
 }
 
 impl SynthState {
-    /// Build a synthesis state directly (for replayed/recorded traces that
-    /// have no live [`ThreadTrace`] to fork from).
-    pub fn new(profile: &BenchProfile, seed: u64, code_base: u64) -> SynthState {
-        SynthState {
-            rng: Rng::new(seed ^ 0xD1C7_10AA_5EED_0003),
-            pools: PoolState::new(code_base, profile),
-            code_base,
-        }
-    }
-
     /// Synthesize the dynamic instruction at byte `pc`. PCs outside the code
     /// image wrap modulo the program size, so the front-end can fetch down
     /// any predicted path. Branch direction / `next_pc` are placeholders: on
@@ -323,11 +308,6 @@ impl ThreadTrace {
     /// Instructions emitted so far (including skipped ones).
     pub fn emitted(&self) -> u64 {
         self.emitted
-    }
-
-    /// Pool draw statistics of the correct-path stream.
-    pub fn pool_draws(&self) -> (u64, [u64; 3]) {
-        self.pools.draw_counts()
     }
 
     /// Create the wrong-path synthesis companion for this thread. Uses a

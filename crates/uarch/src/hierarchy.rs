@@ -13,7 +13,7 @@ use smt_obs::{NullProbe, Probe};
 use smt_trace::snapio::{self, Snap, SnapError, SnapReader};
 use smt_trace::{counters, snap_fields};
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig};
 use crate::tlb::{Tlb, TlbConfig};
 
 /// Latency parameters of the hierarchy (cycles).
@@ -379,18 +379,6 @@ impl MemHierarchy {
 
     pub fn thread_stats(&self, thread: usize) -> ThreadMemStats {
         self.thread_stats[thread]
-    }
-
-    pub fn l1d_stats(&self) -> CacheStats {
-        self.l1d.stats()
-    }
-
-    pub fn l1i_stats(&self) -> CacheStats {
-        self.l1i.stats()
-    }
-
-    pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
     }
 }
 
