@@ -19,6 +19,11 @@
 //! `available_cores` is recorded so a starved runner is diagnosable from
 //! the artifact alone.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench targets time themselves with the wall clock; they never feed simulated state"
+)]
+
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 

@@ -11,6 +11,11 @@
 //! if the warm pass exceeds its budget (the warm path must stay pure
 //! cache-load + report-rendering, never re-simulation).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench targets time themselves with the wall clock; they never feed simulated state"
+)]
+
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 

@@ -12,6 +12,11 @@
 //! if the cold pass regresses more than 10% against the committed PR 2
 //! baseline or the warm pass exceeds its budget.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench targets time themselves with the wall clock; they never feed simulated state"
+)]
+
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 

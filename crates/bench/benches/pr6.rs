@@ -10,6 +10,11 @@
 //! cargo bench -p smt-bench --bench pr6
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench targets time themselves with the wall clock; they never feed simulated state"
+)]
+
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 

@@ -7,6 +7,11 @@
 //! target keeps its entry-point names, so `cargo bench -p smt-bench` and
 //! `cargo bench -- <filter>` behave the way they always did.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench targets time themselves with the wall clock; they never feed simulated state"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Re-export of the compiler fence against over-optimization; benches wrap

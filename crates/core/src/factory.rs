@@ -31,6 +31,21 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// Every policy kind, in declaration order.
+    pub const ALL: [PolicyKind; 11] = [
+        PolicyKind::Icount,
+        PolicyKind::Stall,
+        PolicyKind::Flush,
+        PolicyKind::Dg,
+        PolicyKind::Pdg,
+        PolicyKind::DWarn,
+        PolicyKind::DWarnPriorityOnly,
+        PolicyKind::DcPred,
+        PolicyKind::Meta(SelectorKind::MissRate),
+        PolicyKind::Meta(SelectorKind::IpcGreedy),
+        PolicyKind::Meta(SelectorKind::Epsilon),
+    ];
+
     /// The six policies in the order of the paper's figures:
     /// IC, STALL, FLUSH, DG, PDG, DWarn.
     pub fn paper_set() -> [PolicyKind; 6] {
@@ -67,6 +82,7 @@ impl PolicyKind {
     }
 
     /// Display name as used in the paper.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Icount => "ICOUNT",
@@ -112,6 +128,7 @@ impl PolicyKind {
     }
 
     /// Instantiate the policy.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn build(self) -> Box<dyn FetchPolicy> {
         match self {
             PolicyKind::Icount => Box::new(Icount::new()),
@@ -135,6 +152,7 @@ impl PolicyKind {
     /// [`PolicyVisitor::visit`] monomorphizes the per-cycle
     /// `fetch_order_into` into a direct, inlinable call. Custom (non-enum)
     /// policies keep using the dyn path.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn dispatch<V: PolicyVisitor>(self, v: V) -> V::Out {
         match self {
             PolicyKind::Icount => v.visit(Icount::new()),
@@ -189,9 +207,66 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_every_kind_in_declaration_order() {
+        // No wildcard: a new variant fails to compile here until it is
+        // given its slot, and the loop then demands that slot in ALL.
+        let slot = |k: PolicyKind| match k {
+            PolicyKind::Icount => 0,
+            PolicyKind::Stall => 1,
+            PolicyKind::Flush => 2,
+            PolicyKind::Dg => 3,
+            PolicyKind::Pdg => 4,
+            PolicyKind::DWarn => 5,
+            PolicyKind::DWarnPriorityOnly => 6,
+            PolicyKind::DcPred => 7,
+            PolicyKind::Meta(SelectorKind::MissRate) => 8,
+            PolicyKind::Meta(SelectorKind::IpcGreedy) => 9,
+            PolicyKind::Meta(SelectorKind::Epsilon) => 10,
+        };
+        for (i, k) in PolicyKind::ALL.into_iter().enumerate() {
+            assert_eq!(slot(k), i, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn warn_reporting_kinds_reject_a_reversed_order() {
+        use smt_pipeline::{PolicyView, ThreadView};
+        // Thread 1 has an outstanding L1 miss; thread 0 does not.
+        let threads = [
+            ThreadView::default(),
+            ThreadView {
+                dmiss_count: 1,
+                ..ThreadView::default()
+            },
+        ];
+        let view = PolicyView {
+            cycle: 0,
+            threads: &threads,
+        };
+        let mut warned = 0;
+        for k in PolicyKind::ALL {
+            let mut p = k.build();
+            let mut order = p.fetch_order(&view);
+            if (0..threads.len()).all(|t| p.warn_level(&view, t) == 0) {
+                continue;
+            }
+            warned += 1;
+            assert_eq!(p.audit_order(&view, &order), Ok(()), "{k:?}");
+            order.reverse();
+            assert!(
+                p.audit_order(&view, &order).is_err(),
+                "{k:?} warns about the missing thread but accepts the reversed order {order:?}"
+            );
+        }
+        assert!(warned > 0, "no policy kind reported a warn level");
+    }
+
+    #[test]
     fn parse_round_trips() {
-        for k in PolicyKind::paper_set() {
-            assert_eq!(PolicyKind::parse(k.name()), Some(k));
+        // `parse` matches strings, so the compiler cannot see a missing
+        // name there; every kind must come back from its own name.
+        for k in PolicyKind::ALL {
+            assert_eq!(PolicyKind::parse(k.name()), Some(k), "{k:?}");
         }
         assert_eq!(PolicyKind::parse("ic"), Some(PolicyKind::Icount));
         assert_eq!(PolicyKind::parse("dwarn"), Some(PolicyKind::DWarn));

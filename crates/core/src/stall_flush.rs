@@ -175,4 +175,26 @@ mod tests {
             Classification::new(DetectionMoment::XCyclesAfterIssue, ResponseAction::Squash)
         );
     }
+
+    /// Shadow model: seeded random orders of up to 8 threads (subsets and
+    /// permutations) and random demotion masks, against a stable sort by
+    /// the predicate.
+    #[test]
+    fn stable_partition_matches_a_stable_sort_by_the_predicate() {
+        let mut rng = smt_trace::Rng::new(7);
+        for case in 0..2_000 {
+            let n = rng.range(0, 9) as usize;
+            let mut order: Vec<usize> = (0..8).filter(|_| rng.chance(0.7)).collect();
+            order.truncate(n);
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mask = rng.below(256);
+            let demote = |t: usize| mask >> t & 1 == 1;
+            let mut want = order.clone();
+            want.sort_by_key(|&t| demote(t));
+            stable_partition(&mut order, demote);
+            assert_eq!(order, want, "case {case}, mask {mask:#010b}");
+        }
+    }
 }

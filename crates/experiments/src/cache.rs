@@ -255,6 +255,10 @@ impl DiskCache {
     /// Acquire the cache's advisory lock, waiting up to `timeout`. The lock
     /// is a `create_new` lock file recording the owner pid; a lock whose
     /// owner is no longer alive is stolen. Released on drop.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cross-process lock timeout needs wall time; cache reads are checksummed, so timing cannot change results"
+    )]
     pub fn lock_exclusive(&self, timeout: Duration) -> std::io::Result<CacheLock> {
         let path = self.dir.join("lock");
         let deadline = std::time::Instant::now() + timeout;

@@ -10,11 +10,17 @@
 //! recorded as a failure artifact — never a hang, an escaped panic, or a
 //! silently wrong number. Anything else is a [`Outcome::Violation`], and
 //! the CLI maps a violating report to
-//! [`crate::error::EXIT_CHAOS_VIOLATION`].
+//! [`crate::error::Exit::ChaosViolation`].
 //!
 //! Determinism: the fault plan is a pure function of the seed, so
 //! `chaos --seed 1 --faults 32` replays bit-identically — a violation found
 //! in CI reproduces locally from the seed alone.
+
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "the chaos harness throws panics at the campaign's isolation boundary on purpose"
+)]
 
 use std::cell::Cell;
 use std::fs;
@@ -435,7 +441,10 @@ pub fn run(opts: &ChaosOpts) -> Result<ChaosReport, ExpError> {
 }
 
 /// Inject one fault and classify its resolution.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one fault needs the campaign, its scratch paths and the golden digests together"
+)]
 fn inject(
     kind: FaultKind,
     rng: &mut Rng,
@@ -633,6 +642,9 @@ impl FetchPolicy for FusedPolicy {
         }
         view.icount_order_into(out);
     }
+    fn quiescence_safe(&self) -> bool {
+        false
+    }
 }
 
 fn policy_panic_fault(
@@ -726,7 +738,10 @@ fn bad_input_fault(rng: &mut Rng, dir: &Path, p: ExpParams, no_skip: bool) -> Ou
 /// checkpointing campaign. The damage must surface as a typed `checkpoint`
 /// failure artifact and the re-simulated result must still match the golden
 /// digest — a damaged checkpoint may cost time, never a number.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one fault needs the campaign, its scratch paths and the golden digests together"
+)]
 fn ckpt_fault(
     kind: FaultKind,
     rng: &mut Rng,

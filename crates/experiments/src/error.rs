@@ -4,9 +4,9 @@
 //! [`ExpError`]: bad user input (workload names, benchmark names), an
 //! invalid configuration, a simulation aborted by the watchdog, a panic
 //! caught at the isolation boundary, or an I/O problem. The CLI maps these
-//! to distinct exit codes (see the `EXIT_*` constants) so scripts driving
-//! large campaigns can tell "you typed it wrong" from "a run failed" from
-//! "the chaos harness found a robustness violation".
+//! to distinct exit codes (see [`Exit`]) so scripts driving large
+//! campaigns can tell "you typed it wrong" from "a run failed" from "the
+//! chaos harness found a robustness violation".
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -16,21 +16,52 @@ use smt_pipeline::{ConfigError, SimError};
 use crate::cache::CacheFault;
 use crate::checkpoint::CheckpointFault;
 
-/// Everything went fine.
-pub const EXIT_OK: i32 = 0;
-/// A simulation or I/O failure at runtime.
-pub const EXIT_RUNTIME: i32 = 1;
-/// Bad usage: unknown flags, workloads, experiments, …
-pub const EXIT_USAGE: i32 = 2;
-/// The campaign completed, but with partial results (some runs failed).
-pub const EXIT_PARTIAL: i32 = 3;
-/// The chaos harness observed a robustness violation (escaped panic, hang,
-/// or a silently wrong golden digest).
-pub const EXIT_CHAOS_VIOLATION: i32 = 4;
-/// The campaign was interrupted (Ctrl-C) with resumable checkpoints on
-/// disk: partial results and failure artifacts were flushed, and re-running
-/// with the same `--resume <dir>` continues from the checkpoints.
-pub const EXIT_INTERRUPTED: i32 = 5;
+/// The CLI's process exit codes, a contract for scripts: the usage text,
+/// README.md and EXPERIMENTS.md document every value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exit {
+    /// Everything went fine.
+    Ok = 0,
+    /// A simulation or I/O failure at runtime.
+    Runtime = 1,
+    /// Bad usage: unknown flags, workloads, experiments, …
+    Usage = 2,
+    /// The campaign completed, but with partial results (some runs failed).
+    Partial = 3,
+    /// The chaos harness observed a robustness violation (escaped panic,
+    /// hang, or a silently wrong golden digest).
+    ChaosViolation = 4,
+    /// The campaign was interrupted (Ctrl-C) with resumable checkpoints on
+    /// disk: partial results and failure artifacts were flushed, and
+    /// re-running with the same `--resume <dir>` continues from them.
+    Interrupted = 5,
+}
+
+impl Exit {
+    /// Every status, in value order.
+    pub const ALL: [Exit; 6] = [
+        Exit::Ok,
+        Exit::Runtime,
+        Exit::Usage,
+        Exit::Partial,
+        Exit::ChaosViolation,
+        Exit::Interrupted,
+    ];
+
+    /// The process exit status.
+    pub fn code(self) -> i32 {
+        self as i32
+    }
+
+    /// End the process with this status: the CLI's only exit point.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one process exit; its status is always a documented Exit"
+    )]
+    pub fn exit(self) -> ! {
+        std::process::exit(self.code())
+    }
+}
 
 /// A typed campaign-level failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +104,7 @@ pub enum ExpError {
         fault: CheckpointFault,
     },
     /// The run stopped on an interrupt request with a resumable checkpoint
-    /// written; the campaign exits [`EXIT_INTERRUPTED`].
+    /// written; the campaign exits [`Exit::Interrupted`].
     Interrupted { what: String },
     /// An I/O failure outside the cache (artifact export, trace files, …).
     Io { context: String, detail: String },
@@ -164,14 +195,14 @@ impl ExpError {
 
     /// The process exit code this error maps to: usage errors exit 2,
     /// interrupts exit 5, other runtime failures exit 1.
-    pub fn exit_code(&self) -> i32 {
+    pub fn exit_code(&self) -> Exit {
         match self {
             ExpError::BadWorkloadName { .. }
             | ExpError::UnknownWorkloadClass { .. }
             | ExpError::UnknownWorkload { .. }
-            | ExpError::UnknownBenchmark { .. } => EXIT_USAGE,
-            ExpError::Interrupted { .. } => EXIT_INTERRUPTED,
-            _ => EXIT_RUNTIME,
+            | ExpError::UnknownBenchmark { .. } => Exit::Usage,
+            ExpError::Interrupted { .. } => Exit::Interrupted,
+            _ => Exit::Runtime,
         }
     }
 }
@@ -224,14 +255,14 @@ mod tests {
         for class in ["ILP", "MIX", "MEM"] {
             assert!(s.contains(class), "{s} must list {class}");
         }
-        assert_eq!(e.exit_code(), EXIT_USAGE);
+        assert_eq!(e.exit_code(), Exit::Usage);
     }
 
     #[test]
     fn exit_codes_split_usage_from_runtime() {
         assert_eq!(
             ExpError::BadWorkloadName { given: "x".into() }.exit_code(),
-            EXIT_USAGE
+            Exit::Usage
         );
         assert_eq!(
             ExpError::Panicked {
@@ -239,12 +270,31 @@ mod tests {
                 payload: "p".into()
             }
             .exit_code(),
-            EXIT_RUNTIME
+            Exit::Runtime
         );
         assert_eq!(
             ExpError::Config(ConfigError::NoThreads).exit_code(),
-            EXIT_RUNTIME
+            Exit::Runtime
         );
+    }
+
+    #[test]
+    fn exit_codes_are_the_documented_zero_to_five() {
+        // No wildcard: a seventh status fails to compile here until the
+        // contract (and its documentation) is extended on purpose.
+        let documented = |e: Exit| match e {
+            Exit::Ok => 0,
+            Exit::Runtime => 1,
+            Exit::Usage => 2,
+            Exit::Partial => 3,
+            Exit::ChaosViolation => 4,
+            Exit::Interrupted => 5,
+        };
+        let codes: Vec<i32> = Exit::ALL.iter().map(|e| e.code()).collect();
+        assert_eq!(codes, [0, 1, 2, 3, 4, 5]);
+        for e in Exit::ALL {
+            assert_eq!(e.code(), documented(e), "{e:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! campaign's checkpointed run loop polls it between cycles. On the next
 //! poll every in-flight simulation stops at a clean cycle boundary,
 //! writes a resumable checkpoint, and the process exits with
-//! [`crate::error::EXIT_INTERRUPTED`] after flushing partial results and
+//! [`crate::error::Exit::Interrupted`] after flushing partial results and
 //! failure artifacts — re-running with the same `--resume <dir>` picks up
 //! exactly where it stopped.
 //!

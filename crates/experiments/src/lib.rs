@@ -37,6 +37,10 @@
 //! — any irregularity falls back to re-simulation, so a damaged cache can
 //! cost time but never change a number.
 
+// User-facing paths degrade to typed errors; a stray unwrap turns a
+// recoverable fault into an abort.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod ablation;
 pub mod artifacts;
 pub mod cache;

@@ -7,12 +7,14 @@
 //! cargo run --release -p smt-experiments -- trace --policy dwarn --workload mix4
 //! ```
 
+// User-facing paths degrade to typed errors; a stray unwrap turns a
+// recoverable fault into an abort.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::path::PathBuf;
 use std::time::Instant;
 
-use smt_experiments::error::{
-    self, EXIT_CHAOS_VIOLATION, EXIT_INTERRUPTED, EXIT_PARTIAL, EXIT_RUNTIME, EXIT_USAGE,
-};
+use smt_experiments::error::{self, Exit};
 use smt_experiments::{artifacts, interrupt, suite, Campaign, DiskCache, ExpParams};
 
 const USAGE: &str = "\
@@ -124,7 +126,7 @@ fn compare(campaign: &Campaign, args: &[&str]) -> String {
                         .any(|name| name == other);
                     if !known {
                         eprintln!("unknown workload: {other} (Table 2b has 2/4/6/8-ILP/MIX/MEM)");
-                        std::process::exit(EXIT_USAGE);
+                        Exit::Usage.exit();
                     }
                     workload = other.to_string();
                 }
@@ -133,7 +135,7 @@ fn compare(campaign: &Campaign, args: &[&str]) -> String {
             policies.push(k);
         } else {
             eprintln!("unknown policy: {a}");
-            std::process::exit(EXIT_USAGE);
+            Exit::Usage.exit();
         }
     }
     if policies.is_empty() {
@@ -146,13 +148,13 @@ fn compare(campaign: &Campaign, args: &[&str]) -> String {
         }
         Err(e) => {
             eprintln!("compare: {e}");
-            std::process::exit(e.exit_code());
+            e.exit_code().exit();
         }
     }
 }
 
 /// The `chaos` subcommand: run the deterministic fault-injection harness
-/// and map a violating report to [`EXIT_CHAOS_VIOLATION`].
+/// and map a violating report to [`Exit::ChaosViolation`].
 fn chaos_cmd(args: &[&str], quick: bool, no_skip: bool) -> ! {
     use smt_experiments::chaos::{self, ChaosOpts};
     let mut opts = ChaosOpts::new(1, 32);
@@ -166,7 +168,7 @@ fn chaos_cmd(args: &[&str], quick: bool, no_skip: bool) -> ! {
                 None => {
                     eprintln!("chaos: {what} needs a numeric argument\n");
                     eprint!("{USAGE}");
-                    std::process::exit(EXIT_USAGE);
+                    Exit::Usage.exit();
                 }
             }
         };
@@ -178,29 +180,27 @@ fn chaos_cmd(args: &[&str], quick: bool, no_skip: bool) -> ! {
                 None => {
                     eprintln!("chaos: --keep-dir needs a directory argument\n");
                     eprint!("{USAGE}");
-                    std::process::exit(EXIT_USAGE);
+                    Exit::Usage.exit();
                 }
             },
             other => {
                 eprintln!("chaos: unknown flag {other}\n");
                 eprint!("{USAGE}");
-                std::process::exit(EXIT_USAGE);
+                Exit::Usage.exit();
             }
         }
     }
     match chaos::run(&opts) {
         Ok(report) => {
             print!("{}", report.render());
-            let code = if report.violations() > 0 {
-                EXIT_CHAOS_VIOLATION
-            } else {
-                error::EXIT_OK
-            };
-            std::process::exit(code);
+            if report.violations() > 0 {
+                Exit::ChaosViolation.exit();
+            }
+            Exit::Ok.exit();
         }
         Err(e) => {
             eprintln!("chaos: {e}");
-            std::process::exit(e.exit_code());
+            e.exit_code().exit();
         }
     }
 }
@@ -216,7 +216,7 @@ fn take_dir_flag(args: &mut Vec<String>, flag: &str) -> Option<PathBuf> {
             if i + 1 >= args.len() {
                 eprintln!("--{flag} needs a directory argument\n");
                 eprint!("{USAGE}");
-                std::process::exit(EXIT_USAGE);
+                Exit::Usage.exit();
             }
             dir = Some(PathBuf::from(args.remove(i + 1)));
             args.remove(i);
@@ -245,7 +245,7 @@ fn take_num_flag(args: &mut Vec<String>, flag: &str, default: u64) -> u64 {
         None => {
             eprintln!("--{flag} needs a positive numeric argument\n");
             eprint!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
+            Exit::Usage.exit();
         }
     }
 }
@@ -255,13 +255,13 @@ fn cache_admin(action: &str, dir: Option<&PathBuf>) -> ! {
     let Some(dir) = dir else {
         eprintln!("cache {action} needs --cache-dir <dir>\n");
         eprint!("{USAGE}");
-        std::process::exit(EXIT_USAGE);
+        Exit::Usage.exit();
     };
     let cache = match DiskCache::open(dir) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cache: {}: {e}", dir.display());
-            std::process::exit(EXIT_RUNTIME);
+            Exit::Runtime.exit();
         }
     };
     let outcome = match action {
@@ -273,30 +273,34 @@ fn cache_admin(action: &str, dir: Option<&PathBuf>) -> ! {
                 dir.display(),
                 s.bytes
             );
-            0
+            Exit::Ok
         }),
         "clear" => cache.clear().map(|n| {
             println!("removed {n} entr{}", if n == 1 { "y" } else { "ies" });
-            0
+            Exit::Ok
         }),
         "verify" => cache.verify().map(|v| {
             println!("{} ok, {} corrupt", v.ok, v.corrupt.len());
             for p in &v.corrupt {
                 println!("corrupt: {}", p.display());
             }
-            i32::from(!v.corrupt.is_empty())
+            if v.corrupt.is_empty() {
+                Exit::Ok
+            } else {
+                Exit::Runtime
+            }
         }),
         other => {
             eprintln!("unknown cache action: {other} (stats, clear, verify)\n");
             eprint!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
+            Exit::Usage.exit();
         }
     };
     match outcome {
-        Ok(code) => std::process::exit(code),
+        Ok(code) => code.exit(),
         Err(e) => {
             eprintln!("cache {action}: {e}");
-            std::process::exit(EXIT_RUNTIME);
+            Exit::Runtime.exit();
         }
     }
 }
@@ -321,13 +325,13 @@ fn build_campaign(params: ExpParams, cache_dir: Option<&PathBuf>, opts: &Campaig
         Err(e) => {
             eprintln!("{e}\n");
             eprint!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
+            Exit::Usage.exit();
         }
     };
     if let Some(dir) = cache_dir {
         if let Err(e) = campaign.attach_disk_cache(dir) {
             eprintln!("--cache-dir {}: {e}", dir.display());
-            std::process::exit(EXIT_RUNTIME);
+            Exit::Runtime.exit();
         }
     }
     campaign.set_fragments(opts.fragments);
@@ -337,13 +341,13 @@ fn build_campaign(params: ExpParams, cache_dir: Option<&PathBuf>, opts: &Campaig
     if let Some((dir, window)) = &opts.intervals {
         if let Err(e) = campaign.set_intervals(dir, *window) {
             eprintln!("--intervals {}: {e}", dir.display());
-            std::process::exit(EXIT_RUNTIME);
+            Exit::Runtime.exit();
         }
     }
     if let Some((dir, interval)) = &opts.resume {
         if let Err(e) = campaign.set_checkpointing(dir, *interval) {
             eprintln!("--resume {}: {e}", dir.display());
-            std::process::exit(EXIT_RUNTIME);
+            Exit::Runtime.exit();
         }
         // Ctrl-C on a checkpointing campaign drains to resumable
         // checkpoints instead of killing the process mid-write.
@@ -359,9 +363,49 @@ fn flush_artifacts() {
         Ok(None) => {}
         Err(e) => {
             eprintln!("failed to write stats artifacts: {e}");
-            std::process::exit(EXIT_RUNTIME);
+            Exit::Runtime.exit();
         }
     }
+}
+
+/// Print each experiment's report with its wall time, then the total;
+/// returns how many reports failed to render.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "CLI elapsed-time display, printed after every simulated number is fixed"
+)]
+fn run_experiments(campaign: &Campaign, exps: &[&str]) -> u32 {
+    let t0 = Instant::now();
+
+    let mut broken_experiments = 0u32;
+    for &exp in exps {
+        let started = Instant::now();
+        let Some(f) = suite::lookup(exp) else {
+            eprintln!("unknown experiment: {exp}\n");
+            eprint!("{USAGE}");
+            Exit::Usage.exit();
+        };
+        // Per-experiment isolation: one broken report must not take down
+        // the rest of the sweep (its failed runs are already recorded on
+        // the campaign as typed failures).
+        match error::protect(exp, || Ok(f(campaign))) {
+            Ok(report) => {
+                println!("{report}");
+                println!(
+                    "[{} done in {:.1}s]\n",
+                    exp,
+                    started.elapsed().as_secs_f64()
+                );
+            }
+            Err(e) => {
+                broken_experiments += 1;
+                eprintln!("[{exp} FAILED: {e}]\n");
+            }
+        }
+    }
+    flush_artifacts();
+    eprintln!("total wall time: {:.1}s", t0.elapsed().as_secs_f64());
+    broken_experiments
 }
 
 fn main() {
@@ -369,7 +413,7 @@ fn main() {
     if let Some(dir) = take_dir_flag(&mut args, "stats-json") {
         if let Err(e) = artifacts::enable(&dir) {
             eprintln!("--stats-json {}: {e}", dir.display());
-            std::process::exit(EXIT_RUNTIME);
+            Exit::Runtime.exit();
         }
     }
     let cache_dir = take_dir_flag(&mut args, "cache-dir");
@@ -400,7 +444,7 @@ fn main() {
         let Some(dir) = dir else {
             eprintln!("report needs a directory (positional or --intervals <dir>)\n");
             eprint!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
+            Exit::Usage.exit();
         };
         match smt_experiments::report::report_dir(&dir) {
             Ok(rendered) => {
@@ -409,7 +453,7 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("report: {e}");
-                std::process::exit(e.exit_code());
+                e.exit_code().exit();
             }
         }
     }
@@ -418,7 +462,7 @@ fn main() {
         let Some(action) = args.get(1) else {
             eprintln!("cache needs an action (stats, clear, verify)\n");
             eprint!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
+            Exit::Usage.exit();
         };
         cache_admin(action, cache_dir.as_ref());
     }
@@ -447,14 +491,14 @@ fn main() {
             Err(e) => {
                 eprintln!("trace: {e}\n");
                 eprint!("{USAGE}");
-                std::process::exit(EXIT_USAGE);
+                Exit::Usage.exit();
             }
         };
         match smt_experiments::tracing::run(&opts) {
             Ok(summary) => println!("{summary}"),
             Err(e) => {
                 eprintln!("trace: {e}");
-                std::process::exit(e.exit_code());
+                e.exit_code().exit();
             }
         }
         flush_artifacts();
@@ -479,7 +523,7 @@ fn main() {
     }
     if exps.is_empty() {
         eprint!("{USAGE}");
-        std::process::exit(EXIT_USAGE);
+        Exit::Usage.exit();
     }
     if exps.contains(&"all") {
         // `meta` is deliberately absent: its oracle math needs full
@@ -506,36 +550,7 @@ fn main() {
         ExpParams::standard()
     };
     let campaign = build_campaign(params, cache_dir.as_ref(), &opts);
-    let t0 = Instant::now();
-
-    let mut broken_experiments = 0u32;
-    for exp in exps {
-        let started = Instant::now();
-        let Some(f) = suite::lookup(exp) else {
-            eprintln!("unknown experiment: {exp}\n");
-            eprint!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
-        };
-        // Per-experiment isolation: one broken report must not take down
-        // the rest of the sweep (its failed runs are already recorded on
-        // the campaign as typed failures).
-        match error::protect(exp, || Ok(f(&campaign))) {
-            Ok(report) => {
-                println!("{report}");
-                println!(
-                    "[{} done in {:.1}s]\n",
-                    exp,
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            Err(e) => {
-                broken_experiments += 1;
-                eprintln!("[{exp} FAILED: {e}]\n");
-            }
-        }
-    }
-    flush_artifacts();
-    eprintln!("total wall time: {:.1}s", t0.elapsed().as_secs_f64());
+    let broken_experiments = run_experiments(&campaign, &exps);
     if let Some(summary) = campaign.failure_summary() {
         eprintln!("\n{summary}");
     }
@@ -548,13 +563,12 @@ fn main() {
                 dir.display()
             );
         }
-        std::process::exit(EXIT_INTERRUPTED);
+        Exit::Interrupted.exit();
     }
     if broken_experiments > 0 || !campaign.failures().is_empty() {
-        std::process::exit(if campaign.failures().is_empty() {
-            EXIT_RUNTIME
-        } else {
-            EXIT_PARTIAL
-        });
+        if campaign.failures().is_empty() {
+            Exit::Runtime.exit();
+        }
+        Exit::Partial.exit();
     }
 }

@@ -76,6 +76,10 @@ pub struct MetaRow {
 /// One probed simulation: the measured-window [`SimResult`] (recorded as a
 /// stats artifact) plus the full-run interval series the oracle math needs.
 /// Honors the campaign's `--sanitize` and `--no-skip` settings.
+#[expect(
+    clippy::panic,
+    reason = "probed oracle runs are fail-fast: a watchdog abort or sanitizer violation invalidates the oracle math, and the CLI's catch_unwind renders the panic as a typed report"
+)]
 fn run_probed(campaign: &Campaign, wl: &Workload, kind: PolicyKind) -> (SimResult, IntervalSeries) {
     let cfg = SimConfig::baseline();
     let specs = wl.thread_specs();

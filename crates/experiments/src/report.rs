@@ -275,6 +275,7 @@ mod tests {
     fn summarize_round_trips_a_rendered_series() {
         let mut probe = smt_obs::IntervalProbe::new(smt_obs::IntervalConfig { window: 64 });
         use smt_obs::Probe;
+        let on = smt_obs::Enabled::of::<smt_obs::IntervalProbe>().expect("enabled");
         for c in 0..200u64 {
             if c % 2 == 0 {
                 probe.on_commit(c, 0, 0, 1);
@@ -289,7 +290,7 @@ mod tests {
                 outstanding_miss: &[0],
                 gate: &[None],
             };
-            probe.on_cycle_state(&state);
+            probe.on_cycle_state(on, &state);
         }
         let series = probe.into_series();
         let dir = std::env::temp_dir().join(format!("smt-report-test-{}", std::process::id()));

@@ -390,6 +390,10 @@ impl Campaign {
     /// Kept for the dozens of test/bench call sites, which follow the
     /// crate's documented fail-fast convention (the CLI goes through
     /// `try_new` and exits with a usage error instead).
+    #[expect(
+        clippy::panic,
+        reason = "documented fail-fast wrapper: the failure is recorded on the campaign before the panic, and the try_* form exists for graceful paths"
+    )]
     pub fn new(params: ExpParams) -> Campaign {
         Campaign::try_new(params).unwrap_or_else(|e| panic!("campaign setup failed: {e}"))
     }
@@ -1066,6 +1070,10 @@ impl Campaign {
     /// part of the cache key, and two different policies sharing a
     /// description would alias. The policy itself is built lazily, only on
     /// a full miss.
+    #[expect(
+        clippy::panic,
+        reason = "documented fail-fast wrapper: the failure is recorded on the campaign before the panic, and the try_* form exists for graceful paths"
+    )]
     pub fn run_custom(
         &self,
         cfg: &SimConfig,
@@ -1117,6 +1125,10 @@ impl Campaign {
     }
 
     /// Ensure all `keys` are cached, running missing ones in parallel.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "live telemetry (runs/s, ETA, heartbeat) needs wall time; every simulated number is fixed before the clock is read"
+    )]
     pub fn prefetch(&self, keys: &[RunKey]) {
         let missing: Vec<RunKey> = {
             let cache = crate::lock_unpoisoned(&self.cache);
@@ -1230,6 +1242,10 @@ impl Campaign {
     /// Panics if the run fails; sweeps that should degrade gracefully use
     /// [`Campaign::try_result`]. (The failure is recorded on the campaign
     /// *before* the panic, so a CLI-level `catch_unwind` still reports it.)
+    #[expect(
+        clippy::panic,
+        reason = "documented fail-fast wrapper: the failure is recorded on the campaign before the panic, and the try_* form exists for graceful paths"
+    )]
     pub fn result(&self, key: &RunKey) -> SimResult {
         self.try_result(key)
             .unwrap_or_else(|e| panic!("run {key:?} failed: {e}"))
@@ -1248,6 +1264,10 @@ impl Campaign {
     /// [`Campaign::result`] for callers that already own the key, sparing
     /// the clone on the miss path. Panics on failure like
     /// [`Campaign::result`].
+    #[expect(
+        clippy::panic,
+        reason = "documented fail-fast wrapper: the failure is recorded on the campaign before the panic, and the try_* form exists for graceful paths"
+    )]
     pub fn result_owned(&self, key: RunKey) -> SimResult {
         self.try_result_owned(key)
             .unwrap_or_else(|e| panic!("run failed: {e}"))

@@ -89,6 +89,9 @@ fn sanitizer_catches_a_self_contradicting_policy_as_a_typed_error() {
             view.icount_order_into(out);
             out.reverse();
         }
+        fn quiescence_safe(&self) -> bool {
+            false
+        }
         fn audit_order(&self, view: &PolicyView, order: &[usize]) -> Result<(), String> {
             for w in order.windows(2) {
                 if view.threads[w[0]].icount > view.threads[w[1]].icount {

@@ -39,15 +39,19 @@ fn flags_in(text: &str) -> BTreeSet<String> {
     out
 }
 
-/// The flag vocabulary the CLI itself documents (the USAGE string in
-/// `src/main.rs`), which is what `--help`-style output prints.
-fn usage_flags() -> BTreeSet<String> {
+/// The USAGE string in `src/main.rs`: what `--help`-style output prints.
+fn usage_text() -> String {
     let main = read(&repo_root().join("crates/experiments/src/main.rs"));
     let start = main
         .find("const USAGE")
         .expect("main.rs lost its USAGE string");
     let end = main[start..].find("\";").expect("unterminated USAGE") + start;
-    flags_in(&main[start..end])
+    main[start..end].to_string()
+}
+
+/// The flag vocabulary the CLI itself documents.
+fn usage_flags() -> BTreeSet<String> {
+    flags_in(&usage_text())
 }
 
 /// Subcommands and experiment names the CLI accepts.
@@ -133,5 +137,44 @@ fn usage_names_every_experiment() {
             main.contains(&format!("\n  {name}")) || main.contains(&format!(" {name} ")),
             "experiment `{name}` missing from the USAGE text"
         );
+    }
+}
+
+/// From the first (case-insensitive) `exit code` mention in `text` to the
+/// end of that paragraph.
+fn exit_code_section(text: &str) -> Option<&str> {
+    let start = text.to_ascii_lowercase().find("exit code")?;
+    let len = text[start..].find("\n\n").unwrap_or(text.len() - start);
+    Some(&text[start..start + len])
+}
+
+/// `digit` occurs in `text` as a standalone number.
+fn names_code(text: &str, digit: char) -> bool {
+    let b = text.as_bytes();
+    text.char_indices().any(|(i, c)| {
+        c == digit
+            && (i == 0 || !b[i - 1].is_ascii_alphanumeric())
+            && b.get(i + 1).is_none_or(|n| !n.is_ascii_alphanumeric())
+    })
+}
+
+#[test]
+fn usage_readme_and_experiments_name_every_exit_code() {
+    let docs = [
+        ("the USAGE text", usage_text()),
+        ("README.md", read(&repo_root().join("README.md"))),
+        ("EXPERIMENTS.md", read(&repo_root().join("EXPERIMENTS.md"))),
+    ];
+    for (name, text) in &docs {
+        let section =
+            exit_code_section(text).unwrap_or_else(|| panic!("{name} has no exit-code section"));
+        for exit in smt_experiments::error::Exit::ALL {
+            let digit = char::from_digit(exit.code() as u32, 10).expect("single-digit code");
+            assert!(
+                names_code(section, digit),
+                "{name}'s exit-code section does not name {} ({exit:?}):\n{section}",
+                exit.code()
+            );
+        }
     }
 }

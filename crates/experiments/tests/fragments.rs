@@ -13,7 +13,7 @@
 use std::cell::Cell;
 
 use dwarn_core::PolicyKind;
-use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries, Probe};
+use smt_obs::{Enabled, IntervalConfig, IntervalProbe, IntervalSeries, Observer, Probe};
 use smt_pipeline::{
     CheckpointOpts, FragmentOpts, MachineSnapshot, RecordingSanitizer, RunOutcome, SimConfig,
     SimError, Simulator, ThreadSpec, Watchdog,
@@ -216,6 +216,8 @@ struct PhaseRecorder {
     warn_windows: Vec<(u64, u64)>,
 }
 
+impl Observer for PhaseRecorder {}
+
 impl Probe for PhaseRecorder {
     fn on_l1_miss_begin(&mut self, cycle: u64, _t: usize, load_id: u64, _addr: u64, l2: bool) {
         if l2 {
@@ -228,7 +230,7 @@ impl Probe for PhaseRecorder {
             self.l2_windows.push((begin, cycle));
         }
     }
-    fn on_warn_change(&mut self, cycle: u64, thread: usize, _from: u8, to: u8) {
+    fn on_warn_change(&mut self, _on: Enabled, cycle: u64, thread: usize, _from: u8, to: u8) {
         if thread >= self.open_warn.len() {
             self.open_warn.resize(thread + 1, None);
         }

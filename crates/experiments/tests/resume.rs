@@ -7,6 +7,11 @@
 //! and the journal shows at most one fresh simulation per run across both
 //! invocations.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the kill-resume harness bounds its wait on the child process with a wall-clock deadline"
+)]
+
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -207,7 +212,7 @@ fn sigint_exits_resumable_and_resume_completes() {
         let status = child.wait().expect("wait");
         assert_eq!(
             status.code(),
-            Some(smt_experiments::error::EXIT_INTERRUPTED),
+            Some(smt_experiments::error::Exit::Interrupted.code()),
             "SIGINT must exit with the documented resumable code"
         );
     } else {

@@ -11,6 +11,10 @@
 //!   completeness (\[11\] evaluates with it);
 //! * **improvement** percentages as plotted in Figures 1(b), 3, 4, 5.
 
+// Metric comparisons go through explicit tolerances (tests may pin exact
+// values).
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+
 pub mod chart;
 pub mod table;
 

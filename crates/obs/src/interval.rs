@@ -27,7 +27,7 @@ use smt_trace::snap_fields;
 use smt_trace::snapio::{self, ensure, Fnv1a, Same, Seq};
 
 use crate::json::Json;
-use crate::probe::{CycleState, GateReason, Probe};
+use crate::probe::{CycleState, Enabled, GateReason, Observer, Probe};
 
 /// Configuration for [`IntervalProbe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,7 +405,7 @@ impl IntervalSeries {
 
 /// The interval sampler. Attach via `Simulator::with_probe` (or the
 /// campaign's `--intervals` flag) and call [`IntervalProbe::into_series`]
-/// after the run. Implements [`Probe`] with `ENABLED = true`; the
+/// after the run. An enabled [`Probe`] (`ENABLED = true`); the
 /// simulator's per-cycle state feeding stays compiled out for
 /// `NullProbe` runs, which is what bench `pr6` gates.
 #[derive(Debug, Clone, Default)]
@@ -631,6 +631,8 @@ snap_fields! {
     }
 }
 
+impl Observer for IntervalProbe {}
+
 impl Probe for IntervalProbe {
     fn on_fetch(&mut self, cycle: u64, thread: usize, _pc: u64, _seq: u64, wrong_path: bool) {
         self.roll(cycle);
@@ -662,7 +664,7 @@ impl Probe for IntervalProbe {
         }
     }
 
-    fn on_warn_change(&mut self, cycle: u64, thread: usize, _from: u8, _to: u8) {
+    fn on_warn_change(&mut self, _on: Enabled, cycle: u64, thread: usize, _from: u8, _to: u8) {
         self.roll(cycle);
         self.thread_mut(thread).warn_transitions += 1;
     }
@@ -672,12 +674,12 @@ impl Probe for IntervalProbe {
         self.cur.policy_switches += 1;
     }
 
-    fn on_cycle_state(&mut self, state: &CycleState<'_>) {
+    fn on_cycle_state(&mut self, _on: Enabled, state: &CycleState<'_>) {
         self.roll(state.cycle);
         self.accumulate(state, 1, false);
     }
 
-    fn on_quiescent_span(&mut self, state: &CycleState<'_>, span: u64) {
+    fn on_quiescent_span(&mut self, _on: Enabled, state: &CycleState<'_>, span: u64) {
         // Split the span across window boundaries; within each window the
         // closed-form `take × value` addition matches `take` per-cycle
         // accumulations exactly (all accumulators are integers).
@@ -706,6 +708,10 @@ impl Probe for IntervalProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn on() -> Enabled {
+        Enabled::of::<IntervalProbe>().expect("the interval probe is enabled")
+    }
 
     fn state<'a>(
         cycle: u64,
@@ -736,11 +742,11 @@ mod tests {
         // Per-cycle: 2500 individual cycles spanning window boundaries.
         let mut a = IntervalProbe::new(IntervalConfig { window: 1024 });
         for c in 0..2500u64 {
-            a.on_cycle_state(&state(c, &rob, &iqt, &out, &gate));
+            a.on_cycle_state(on(), &state(c, &rob, &iqt, &out, &gate));
         }
         // Bulk: one span of 2500 cycles starting at 0.
         let mut b = IntervalProbe::new(IntervalConfig { window: 1024 });
-        b.on_quiescent_span(&state(0, &rob, &iqt, &out, &gate), 2500);
+        b.on_quiescent_span(on(), &state(0, &rob, &iqt, &out, &gate), 2500);
 
         let (sa, sb) = (a.into_series(), b.into_series());
         assert_eq!(sa.digest(), sb.digest());
@@ -761,7 +767,7 @@ mod tests {
         // Sequential reference: 2500 cycles plus a few discrete events.
         let mut full = IntervalProbe::new(IntervalConfig { window: 1024 });
         for c in 0..2500u64 {
-            full.on_cycle_state(&state(c, &rob, &iqt, &out, &gate));
+            full.on_cycle_state(on(), &state(c, &rob, &iqt, &out, &gate));
             if c % 700 == 3 {
                 full.on_commit(c, 0, 0, 0);
                 full.on_l1_miss_begin(c, 1, 0, 0, c % 1400 == 3);
@@ -776,7 +782,7 @@ mod tests {
         for pair in seams.windows(2) {
             let mut p = IntervalProbe::new(IntervalConfig { window: 1024 });
             for c in pair[0]..pair[1] {
-                p.on_cycle_state(&state(c, &rob, &iqt, &out, &gate));
+                p.on_cycle_state(on(), &state(c, &rob, &iqt, &out, &gate));
                 if c % 700 == 3 {
                     p.on_commit(c, 0, 0, 0);
                     p.on_l1_miss_begin(c, 1, 0, 0, c % 1400 == 3);
@@ -804,7 +810,7 @@ mod tests {
         p.on_commit(5, 0, 0, 0);
         p.on_fetch(150, 1, 0, 0, true);
         p.on_l1_miss_begin(250, 0, 0, 0, true);
-        p.on_warn_change(250, 0, 0, 1);
+        p.on_warn_change(on(), 250, 0, 0, 1);
         let s = p.into_series();
         assert_eq!(s.intervals.len(), 3);
         assert_eq!(s.intervals[0].threads[0].committed, 1);
@@ -826,7 +832,7 @@ mod tests {
             if c == 3 {
                 p.on_commit(c, 0, 0, 0);
             }
-            p.on_cycle_state(&state(c, &rob, &iqt, &out, &gate));
+            p.on_cycle_state(on(), &state(c, &rob, &iqt, &out, &gate));
         }
         let s = p.into_series();
         let jsonl = s.to_jsonl(&["mcf".to_string()]);
@@ -845,9 +851,9 @@ mod tests {
         let iqt = [1u32];
         let out = [1u32];
         let gate = [Some(GateReason::IcacheMiss)];
-        p.on_quiescent_span(&state(0, &rob, &iqt, &out, &gate), 4);
+        p.on_quiescent_span(on(), &state(0, &rob, &iqt, &out, &gate), 4);
         p.on_commit(4, 0, 0, 0);
-        p.on_cycle_state(&state(4, &rob, &iqt, &out, &gate));
+        p.on_cycle_state(on(), &state(4, &rob, &iqt, &out, &gate));
         let s = p.into_series();
         let trace = s.counter_trace(&["mcf".to_string()]);
         // Structure: a metadata record plus six counter tracks per interval,
@@ -912,7 +918,7 @@ mod tests {
         let gate = [None, Some(GateReason::Policy)];
         let mut orig = IntervalProbe::new(IntervalConfig { window: 100 });
         for c in 0..250u64 {
-            orig.on_cycle_state(&state(c, &rob, &iqt, &out, &gate));
+            orig.on_cycle_state(on(), &state(c, &rob, &iqt, &out, &gate));
         }
         orig.on_commit(250, 0, 0, 0);
         orig.on_policy_switch(250, "DWARN", "FLUSH");
@@ -925,7 +931,7 @@ mod tests {
         // Continue both identically; series must match exactly.
         for p in [&mut orig, &mut restored] {
             for c in 251..400u64 {
-                p.on_cycle_state(&state(c, &rob, &iqt, &out, &gate));
+                p.on_cycle_state(on(), &state(c, &rob, &iqt, &out, &gate));
             }
         }
         let (sa, sb) = (orig.into_series(), restored.into_series());
@@ -952,17 +958,17 @@ mod tests {
         let iqt = [0u32];
         let out = [0u32];
         let gate = [None];
-        a.on_quiescent_span(&state(0, &rob, &iqt, &out, &gate), 8);
+        a.on_quiescent_span(on(), &state(0, &rob, &iqt, &out, &gate), 8);
         let mut b = IntervalProbe::new(IntervalConfig { window: 8 });
         for c in 0..8u64 {
-            b.on_cycle_state(&state(c, &rob, &iqt, &out, &gate));
+            b.on_cycle_state(on(), &state(c, &rob, &iqt, &out, &gate));
         }
         let (sa, sb) = (a.into_series(), b.into_series());
         assert_eq!(sa.digest(), sb.digest());
 
         let mut c = IntervalProbe::new(IntervalConfig { window: 8 });
         for cy in 0..8u64 {
-            c.on_cycle_state(&state(cy, &rob, &iqt, &out, &gate));
+            c.on_cycle_state(on(), &state(cy, &rob, &iqt, &out, &gate));
         }
         c.on_commit(2, 0, 0, 0);
         assert_ne!(c.into_series().digest(), sa.digest());

@@ -39,7 +39,9 @@ pub mod ring;
 pub use chrome::chrome_trace;
 pub use interval::{Interval, IntervalConfig, IntervalProbe, IntervalSeries, ThreadWindow};
 pub use json::Json;
-pub use probe::{CycleState, GateReason, NullProbe, OccupancySample, Probe, SquashKind};
+pub use probe::{
+    CycleState, Enabled, GateReason, NullProbe, Observer, OccupancySample, Probe, SquashKind,
+};
 pub use record::RecordingProbe;
 pub use registry::{Histogram, Registry};
 pub use ring::{EventKind, EventRing, TraceEvent};

@@ -6,9 +6,10 @@
 //! methods have empty default bodies, so a probe implements only what it
 //! cares about — and the no-op [`NullProbe`] compiles away entirely.
 //!
-//! Hooks additionally guarded by per-cycle bookkeeping (gate-transition
-//! tracking, occupancy-sample construction) are skipped by the simulator
-//! when [`Probe::ENABLED`] is `false`, so a default run pays nothing at all.
+//! Hooks whose arguments cost per-cycle bookkeeping (gate-transition
+//! tracking, occupancy samples, end-of-cycle state) take an [`Enabled`]
+//! proof, which only an enabled [`Observer`] yields, so a default run pays
+//! nothing at all and a hook call outside its gate does not compile.
 
 /// Why a thread did not deliver instructions in a fetch cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -91,7 +92,7 @@ pub struct OccupancySample {
 
 /// End-of-cycle resource snapshot handed to [`Probe::on_cycle_state`] and
 /// [`Probe::on_quiescent_span`]. Built by the simulator once per cycle (or
-/// once per bulk-advanced span) only when [`Probe::ENABLED`] is true; the
+/// once per bulk-advanced span) only when [`Observer::ENABLED`] is true; the
 /// slices borrow the simulator's scratch buffers, so no per-cycle
 /// allocation occurs after warm-up.
 #[derive(Debug)]
@@ -118,15 +119,45 @@ pub struct CycleState<'a> {
     pub gate: &'a [Option<GateReason>],
 }
 
+/// An observer the simulator compiles out when it is disabled: a [`Probe`]
+/// or the pipeline's invariant sanitizer.
+pub trait Observer {
+    /// `false` only for the null observers: the simulator then drops, at
+    /// compile time, every piece of bookkeeping that exists purely to feed
+    /// this observer.
+    const ENABLED: bool = true;
+}
+
+/// Forwarding to a `&mut O` keeps the referent's flag.
+impl<O: Observer + ?Sized> Observer for &mut O {
+    const ENABLED: bool = O::ENABLED;
+}
+
+/// Proof that an enabled observer is attached: a zero-sized value that
+/// only [`Enabled::of`] builds, and only for an observer whose `ENABLED`
+/// is true. The hooks that need per-cycle state built for them take one,
+/// so a call outside an `ENABLED` branch does not compile. Nothing else
+/// can make one:
+///
+/// ```compile_fail,E0423
+/// let forged = smt_obs::Enabled(());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Enabled(());
+
+impl Enabled {
+    /// `Some` exactly when `O` is enabled: a constant per monomorphization.
+    #[inline(always)]
+    pub fn of<O: Observer + ?Sized>() -> Option<Enabled> {
+        O::ENABLED.then_some(Enabled(()))
+    }
+}
+
 /// Observability hook points. All hooks default to nothing; `cycle` is the
 /// simulator cycle the event occurred in, `seq` the global dynamic-instruction
-/// sequence number (also used as `load_id` for loads).
-pub trait Probe {
-    /// `false` only for [`NullProbe`]: lets the simulator skip bookkeeping
-    /// that exists purely to feed the probe (gate-transition tracking,
-    /// occupancy-sample construction) at compile time.
-    const ENABLED: bool = true;
-
+/// sequence number (also used as `load_id` for loads). Hooks that take an
+/// [`Enabled`] proof are only ever called on an enabled probe.
+pub trait Probe: Observer {
     /// An instruction entered the fetch queue.
     fn on_fetch(&mut self, _cycle: u64, _thread: usize, _pc: u64, _seq: u64, _wrong_path: bool) {}
 
@@ -144,10 +175,10 @@ pub trait Probe {
 
     /// A thread transitioned from fetching to not-fetching for `reason`.
     /// A reason *change* while gated is delivered as ungate(old), gate(new).
-    fn on_gate(&mut self, _cycle: u64, _thread: usize, _reason: GateReason) {}
+    fn on_gate(&mut self, _on: Enabled, _cycle: u64, _thread: usize, _reason: GateReason) {}
 
     /// A thread's gate (for `reason`) was lifted.
-    fn on_ungate(&mut self, _cycle: u64, _thread: usize, _reason: GateReason) {}
+    fn on_ungate(&mut self, _on: Enabled, _cycle: u64, _thread: usize, _reason: GateReason) {}
 
     /// A data-cache access missed in L1: the miss lifetime begins. Emitted
     /// by the memory hierarchy at access time. `l2_miss` tells whether the
@@ -178,22 +209,22 @@ pub trait Probe {
     fn on_ifetch_miss(&mut self, _cycle: u64, _thread: usize, _addr: u64, _ready_at: u64) {}
 
     /// A shared-resource occupancy sample (from `run_sampled`).
-    fn on_sample(&mut self, _sample: &OccupancySample) {}
+    fn on_sample(&mut self, _on: Enabled, _sample: &OccupancySample) {}
 
     /// End-of-cycle resource state for one normally-stepped cycle. The
     /// interval sampler accumulates its time-series here.
-    fn on_cycle_state(&mut self, _state: &CycleState<'_>) {}
+    fn on_cycle_state(&mut self, _on: Enabled, _state: &CycleState<'_>) {}
 
     /// End-of-cycle resource state covering a quiescence-skipped span of
     /// `span` cycles starting at `state.cycle`. Every per-cycle quantity in
     /// `state` is provably constant across the span (that is what made the
     /// span skippable), so a probe that adds `span × value` observes exactly
     /// what `span` calls to [`Probe::on_cycle_state`] would have produced.
-    fn on_quiescent_span(&mut self, _state: &CycleState<'_>, _span: u64) {}
+    fn on_quiescent_span(&mut self, _on: Enabled, _state: &CycleState<'_>, _span: u64) {}
 
     /// The fetch policy's telemetry warn level for a thread changed (e.g.
     /// DWarn's Normal → Dmiss group demotion, or the hybrid L2 gate).
-    fn on_warn_change(&mut self, _cycle: u64, _thread: usize, _from: u8, _to: u8) {}
+    fn on_warn_change(&mut self, _on: Enabled, _cycle: u64, _thread: usize, _from: u8, _to: u8) {}
 
     /// A composite (switching) fetch policy handed control to a different
     /// candidate: `from`/`to` are candidate names as reported by the
@@ -217,21 +248,21 @@ pub trait Probe {
     }
 }
 
-/// The disabled probe: every hook is a no-op and [`Probe::ENABLED`] is
+/// The disabled probe: every hook is a no-op and [`Observer::ENABLED`] is
 /// `false`, so an un-instrumented simulator monomorphizes to exactly the
 /// code it had before probes existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullProbe;
 
-impl Probe for NullProbe {
+impl Observer for NullProbe {
     const ENABLED: bool = false;
 }
+
+impl Probe for NullProbe {}
 
 /// Forwarding to a `&mut P` lets call sites hand out temporary probe
 /// borrows (the memory hierarchy receives `&mut P` from the simulator).
 impl<P: Probe> Probe for &mut P {
-    const ENABLED: bool = P::ENABLED;
-
     fn on_fetch(&mut self, cycle: u64, thread: usize, pc: u64, seq: u64, wrong_path: bool) {
         (**self).on_fetch(cycle, thread, pc, seq, wrong_path)
     }
@@ -247,11 +278,11 @@ impl<P: Probe> Probe for &mut P {
     fn on_squash(&mut self, cycle: u64, thread: usize, seq: u64, kind: SquashKind) {
         (**self).on_squash(cycle, thread, seq, kind)
     }
-    fn on_gate(&mut self, cycle: u64, thread: usize, reason: GateReason) {
-        (**self).on_gate(cycle, thread, reason)
+    fn on_gate(&mut self, on: Enabled, cycle: u64, thread: usize, reason: GateReason) {
+        (**self).on_gate(on, cycle, thread, reason)
     }
-    fn on_ungate(&mut self, cycle: u64, thread: usize, reason: GateReason) {
-        (**self).on_ungate(cycle, thread, reason)
+    fn on_ungate(&mut self, on: Enabled, cycle: u64, thread: usize, reason: GateReason) {
+        (**self).on_ungate(on, cycle, thread, reason)
     }
     fn on_l1_miss_begin(&mut self, cycle: u64, thread: usize, load_id: u64, addr: u64, l2: bool) {
         (**self).on_l1_miss_begin(cycle, thread, load_id, addr, l2)
@@ -268,17 +299,17 @@ impl<P: Probe> Probe for &mut P {
     fn on_ifetch_miss(&mut self, cycle: u64, thread: usize, addr: u64, ready_at: u64) {
         (**self).on_ifetch_miss(cycle, thread, addr, ready_at)
     }
-    fn on_sample(&mut self, sample: &OccupancySample) {
-        (**self).on_sample(sample)
+    fn on_sample(&mut self, on: Enabled, sample: &OccupancySample) {
+        (**self).on_sample(on, sample)
     }
-    fn on_cycle_state(&mut self, state: &CycleState<'_>) {
-        (**self).on_cycle_state(state)
+    fn on_cycle_state(&mut self, on: Enabled, state: &CycleState<'_>) {
+        (**self).on_cycle_state(on, state)
     }
-    fn on_quiescent_span(&mut self, state: &CycleState<'_>, span: u64) {
-        (**self).on_quiescent_span(state, span)
+    fn on_quiescent_span(&mut self, on: Enabled, state: &CycleState<'_>, span: u64) {
+        (**self).on_quiescent_span(on, state, span)
     }
-    fn on_warn_change(&mut self, cycle: u64, thread: usize, from: u8, to: u8) {
-        (**self).on_warn_change(cycle, thread, from, to)
+    fn on_warn_change(&mut self, on: Enabled, cycle: u64, thread: usize, from: u8, to: u8) {
+        (**self).on_warn_change(on, cycle, thread, from, to)
     }
     fn on_policy_switch(&mut self, cycle: u64, from: &'static str, to: &'static str) {
         (**self).on_policy_switch(cycle, from, to)

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::probe::{GateReason, OccupancySample, Probe, SquashKind};
+use crate::probe::{Enabled, GateReason, Observer, OccupancySample, Probe, SquashKind};
 use crate::registry::{Histogram, Registry};
 use crate::ring::{EventKind, EventRing, TraceEvent};
 
@@ -176,6 +176,8 @@ fn merge_histogram(r: &mut Registry, name: &str, h: &Histogram) {
     r.add(&format!("hist/{name}/sum"), h.sum());
 }
 
+impl Observer for RecordingProbe {}
+
 impl Probe for RecordingProbe {
     fn on_fetch(&mut self, cycle: u64, thread: usize, pc: u64, seq: u64, wrong_path: bool) {
         let c = &mut self.threads[thread];
@@ -245,7 +247,7 @@ impl Probe for RecordingProbe {
         });
     }
 
-    fn on_gate(&mut self, cycle: u64, thread: usize, reason: GateReason) {
+    fn on_gate(&mut self, _on: Enabled, cycle: u64, thread: usize, reason: GateReason) {
         let c = &mut self.threads[thread];
         c.gates += 1;
         c.gates_by_reason[reason.index()] += 1;
@@ -257,7 +259,7 @@ impl Probe for RecordingProbe {
         });
     }
 
-    fn on_ungate(&mut self, cycle: u64, thread: usize, reason: GateReason) {
+    fn on_ungate(&mut self, _on: Enabled, cycle: u64, thread: usize, reason: GateReason) {
         self.threads[thread].ungates += 1;
         if let Some((_, begin)) = self.open_gate[thread].take() {
             self.gate_duration[thread].observe(cycle.saturating_sub(begin));
@@ -318,7 +320,7 @@ impl Probe for RecordingProbe {
         });
     }
 
-    fn on_sample(&mut self, sample: &OccupancySample) {
+    fn on_sample(&mut self, _on: Enabled, sample: &OccupancySample) {
         self.samples.push(sample.clone());
     }
 
@@ -376,8 +378,9 @@ mod tests {
     #[test]
     fn gate_episodes_measure_duration() {
         let mut p = RecordingProbe::new(1, 64);
-        p.on_gate(10, 0, GateReason::Policy);
-        p.on_ungate(25, 0, GateReason::Policy);
+        let on = Enabled::of::<RecordingProbe>().expect("the recording probe is enabled");
+        p.on_gate(on, 10, 0, GateReason::Policy);
+        p.on_ungate(on, 25, 0, GateReason::Policy);
         assert_eq!(p.thread(0).gates, 1);
         assert_eq!(p.thread(0).ungates, 1);
         assert_eq!(p.gate_duration(0).sum(), 15);

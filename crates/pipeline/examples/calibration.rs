@@ -1,3 +1,8 @@
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the calibration example reports how long each run took"
+)]
+
 use smt_pipeline::{FetchPolicy, PolicyView, SimConfig, Simulator, ThreadSpec};
 use smt_trace::profile;
 use std::time::Instant;
@@ -9,6 +14,9 @@ impl FetchPolicy for P {
     }
     fn fetch_order_into(&mut self, view: &PolicyView, out: &mut Vec<usize>) {
         view.icount_order_into(out);
+    }
+    fn quiescence_safe(&self) -> bool {
+        false
     }
 }
 

@@ -125,7 +125,10 @@ struct ScoutFeed {
 /// exactly one chunk, so a non-final fragment must come back
 /// `Interrupted` and the final one `Completed` — anything else is a
 /// seam defect and errors out.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a fragment worker takes its seam, window, observers and run options by value"
+)]
 fn replay_fragment<P2, S2, F2>(
     index: usize,
     is_last: bool,

@@ -49,7 +49,7 @@ pub use policy::{DeclareAction, FetchPolicy, PolicyEvent, PolicySwitch, PolicyVi
 pub use sanitizer::{
     InvariantCode, InvariantViolation, NullSanitizer, RecordingSanitizer, Sanitizer,
 };
-pub use sim::{CheckpointOpts, Mutation, PendingRun, RunOutcome, Simulator, ThreadSpec};
-pub use smt_obs::{NullProbe, Probe};
+pub use sim::{CheckpointOpts, Clock, Mutation, PendingRun, RunOutcome, Simulator, ThreadSpec};
+pub use smt_obs::{Enabled, NullProbe, Observer, Probe};
 pub use snapshot::{MachineSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use stats::{OccupancyStats, SimResult, ThreadStats};

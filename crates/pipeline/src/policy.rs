@@ -237,8 +237,8 @@ pub trait FetchPolicy {
     /// commit produce the same fetch order every cycle, so the engine can
     /// account for the whole idle span in closed form. Policies with
     /// per-cycle internal dynamics (or resource caps, which feed dispatch
-    /// every cycle) must keep the default `false`, which pins them to the
-    /// naive loop.
+    /// every cycle) must return `false`, which pins them to the naive
+    /// loop. There is no default: every policy states its contract.
     ///
     /// A switching policy may opt in *and* read [`PolicyView::cycle`] — but
     /// only to compare it against the boundary it publishes through
@@ -246,9 +246,7 @@ pub trait FetchPolicy {
     /// boundary and always executes the boundary cycle naively, so between
     /// boundaries the policy's behavior is cycle-independent and the
     /// contract holds span by span.
-    fn quiescence_safe(&self) -> bool {
-        false
-    }
+    fn quiescence_safe(&self) -> bool;
 
     /// The earliest future cycle this policy must observe *naively* — the
     /// quiescence engine caps every bulk advance so it never lands past the
@@ -385,6 +383,9 @@ mod tests {
         fn fetch_order_into(&mut self, view: &PolicyView, out: &mut Vec<usize>) {
             view.icount_order_into(out);
         }
+        fn quiescence_safe(&self) -> bool {
+            false
+        }
     }
 
     #[test]
@@ -418,5 +419,30 @@ mod tests {
     fn default_declare_action_is_none() {
         let d = Dummy;
         assert_eq!(d.declare_action(), DeclareAction::None);
+    }
+
+    /// Shadow model: seeded random views of 1 to 8 threads with ICOUNTs
+    /// drawn from a narrow range (so ties are common), against a stable
+    /// sort of the thread indices by ICOUNT.
+    #[test]
+    fn icount_order_matches_a_stable_sort_by_icount() {
+        let mut rng = smt_trace::Rng::new(11);
+        let mut out = Vec::new();
+        for case in 0..2_000 {
+            let threads: Vec<ThreadView> = (0..rng.range(1, 9))
+                .map(|_| ThreadView {
+                    icount: rng.below(4) as u32,
+                    ..Default::default()
+                })
+                .collect();
+            let view = PolicyView {
+                cycle: 0,
+                threads: &threads,
+            };
+            let mut want: Vec<usize> = (0..threads.len()).collect();
+            want.sort_by_key(|&t| threads[t].icount);
+            view.icount_order_into(&mut out);
+            assert_eq!(out, want, "case {case}");
+        }
     }
 }

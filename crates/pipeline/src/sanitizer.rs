@@ -8,9 +8,10 @@
 //! invariants those numbers rely on into machine-checked, typed reports.
 //!
 //! Wired through [`Simulator`](crate::Simulator) the same way
-//! [`Probe`](smt_obs::Probe) is: a generic parameter with a compile-time
-//! `ENABLED` flag. The default [`NullSanitizer`] has `ENABLED = false`, so
-//! every audit (and the branch guarding it) monomorphizes away and an
+//! [`Probe`](smt_obs::Probe) is: a generic parameter that is an
+//! [`Observer`] with a compile-time `ENABLED` flag. The default
+//! [`NullSanitizer`] has `ENABLED = false`, so every audit (and the branch
+//! guarding it) monomorphizes away and an
 //! unsanitized simulator compiles to exactly the unchecked machine. With a
 //! real sanitizer attached, [`Simulator::step`](crate::Simulator::step)
 //! audits the whole machine at the end of every cycle and forwards each
@@ -26,6 +27,8 @@
 //! mode it guards against.
 
 use std::fmt;
+
+use smt_obs::Observer;
 
 use crate::error::ProgressSnapshot;
 
@@ -188,15 +191,11 @@ impl fmt::Display for InvariantViolation {
 /// A sink for invariant violations, attached to the simulator as a generic
 /// parameter (mirroring [`Probe`](smt_obs::Probe)).
 ///
-/// `ENABLED` is a compile-time constant: when false (the default
-/// [`NullSanitizer`]), the per-cycle audit and its guard branch are removed
-/// by monomorphization and the simulator compiles to exactly the unchecked
-/// machine.
-pub trait Sanitizer {
-    /// Whether the simulator should audit at all. Associated constant so
-    /// the check folds at compile time.
-    const ENABLED: bool = true;
-
+/// [`Observer::ENABLED`] is a compile-time constant: when false (the
+/// default [`NullSanitizer`]), the per-cycle audit and its guard branch are
+/// removed by monomorphization and the simulator compiles to exactly the
+/// unchecked machine.
+pub trait Sanitizer: Observer {
     /// Called once per detected violation, in deterministic order.
     fn on_violation(&mut self, v: InvariantViolation);
 }
@@ -205,17 +204,17 @@ pub trait Sanitizer {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSanitizer;
 
-impl Sanitizer for NullSanitizer {
+impl Observer for NullSanitizer {
     const ENABLED: bool = false;
+}
 
+impl Sanitizer for NullSanitizer {
     #[inline(always)]
     fn on_violation(&mut self, _v: InvariantViolation) {}
 }
 
 /// Forwarding impl so a sanitizer can be attached by mutable reference.
 impl<S: Sanitizer> Sanitizer for &mut S {
-    const ENABLED: bool = S::ENABLED;
-
     #[inline]
     fn on_violation(&mut self, v: InvariantViolation) {
         (**self).on_violation(v);
@@ -296,6 +295,8 @@ impl RecordingSanitizer {
     }
 }
 
+impl Observer for RecordingSanitizer {}
+
 impl Sanitizer for RecordingSanitizer {
     fn on_violation(&mut self, v: InvariantViolation) {
         self.total += 1;
@@ -374,6 +375,6 @@ mod tests {
         const { assert!(!NullSanitizer::ENABLED) };
         const { assert!(RecordingSanitizer::ENABLED) };
         // The forwarding impl inherits the flag.
-        const { assert!(<&mut RecordingSanitizer as Sanitizer>::ENABLED) };
+        const { assert!(<&mut RecordingSanitizer as Observer>::ENABLED) };
     }
 }

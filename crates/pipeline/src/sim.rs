@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use smt_obs::{CycleState, GateReason, NullProbe, OccupancySample, Probe, SquashKind};
+use smt_obs::{CycleState, Enabled, GateReason, NullProbe, OccupancySample, Probe, SquashKind};
 use smt_trace::snapio::{self, ensure, Codec, Seq, Snap, SnapError, SnapReader};
 use smt_trace::{BenchProfile, DynInst, OpClass, INST_BYTES, NUM_ARCH_REGS};
 use smt_uarch::{
@@ -207,7 +207,7 @@ pub struct Simulator<
     /// Per-thread physical registers currently held (int + fp combined).
     regs_held: Vec<u32>,
 
-    now: u64,
+    now: Clock,
     seq: u64,
     rr: usize,
 
@@ -255,11 +255,15 @@ struct WatchState {
 }
 
 impl WatchState {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "watchdog wall-clock budget; sampled off the hot path and never feeds simulated state"
+    )]
     fn new<P: Probe, S: Sanitizer, F: FetchPolicy>(sim: &Simulator<P, S, F>) -> WatchState {
         WatchState {
             cycles: 0,
             last_commit_total: sim.total_committed,
-            last_commit_cycle: sim.now,
+            last_commit_cycle: sim.now.get(),
             started: std::time::Instant::now(),
         }
     }
@@ -279,7 +283,7 @@ impl WatchState {
         let mut cap = u64::MAX;
         if wd.no_commit_cycles > 0 {
             let trip = self.last_commit_cycle + wd.no_commit_cycles - 1;
-            cap = cap.min(trip.saturating_sub(sim.now));
+            cap = cap.min(trip.saturating_sub(sim.now.get()));
         }
         if wd.max_cycles > 0 {
             cap = cap.min((wd.max_cycles - 1).saturating_sub(self.cycles));
@@ -312,9 +316,9 @@ impl WatchState {
         self.cycles += 1;
         if sim.total_committed != self.last_commit_total {
             self.last_commit_total = sim.total_committed;
-            self.last_commit_cycle = sim.now;
+            self.last_commit_cycle = sim.now.get();
         } else if wd.no_commit_cycles > 0 {
-            let stalled = sim.now.saturating_sub(self.last_commit_cycle);
+            let stalled = sim.now.get().saturating_sub(self.last_commit_cycle);
             if stalled >= wd.no_commit_cycles {
                 return Err(SimError::NoForwardProgress {
                     stalled_for: stalled,
@@ -348,6 +352,144 @@ impl WatchState {
         let mut s = sim.progress_snapshot();
         s.last_commit_cycle = self.last_commit_cycle;
         Box::new(s)
+    }
+}
+
+pub use clock::Clock;
+
+/// The cycle counter, with the only two pieces of code that set its value:
+/// [`Simulator::try_with_specs`], which starts it at cycle 0, and
+/// [`Simulator::advance_clock`].
+mod clock {
+    use super::*;
+
+    /// The simulator's cycle counter. Its field is private to this module
+    /// and it has no arithmetic, so no other code can write it: a skip,
+    /// a restore or a naive step all move the clock through
+    /// `advance_clock`, whose closed-form accounting (round-robin offset,
+    /// watchdog checkpoints, skip statistics) depends on seeing every
+    /// advance.
+    ///
+    /// ```compile_fail,E0368
+    /// fn tick(now: &mut smt_pipeline::Clock) {
+    ///     *now += 1;
+    /// }
+    /// ```
+    ///
+    /// ```compile_fail,E0423
+    /// let rewound = smt_pipeline::Clock(0);
+    /// ```
+    #[derive(Debug)]
+    pub struct Clock(u64);
+
+    impl Clock {
+        /// The current cycle.
+        pub(crate) fn get(&self) -> u64 {
+            self.0
+        }
+    }
+
+    impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
+        /// The full constructor: thread specs, probe *and* sanitizer. Every
+        /// other constructor delegates here.
+        pub fn try_with_specs(
+            cfg: SimConfig,
+            policy: F,
+            specs: &[ThreadSpec],
+            probe: P,
+            sanitizer: S,
+        ) -> Result<Simulator<P, S, F>, ConfigError> {
+            cfg.validate(specs.len())?;
+            // Skipping requires the policy's idempotence contract and is
+            // incompatible with per-cycle resource caps (they feed dispatch
+            // every cycle, skipped or not).
+            let skip_ok = policy.quiescence_safe() && !policy.uses_resource_caps();
+            let policy_wants_commits = policy.wants_commit_events();
+            let active_state = policy.active_policy();
+            let n = specs.len();
+            let reserved = cfg.arch_regs_per_thread() * n as u32;
+            let mut hier = MemHierarchy::new(cfg.l1i, cfg.l1d, cfg.l2, cfg.tlb, cfg.timing, n);
+            // Each context gets a disjoint address-space base. Establish the
+            // steady state the profiles are calibrated for: hot sets
+            // L1-resident, warm sets and code images L2-resident, and the
+            // resident regions' translations in the DTLB. A short simulation
+            // window cannot reach this state by demand misses alone (one lap of
+            // a warm set takes longer than practical windows).
+            let mut fronts = Vec::with_capacity(n);
+            for (t, s) in specs.iter().enumerate() {
+                let base = Simulator::thread_addr_base(t);
+                let front = ThreadFront::new(&s.profile, s.seed, base, s.skip);
+                let (hs, hb) = smt_trace::stream::hot_region(base);
+                hier.prewarm_l1d(hs, hb);
+                hier.prewarm_l2(base, front.trace.program().code_bytes());
+                hier.prewarm_dtlb(t, hs, hb);
+                for line in smt_trace::stream::warm_lines(base, &s.profile) {
+                    hier.prewarm_l2(line, 1);
+                    hier.prewarm_dtlb(t, line, 1);
+                }
+                fronts.push(front);
+            }
+            Ok(Simulator {
+                fronts,
+                slab: Slab::new(),
+                robs: (0..n).map(|_| VecDeque::new()).collect(),
+                rename_int: vec![[None; NUM_ARCH_REGS as usize]; n],
+                rename_fp: vec![[None; NUM_ARCH_REGS as usize]; n],
+                regs_int: RegPool::new(cfg.phys_int, reserved),
+                regs_fp: RegPool::new(cfg.phys_fp, reserved),
+                iqs: IssueQueues::new(cfg.iq_int, cfg.iq_fp, cfg.iq_ldst),
+                fus: FuPools::new(cfg.fu_int, cfg.fu_fp, cfg.fu_ldst),
+                rob_count: RobCounters::new(cfg.rob_per_thread, n),
+                hier,
+                branches: BranchUnit::new(cfg.predictor, n),
+                events: EventWheel::new(EVENT_HORIZON),
+                ready: [Vec::new(), Vec::new(), Vec::new()],
+                due_buf: Vec::new(),
+                cands_buf: Vec::new(),
+                view_buf: Vec::with_capacity(n),
+                order_buf: Vec::with_capacity(n),
+                waiter_pool: Vec::new(),
+                icount: vec![0; n],
+                dmiss: vec![0; n],
+                declared: vec![0; n],
+                iq_held: vec![0; n],
+                regs_held: vec![0; n],
+                now: Clock(0),
+                seq: 0,
+                rr: 0,
+                stats: vec![ThreadStats::default(); n],
+                total_committed: 0,
+                policy,
+                cfg,
+                probe,
+                sanitizer,
+                gate_state: vec![None; n],
+                warn_state: vec![0; n],
+                active_state,
+                obs_rob: Vec::with_capacity(n),
+                obs_iq: Vec::with_capacity(n),
+                obs_out: Vec::with_capacity(n),
+                obs_gate: Vec::with_capacity(n),
+                skip_enabled: true,
+                skip_ok,
+                policy_wants_commits,
+                skipped_cycles: 0,
+                skip_spans: 0,
+            })
+        }
+
+        /// The engine's single clock-advance point: naive steps, bulk
+        /// quiescence skips and checkpoint-restore rebases all come
+        /// through here. Advances the round-robin offset exactly as
+        /// `cycles` naive steps would. Arithmetic wraps so a restore can
+        /// rebase onto an arbitrary absolute cycle via
+        /// `target.wrapping_sub(now)`, exact in u64 even when the target
+        /// precedes the current clock (the restore then reinstates the
+        /// checkpointed round-robin offset verbatim).
+        pub(super) fn advance_clock(&mut self, cycles: u64) {
+            self.now.0 = self.now.0.wrapping_add(cycles);
+            self.rr = ((self.rr as u64).wrapping_add(cycles) % self.num_threads() as u64) as usize;
+        }
     }
 }
 
@@ -410,94 +552,6 @@ impl<P: Probe, F: FetchPolicy> Simulator<P, NullSanitizer, F> {
 }
 
 impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
-    /// The full builder: thread specs, probe *and* sanitizer. Every other
-    /// constructor delegates here.
-    pub fn try_with_specs(
-        cfg: SimConfig,
-        policy: F,
-        specs: &[ThreadSpec],
-        probe: P,
-        sanitizer: S,
-    ) -> Result<Simulator<P, S, F>, ConfigError> {
-        cfg.validate(specs.len())?;
-        // Skipping requires the policy's idempotence contract and is
-        // incompatible with per-cycle resource caps (they feed dispatch
-        // every cycle, skipped or not).
-        let skip_ok = policy.quiescence_safe() && !policy.uses_resource_caps();
-        let policy_wants_commits = policy.wants_commit_events();
-        let active_state = policy.active_policy();
-        let n = specs.len();
-        let reserved = cfg.arch_regs_per_thread() * n as u32;
-        let mut hier = MemHierarchy::new(cfg.l1i, cfg.l1d, cfg.l2, cfg.tlb, cfg.timing, n);
-        // Each context gets a disjoint address-space base. Establish the
-        // steady state the profiles are calibrated for: hot sets
-        // L1-resident, warm sets and code images L2-resident, and the
-        // resident regions' translations in the DTLB. A short simulation
-        // window cannot reach this state by demand misses alone (one lap of
-        // a warm set takes longer than practical windows).
-        let mut fronts = Vec::with_capacity(n);
-        for (t, s) in specs.iter().enumerate() {
-            let base = Simulator::thread_addr_base(t);
-            let front = ThreadFront::new(&s.profile, s.seed, base, s.skip);
-            let (hs, hb) = smt_trace::stream::hot_region(base);
-            hier.prewarm_l1d(hs, hb);
-            hier.prewarm_l2(base, front.trace.program().code_bytes());
-            hier.prewarm_dtlb(t, hs, hb);
-            for line in smt_trace::stream::warm_lines(base, &s.profile) {
-                hier.prewarm_l2(line, 1);
-                hier.prewarm_dtlb(t, line, 1);
-            }
-            fronts.push(front);
-        }
-        Ok(Simulator {
-            fronts,
-            slab: Slab::new(),
-            robs: (0..n).map(|_| VecDeque::new()).collect(),
-            rename_int: vec![[None; NUM_ARCH_REGS as usize]; n],
-            rename_fp: vec![[None; NUM_ARCH_REGS as usize]; n],
-            regs_int: RegPool::new(cfg.phys_int, reserved),
-            regs_fp: RegPool::new(cfg.phys_fp, reserved),
-            iqs: IssueQueues::new(cfg.iq_int, cfg.iq_fp, cfg.iq_ldst),
-            fus: FuPools::new(cfg.fu_int, cfg.fu_fp, cfg.fu_ldst),
-            rob_count: RobCounters::new(cfg.rob_per_thread, n),
-            hier,
-            branches: BranchUnit::new(cfg.predictor, n),
-            events: EventWheel::new(EVENT_HORIZON),
-            ready: [Vec::new(), Vec::new(), Vec::new()],
-            due_buf: Vec::new(),
-            cands_buf: Vec::new(),
-            view_buf: Vec::with_capacity(n),
-            order_buf: Vec::with_capacity(n),
-            waiter_pool: Vec::new(),
-            icount: vec![0; n],
-            dmiss: vec![0; n],
-            declared: vec![0; n],
-            iq_held: vec![0; n],
-            regs_held: vec![0; n],
-            now: 0,
-            seq: 0,
-            rr: 0,
-            stats: vec![ThreadStats::default(); n],
-            total_committed: 0,
-            policy,
-            cfg,
-            probe,
-            sanitizer,
-            gate_state: vec![None; n],
-            warn_state: vec![0; n],
-            active_state,
-            obs_rob: Vec::with_capacity(n),
-            obs_iq: Vec::with_capacity(n),
-            obs_out: Vec::with_capacity(n),
-            obs_gate: Vec::with_capacity(n),
-            skip_enabled: true,
-            skip_ok,
-            policy_wants_commits,
-            skipped_cycles: 0,
-            skip_spans: 0,
-        })
-    }
-
     /// The attached sanitizer (e.g. to read recorded violations).
     pub fn sanitizer(&self) -> &S {
         &self.sanitizer
@@ -535,7 +589,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     }
 
     pub fn cycle(&self) -> u64 {
-        self.now
+        self.now.get()
     }
 
     pub fn policy_name(&self) -> &'static str {
@@ -553,7 +607,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     }
 
     fn schedule(&mut self, at: u64, kind: EvKind, h: Handle, seq: u64) {
-        self.events.push(self.now, Ev { at, seq, kind, h });
+        self.events.push(self.now.get(), Ev { at, seq, kind, h });
     }
 
     /// Advance the machine one cycle.
@@ -563,11 +617,11 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         self.issue();
         self.dispatch();
         self.fetch();
-        if S::ENABLED {
-            self.audit_cycle();
+        if let Some(on) = Enabled::of::<S>() {
+            self.audit_cycle(on);
         }
-        if P::ENABLED {
-            self.feed_cycle_probe(1, false);
+        if let Some(on) = Enabled::of::<P>() {
+            self.feed_cycle_probe(on, 1, false);
         }
         self.advance_clock(1);
     }
@@ -577,15 +631,10 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// [`Probe::on_quiescent_span`] covering a bulk advance (every snapshot
     /// quantity is frozen across a quiescent span, so the single call
     /// carries exactly what `span` per-cycle calls would have). Out of line
-    /// and called only under `P::ENABLED`, so the unprobed simulator keeps
-    /// its exact pre-telemetry code.
+    /// and callable only with the probe's [`Enabled`] proof, so the
+    /// unprobed simulator keeps its exact pre-telemetry code.
     #[inline(never)]
-    fn feed_cycle_probe(&mut self, span: u64, skipped: bool) {
-        if !P::ENABLED {
-            // Every call site is already gated; this guard lets the
-            // Null instantiation compile to an empty body.
-            return;
-        }
+    fn feed_cycle_probe(&mut self, on: Enabled, span: u64, skipped: bool) {
         let n = self.num_threads();
         let mut rob = std::mem::take(&mut self.obs_rob);
         let mut iq = std::mem::take(&mut self.obs_iq);
@@ -603,7 +652,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         }
         let (regs_int, regs_fp) = self.regs_in_use();
         let state = CycleState {
-            cycle: self.now,
+            cycle: self.now.get(),
             iq: self.iq_usage(),
             regs_int,
             regs_fp,
@@ -613,28 +662,15 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             gate: &gate,
         };
         if skipped {
-            self.probe.on_quiescent_span(&state, span);
+            self.probe.on_quiescent_span(on, &state, span);
         } else {
             debug_assert_eq!(span, 1);
-            self.probe.on_cycle_state(&state);
+            self.probe.on_cycle_state(on, &state);
         }
         self.obs_rob = rob;
         self.obs_iq = iq;
         self.obs_out = out;
         self.obs_gate = gate;
-    }
-
-    /// The engine's single clock-advance point (naive steps, bulk
-    /// quiescence skips, and checkpoint-restore rebases all come through
-    /// here; lint rule `SMT006` rejects any other write to the cycle
-    /// counter). Advances the round-robin offset exactly as `cycles` naive
-    /// steps would. Arithmetic wraps so a restore can rebase onto an
-    /// arbitrary absolute cycle via `target.wrapping_sub(self.now)` — exact
-    /// in u64 even when the target precedes the current clock (the restore
-    /// then reinstates the checkpointed round-robin offset verbatim).
-    fn advance_clock(&mut self, cycles: u64) {
-        self.now = self.now.wrapping_add(cycles);
-        self.rr = ((self.rr as u64).wrapping_add(cycles) % self.num_threads() as u64) as usize;
     }
 
     /// Disable or re-enable the quiescence-skipping engine (the `--no-skip`
@@ -700,7 +736,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         if cap == 0 {
             return 0;
         }
-        let now = self.now;
+        let now = self.now.get();
         // A switching policy's declared horizon (its next window boundary)
         // caps every span, and the horizon cycle itself is pinned to the
         // naive loop: the selector decision then lands on exactly the same
@@ -836,37 +872,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         // first cycle, keeping probed series bit-identical under skip.
         // The classification is then frozen for the whole span (the view
         // is frozen — that is what made the span skippable).
-        if P::ENABLED {
-            let pv = PolicyView {
-                cycle: now,
-                threads: &views,
-            };
-            for t in 0..n {
-                let lvl = self.policy.warn_level(&pv, t);
-                if lvl != self.warn_state[t] {
-                    self.probe.on_warn_change(now, t, self.warn_state[t], lvl);
-                    self.warn_state[t] = lvl;
-                }
-                let reason = if !order.contains(&t) {
-                    Some(GateReason::Policy)
-                } else if now < self.fronts[t].icache_ready_at {
-                    Some(GateReason::IcacheMiss)
-                } else if self.fronts[t].queue.len() as u32 >= self.cfg.fetch_queue {
-                    Some(GateReason::FetchQueueFull)
-                } else {
-                    None
-                };
-                if reason != self.gate_state[t] {
-                    if let Some(old) = self.gate_state[t] {
-                        self.probe.on_ungate(now, t, old);
-                    }
-                    if let Some(new) = reason {
-                        self.probe.on_gate(now, t, new);
-                    }
-                    self.gate_state[t] = reason;
-                }
-            }
-        }
+        self.refresh_probe_gates(&views, &order);
         put_back(self, order, views);
         for t in 0..n {
             if gated_mask >> t & 1 == 1 {
@@ -880,8 +886,8 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         }
         self.skipped_cycles += k;
         self.skip_spans += 1;
-        if P::ENABLED {
-            self.feed_cycle_probe(k, true);
+        if let Some(on) = Enabled::of::<P>() {
+            self.feed_cycle_probe(on, k, true);
         }
         self.advance_clock(k);
         k
@@ -981,16 +987,16 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             occ.avg_rob[t] += self.robs[t].len() as f64;
             occ.avg_iq_per_thread[t] += self.iq_held[t] as f64;
         }
-        if P::ENABLED {
+        if let Some(on) = Enabled::of::<P>() {
             let sample = OccupancySample {
-                cycle: self.now,
+                cycle: self.now.get(),
                 iq,
                 regs_int: ri,
                 regs_fp: rf,
                 rob: (0..n).map(|t| self.robs[t].len() as u32).collect(),
                 iq_per_thread: self.iq_held.clone(),
             };
-            self.probe.on_sample(&sample);
+            self.probe.on_sample(on, &sample);
         }
     }
 
@@ -1046,7 +1052,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             })
             .collect();
         ProgressSnapshot {
-            cycle: self.now,
+            cycle: self.now.get(),
             last_commit_cycle: 0, // filled in by the watchdog
             total_committed: self.total_committed,
             policy: self.policy.name(),
@@ -1061,11 +1067,11 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     // ------------------------------------------------------------------
 
     fn process_events(&mut self) {
-        if !self.events.has_due(self.now) {
+        if !self.events.has_due(self.now.get()) {
             return;
         }
         let mut due = std::mem::take(&mut self.due_buf);
-        self.events.drain_due(self.now, &mut due);
+        self.events.drain_due(self.now.get(), &mut due);
         for ev in &due {
             if self.slab.get(ev.h).is_none() {
                 continue; // squashed
@@ -1112,7 +1118,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             let srcs_ready = wi.remaining_srcs == 0;
             let iq = wi.iq;
             if srcs_ready && self.slab.stage(w) == Some(Stage::Waiting) {
-                self.slab.set_stage(w, Stage::Ready { at: self.now });
+                self.slab.set_stage(w, Stage::Ready { at: self.now.get() });
                 if let Some(kind) = iq {
                     self.ready[iq_index(kind)].push(w);
                 }
@@ -1190,7 +1196,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             debug_assert!(self.dmiss[thread] > 0);
             self.dmiss[thread] -= 1;
         }
-        self.probe.on_l1_miss_end(self.now, thread, load_id);
+        self.probe.on_l1_miss_end(self.now.get(), thread, load_id);
         self.policy.on_event(&PolicyEvent::LoadFilled {
             thread,
             pc,
@@ -1205,7 +1211,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         let thread = inst.thread;
         inst.declared = true;
         self.declared[thread] += 1;
-        self.probe.on_l2_declare(self.now, thread, load_id);
+        self.probe.on_l2_declare(self.now.get(), thread, load_id);
         self.policy
             .on_event(&PolicyEvent::L2MissDeclared { thread, load_id });
         if self.policy.declare_action() == DeclareAction::FlushAfterLoad {
@@ -1223,7 +1229,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             debug_assert!(self.declared[thread] > 0);
             self.declared[thread] -= 1;
         }
-        self.probe.on_l2_resolve(self.now, thread, load_id);
+        self.probe.on_l2_resolve(self.now.get(), thread, load_id);
         self.policy
             .on_event(&PolicyEvent::DeclaredLoadResolved { thread, load_id });
     }
@@ -1277,7 +1283,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 self.stats[t].committed += 1;
                 self.total_committed += 1;
                 retired += 1;
-                self.probe.on_commit(self.now, t, seq, inst.inst.pc);
+                self.probe.on_commit(self.now.get(), t, seq, inst.inst.pc);
                 if inst.inst.class.is_branch() {
                     self.stats[t].branches += 1;
                     if inst.mispredicted {
@@ -1314,7 +1320,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 let h = self.ready[idx][i];
                 // A squashed (no longer live) handle is silently dropped.
                 match self.slab.stage_seq(h) {
-                    Some((Stage::Ready { at }, seq)) if at <= self.now => {
+                    Some((Stage::Ready { at }, seq)) if at <= self.now.get() => {
                         cands.push((seq, h, kind));
                     }
                     Some((Stage::Ready { .. }, _)) => {
@@ -1361,8 +1367,8 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 continue;
             }
             budget -= 1;
-            let exec_start = self.now + self.cfg.issue_to_exec;
-            self.probe.on_issue(self.now, thread, seq);
+            let exec_start = self.now.get() + self.cfg.issue_to_exec;
+            self.probe.on_issue(self.now.get(), thread, seq);
             // Leave the issue queue.
             self.iqs.release(kind);
             debug_assert!(self.iq_held[thread] > 0);
@@ -1409,7 +1415,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             // so dependent ops execute back-to-back through the bypass.
             let wake_at = complete_at
                 .saturating_sub(self.cfg.issue_to_exec)
-                .max(self.now + 1);
+                .max(self.now.get() + 1);
             if wake_at < complete_at {
                 self.schedule(wake_at, EvKind::Wakeup, h, seq);
             }
@@ -1434,7 +1440,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             let mut views = std::mem::take(&mut self.view_buf);
             self.fill_thread_views(&mut views);
             let caps = self.policy.resource_caps(&PolicyView {
-                cycle: self.now,
+                cycle: self.now.get(),
                 threads: &views,
             });
             debug_assert_eq!(caps.len(), n);
@@ -1464,7 +1470,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 let Some((Stage::Frontend { ready_at }, seq)) = self.slab.stage_seq(h) else {
                     unreachable!("queued instructions are in Frontend stage")
                 };
-                if ready_at > self.now {
+                if ready_at > self.now.get() {
                     break;
                 }
                 let (class, dest, srcs) = {
@@ -1497,7 +1503,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 }
                 self.fronts[t].queue.pop_front();
                 budget -= 1;
-                self.probe.on_dispatch(self.now, t, seq);
+                self.probe.on_dispatch(self.now.get(), t, seq);
 
                 // Rename: wire sources to in-flight producers.
                 let src_is_fp = class == OpClass::FpAlu;
@@ -1535,7 +1541,12 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 inst.holds_reg = dest.is_some();
                 inst.prev_producer = prev_producer;
                 if remaining == 0 {
-                    self.slab.set_stage(h, Stage::Ready { at: self.now + 1 });
+                    self.slab.set_stage(
+                        h,
+                        Stage::Ready {
+                            at: self.now.get() + 1,
+                        },
+                    );
                     self.ready[iq_index(kind)].push(h);
                 } else {
                     self.slab.set_stage(h, Stage::Waiting);
@@ -1558,8 +1569,52 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 icount: self.icount[t],
                 dmiss_count: self.dmiss[t],
                 declared_l2: self.declared[t],
-                fetch_blocked: self.fronts[t].blocked(self.now, self.cfg.fetch_queue),
+                fetch_blocked: self.fronts[t].blocked(self.now.get(), self.cfg.fetch_queue),
             });
+        }
+    }
+
+    /// Probe-only: report warn-level and gate-state *transitions* for the
+    /// fetch order `order` the policy chose from `views` this cycle, so a
+    /// recording probe sees episodes (begin/end) rather than per-cycle
+    /// ticks. The gate classification mirrors the fetch loop's skip
+    /// conditions. `fetch` refreshes every naive cycle and `try_skip` at
+    /// the head of a bulk-advanced span, across which it stays frozen.
+    /// An unprobed simulator compiles this to nothing.
+    fn refresh_probe_gates(&mut self, views: &[ThreadView], order: &[usize]) {
+        let Some(on) = Enabled::of::<P>() else {
+            return;
+        };
+        let now = self.now.get();
+        let pv = PolicyView {
+            cycle: now,
+            threads: views,
+        };
+        for t in 0..self.num_threads() {
+            let lvl = self.policy.warn_level(&pv, t);
+            if lvl != self.warn_state[t] {
+                self.probe
+                    .on_warn_change(on, now, t, self.warn_state[t], lvl);
+                self.warn_state[t] = lvl;
+            }
+            let reason = if !order.contains(&t) {
+                Some(GateReason::Policy)
+            } else if now < self.fronts[t].icache_ready_at {
+                Some(GateReason::IcacheMiss)
+            } else if self.fronts[t].queue.len() as u32 >= self.cfg.fetch_queue {
+                Some(GateReason::FetchQueueFull)
+            } else {
+                None
+            };
+            if reason != self.gate_state[t] {
+                if let Some(old) = self.gate_state[t] {
+                    self.probe.on_ungate(on, now, t, old);
+                }
+                if let Some(new) = reason {
+                    self.probe.on_gate(on, now, t, new);
+                }
+                self.gate_state[t] = reason;
+            }
         }
     }
 
@@ -1569,7 +1624,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         let mut order = std::mem::take(&mut self.order_buf);
         self.policy.fetch_order_into(
             &PolicyView {
-                cycle: self.now,
+                cycle: self.now.get(),
                 threads: &views,
             },
             &mut order,
@@ -1591,52 +1646,18 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             }
         }
 
-        // Probe-only: report gate-state *transitions* so a recording probe
-        // sees gate episodes (begin/end) rather than per-cycle ticks. The
-        // classification mirrors the skip conditions in the loop below.
-        // Warn levels likewise report transitions only; `try_skip` performs
-        // the identical refresh at the head of a bulk-advanced span.
+        // Probe-only: policy switches happen inside `fetch_order_into` (at
+        // window boundaries, which always step naively), so sampling here
+        // sees every transition on its exact cycle.
         if P::ENABLED {
-            // Policy switches happen inside `fetch_order_into` (at window
-            // boundaries, which always step naively), so sampling here sees
-            // every transition on its exact cycle.
             let active = self.policy.active_policy();
             if active != self.active_state {
                 self.probe
-                    .on_policy_switch(self.now, self.active_state, active);
+                    .on_policy_switch(self.now.get(), self.active_state, active);
                 self.active_state = active;
             }
-            let pv = PolicyView {
-                cycle: self.now,
-                threads: &views,
-            };
-            for t in 0..self.num_threads() {
-                let lvl = self.policy.warn_level(&pv, t);
-                if lvl != self.warn_state[t] {
-                    self.probe
-                        .on_warn_change(self.now, t, self.warn_state[t], lvl);
-                    self.warn_state[t] = lvl;
-                }
-                let reason = if !order.contains(&t) {
-                    Some(GateReason::Policy)
-                } else if self.now < self.fronts[t].icache_ready_at {
-                    Some(GateReason::IcacheMiss)
-                } else if self.fronts[t].queue.len() as u32 >= self.cfg.fetch_queue {
-                    Some(GateReason::FetchQueueFull)
-                } else {
-                    None
-                };
-                if reason != self.gate_state[t] {
-                    if let Some(old) = self.gate_state[t] {
-                        self.probe.on_ungate(self.now, t, old);
-                    }
-                    if let Some(new) = reason {
-                        self.probe.on_gate(self.now, t, new);
-                    }
-                    self.gate_state[t] = reason;
-                }
-            }
         }
+        self.refresh_probe_gates(&views, &order);
 
         let mut remaining = self.cfg.fetch_width;
         let mut threads_used = 0u32;
@@ -1651,7 +1672,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             // queue is full, however, *consumes* its slot and delivers
             // nothing: the selection already happened, and the slot is not
             // re-offered to lower-priority (e.g. Dmiss) threads.
-            if self.now < self.fronts[t].icache_ready_at {
+            if self.now.get() < self.fronts[t].icache_ready_at {
                 continue;
             }
             threads_used += 1;
@@ -1661,10 +1682,11 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
 
             // I-cache access for this fetch block.
             let pc0 = self.fronts[t].fetch_pc;
-            let acc = self.hier.ifetch(pc0, self.now);
+            let acc = self.hier.ifetch(pc0, self.now.get());
             if acc.miss {
                 self.fronts[t].icache_ready_at = acc.complete_at;
-                self.probe.on_ifetch_miss(self.now, t, pc0, acc.complete_at);
+                self.probe
+                    .on_ifetch_miss(self.now.get(), t, pc0, acc.complete_at);
                 continue;
             }
 
@@ -1730,7 +1752,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         let pc = d.pc;
         let wrong_path = d.wrong_path;
         let stage = Stage::Frontend {
-            ready_at: self.now + self.cfg.frontend_latency,
+            ready_at: self.now.get() + self.cfg.frontend_latency,
         };
         let h = self.slab.insert(
             seq,
@@ -1758,7 +1780,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         if wrong_path {
             self.stats[t].wrong_path_fetched += 1;
         }
-        self.probe.on_fetch(self.now, t, pc, seq, wrong_path);
+        self.probe.on_fetch(self.now.get(), t, pc, seq, wrong_path);
         if is_load {
             self.policy.on_event(&PolicyEvent::LoadFetched {
                 thread: t,
@@ -1880,7 +1902,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             SquashReason::Mispredict => SquashKind::Mispredict,
             SquashReason::Flush => SquashKind::Flush,
         };
-        self.probe.on_squash(self.now, t, seq, kind);
+        self.probe.on_squash(self.now.get(), t, seq, kind);
         if !inst.inst.wrong_path {
             replay_rev.push(inst.inst);
         }
@@ -1904,7 +1926,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         let snapshot = Box::new(self.progress_snapshot());
         self.sanitizer.on_violation(InvariantViolation {
             code,
-            cycle: self.now,
+            cycle: self.now.get(),
             thread,
             expected,
             actual,
@@ -1946,7 +1968,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         }
         let verdict = self.policy.audit_order(
             &PolicyView {
-                cycle: self.now,
+                cycle: self.now.get(),
                 threads: views,
             },
             order,
@@ -1965,7 +1987,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// Never inlined, for the same code-placement reason as
     /// [`Simulator::audit_fetch_order`].
     #[inline(never)]
-    fn audit_cycle(&mut self) {
+    fn audit_cycle(&mut self, _on: Enabled) {
         use InvariantCode as C;
         let n = self.num_threads();
         let mut found: Vec<(C, Option<usize>, u64, u64, String)> = Vec::new();
@@ -2078,11 +2100,11 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                                     format!("dmiss-counted seq {seq} hit in L1"),
                                 ));
                             }
-                            if m.complete_at <= self.now {
+                            if m.complete_at <= self.now.get() {
                                 found.push((
                                     C::DmissConsistency,
                                     Some(t),
-                                    self.now + 1,
+                                    self.now.get() + 1,
                                     m.complete_at,
                                     format!(
                                         "dmiss-counted seq {seq} fill was due at cycle {}",
@@ -2117,11 +2139,11 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                         Some(m) => {
                             let notice_at =
                                 m.complete_at.saturating_sub(self.cfg.early_resolve_notice);
-                            if notice_at <= self.now {
+                            if notice_at <= self.now.get() {
                                 found.push((
                                     C::DeclaredConsistency,
                                     Some(t),
-                                    self.now + 1,
+                                    self.now.get() + 1,
                                     notice_at,
                                     format!(
                                         "declared seq {seq} resolve notice was due at cycle \
@@ -2244,12 +2266,12 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         }
 
         // INV007/INV008: event-wheel sanity.
-        let wheel = self.events.audit(self.now);
+        let wheel = self.events.audit(self.now.get());
         if let Some((at, seq)) = wheel.past_due {
             found.push((
                 C::EventPastDue,
                 None,
-                self.now + 1,
+                self.now.get() + 1,
                 at,
                 format!("event for seq {seq} due at cycle {at} is still queued"),
             ));
@@ -2266,7 +2288,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
 
         // INV014: cache tag-array integrity, periodically (its cost scales
         // with cache size, not occupancy).
-        if self.now.is_multiple_of(TAG_AUDIT_PERIOD) {
+        if self.now.get().is_multiple_of(TAG_AUDIT_PERIOD) {
             if let Err(detail) = self.hier.audit_tags() {
                 found.push((C::CacheTagIntegrity, None, 0, 1, detail));
             }
@@ -2283,12 +2305,12 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// before the machine can evolve.
     #[doc(hidden)]
     pub fn force_audit(&mut self) {
-        if S::ENABLED {
-            self.audit_cycle();
+        if let Some(on) = Enabled::of::<S>() {
+            self.audit_cycle(on);
             // The tag audit inside `audit_cycle` is periodic (its cost
             // scales with cache size); a forced audit runs it regardless
             // so tag mutations get a deterministic verdict.
-            if !self.now.is_multiple_of(TAG_AUDIT_PERIOD) {
+            if !self.now.get().is_multiple_of(TAG_AUDIT_PERIOD) {
                 if let Err(detail) = self.hier.audit_tags() {
                     self.report_violation(InvariantCode::CacheTagIntegrity, None, 0, 1, detail);
                 }
@@ -2326,7 +2348,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                     gen: u32::MAX,
                 };
                 self.events.inject_unchecked(Ev {
-                    at: self.now.saturating_sub(1),
+                    at: self.now.get().saturating_sub(1),
                     seq: 0,
                     kind: EvKind::Wakeup,
                     h,
@@ -2673,7 +2695,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             skipped_cycles,
             skip_spans,
         } = self;
-        now.save_state(out);
+        now.get().save_state(out);
         seq.save_state(out);
         rr.save_state(out);
         snapio::put_usize(out, fronts.len());
@@ -2763,11 +2785,11 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         } = self;
         let n = fronts.len();
         // The clock is rebased through the engine's single advance point
-        // below (`advance_clock`; SMT006): the wrapping delta lands exactly
-        // on the checkpointed cycle even when the snapshot predates this
-        // machine's clock.
+        // below (`advance_clock`, the only code that can move a `Clock`):
+        // the wrapping delta lands exactly on the checkpointed cycle even
+        // when the snapshot predates this machine's clock.
         let target = r.u64()?;
-        let clock_delta = target.wrapping_sub(*now);
+        let clock_delta = target.wrapping_sub(now.get());
         seq.load_state(r)?;
         rr.load_state(r)?;
         ensure(*rr < n, || {
@@ -2842,7 +2864,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             num_threads: self.num_threads(),
             policy_name: self.policy.name().to_string(),
             cfg_fingerprint: cfg_fingerprint(&self.cfg),
-            cycle: self.now,
+            cycle: self.now.get(),
             machine,
             policy,
             probe,
@@ -2915,7 +2937,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 let mut views = std::mem::take(&mut self.view_buf);
                 self.fill_thread_views(&mut views);
                 let pv = PolicyView {
-                    cycle: self.now,
+                    cycle: self.now.get(),
                     threads: &views,
                 };
                 for t in 0..n {
@@ -3201,6 +3223,10 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// interrupted. One exception by design: the watchdog's *wall-clock*
     /// budget restarts at resume time (simulated-cycle budgets and the
     /// no-forward-progress counter carry over exactly).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "watchdog wall-clock budget; sampled off the hot path and never feeds simulated state"
+    )]
     pub fn resume_run(
         &mut self,
         pending: PendingRun,

@@ -17,6 +17,9 @@ impl FetchPolicy for IcountTest {
     fn fetch_order_into(&mut self, view: &PolicyView, out: &mut Vec<usize>) {
         view.icount_order_into(out);
     }
+    fn quiescence_safe(&self) -> bool {
+        false
+    }
 }
 
 fn specs() -> Vec<ThreadSpec> {
@@ -82,81 +85,6 @@ fn violations_after(m: Mutation) -> RecordingSanitizer {
     sim.into_sanitizer()
 }
 
-fn assert_caught(m: Mutation, code: InvariantCode) {
-    let rec = violations_after(m);
-    assert!(
-        rec.saw(code),
-        "mutation {m:?} must trigger {code}; got:\n{}",
-        rec.render_report()
-    );
-}
-
-#[test]
-fn leaked_int_register_is_caught() {
-    assert_caught(Mutation::LeakIntReg, InvariantCode::RegConservationInt);
-}
-
-#[test]
-fn leaked_fp_register_is_caught() {
-    assert_caught(Mutation::LeakFpReg, InvariantCode::RegConservationFp);
-}
-
-#[test]
-fn leaked_iq_entry_is_caught() {
-    assert_caught(Mutation::LeakIqEntry, InvariantCode::IqConservation);
-}
-
-#[test]
-fn leaked_rob_slot_is_caught() {
-    assert_caught(Mutation::LeakRobSlot, InvariantCode::RobConservation);
-}
-
-#[test]
-fn inflated_icount_is_caught() {
-    assert_caught(Mutation::InflateIcount, InvariantCode::IcountConsistency);
-}
-
-#[test]
-fn phantom_dmiss_misclassification_is_caught() {
-    // The corrupted counter would sort thread 0 into DWarn's Dmiss group
-    // without an outstanding L1 miss — exactly the misclassification the
-    // paper's accounting must exclude.
-    assert_caught(Mutation::PhantomDmiss, InvariantCode::DmissConsistency);
-}
-
-#[test]
-fn phantom_declared_l2_miss_is_caught() {
-    assert_caught(
-        Mutation::PhantomDeclared,
-        InvariantCode::DeclaredConsistency,
-    );
-}
-
-#[test]
-fn past_due_event_is_caught() {
-    assert_caught(Mutation::PastDueEvent, InvariantCode::EventPastDue);
-}
-
-#[test]
-fn skewed_event_wheel_length_is_caught() {
-    assert_caught(Mutation::SkewEventLen, InvariantCode::EventLenMismatch);
-}
-
-#[test]
-fn dropped_rob_entry_is_caught() {
-    // A lost in-flight instruction: the slab still counts it live, but no
-    // fetch queue or ROB holds it any more.
-    assert_caught(Mutation::DropRobEntry, InvariantCode::SlabConservation);
-}
-
-#[test]
-fn duplicated_cache_tag_is_caught() {
-    assert_caught(
-        Mutation::DuplicateCacheTag,
-        InvariantCode::CacheTagIntegrity,
-    );
-}
-
 #[test]
 fn past_due_event_also_reports_expected_cycle() {
     let rec = violations_after(Mutation::PastDueEvent);
@@ -172,31 +100,6 @@ fn past_due_event_also_reports_expected_cycle() {
     );
 }
 
-#[test]
-fn rob_age_disorder_is_caught() {
-    let mut sim = sanitized();
-    for _ in 0..WARM {
-        sim.step();
-    }
-    // The ROB drains between cycles; retry until the swap lands on a
-    // moment with at least two in-flight instructions.
-    let mut applied = sim.inject_for_test(Mutation::RobAgeSwap);
-    let mut guard = 0;
-    while !applied && guard < 10_000 {
-        sim.step();
-        applied = sim.inject_for_test(Mutation::RobAgeSwap);
-        guard += 1;
-    }
-    assert!(applied, "never found two ROB entries to swap");
-    sim.force_audit();
-    let rec = sim.into_sanitizer();
-    assert!(
-        rec.saw(InvariantCode::RobAgeOrder),
-        "swapped ROB entries must trigger INV005; got:\n{}",
-        rec.render_report()
-    );
-}
-
 /// A policy that lies: produces a duplicated fetch order.
 struct DuplicatingPolicy;
 
@@ -209,24 +112,9 @@ impl FetchPolicy for DuplicatingPolicy {
         out.extend(0..view.num_threads());
         out.push(0); // thread 0 twice
     }
-}
-
-#[test]
-fn duplicate_fetch_order_is_caught() {
-    let mut sim = Simulator::try_sanitized(
-        SimConfig::baseline(),
-        Box::new(DuplicatingPolicy),
-        &specs(),
-        RecordingSanitizer::new(),
-    )
-    .expect("valid config");
-    sim.step();
-    let rec = sim.into_sanitizer();
-    assert!(
-        rec.saw(InvariantCode::PolicyOrder),
-        "duplicated order must trigger INV012; got:\n{}",
-        rec.render_report()
-    );
+    fn quiescence_safe(&self) -> bool {
+        false
+    }
 }
 
 /// A policy whose published order contradicts its own audit rule — the
@@ -243,6 +131,9 @@ impl FetchPolicy for SelfContradictingPolicy {
         view.icount_order_into(out);
         out.reverse();
     }
+    fn quiescence_safe(&self) -> bool {
+        false
+    }
     fn audit_order(&self, view: &PolicyView, order: &[usize]) -> Result<(), String> {
         for w in order.windows(2) {
             if view.threads[w[0]].icount > view.threads[w[1]].icount {
@@ -256,29 +147,80 @@ impl FetchPolicy for SelfContradictingPolicy {
     }
 }
 
-#[test]
-fn policy_order_contradicting_its_own_invariants_is_caught() {
-    let mut sim = Simulator::try_sanitized(
-        SimConfig::baseline(),
-        Box::new(SelfContradictingPolicy),
-        &specs(),
-        RecordingSanitizer::new(),
-    )
-    .expect("valid config");
-    // Step until the threads' ICOUNTs diverge enough for the reversed
-    // order to be provably wrong.
-    for _ in 0..WARM {
-        sim.step();
-        if sim.sanitizer().saw(InvariantCode::PolicyGating) {
-            break;
+/// What makes one invariant fire: a corruption injected into a warmed-up
+/// machine, or a policy whose fetch order breaks the rule.
+enum Seed {
+    Mutation(Mutation),
+    Policy(Box<dyn FetchPolicy>),
+}
+
+/// The seed that fires each invariant. Exhaustive with no wildcard: a new
+/// `InvariantCode` does not compile until it names the seed that proves
+/// the sanitizer catches it.
+fn firing_seed(code: InvariantCode) -> Seed {
+    match code {
+        InvariantCode::RegConservationInt => Seed::Mutation(Mutation::LeakIntReg),
+        InvariantCode::RegConservationFp => Seed::Mutation(Mutation::LeakFpReg),
+        InvariantCode::IqConservation => Seed::Mutation(Mutation::LeakIqEntry),
+        InvariantCode::RobConservation => Seed::Mutation(Mutation::LeakRobSlot),
+        InvariantCode::RobAgeOrder => Seed::Mutation(Mutation::RobAgeSwap),
+        InvariantCode::IcountConsistency => Seed::Mutation(Mutation::InflateIcount),
+        InvariantCode::EventPastDue => Seed::Mutation(Mutation::PastDueEvent),
+        InvariantCode::EventLenMismatch => Seed::Mutation(Mutation::SkewEventLen),
+        // The corrupted counter would sort thread 0 into DWarn's Dmiss
+        // group without an outstanding L1 miss.
+        InvariantCode::DmissConsistency => Seed::Mutation(Mutation::PhantomDmiss),
+        InvariantCode::DeclaredConsistency => Seed::Mutation(Mutation::PhantomDeclared),
+        // A lost in-flight instruction: the slab still counts it live, but
+        // no fetch queue or ROB holds it any more.
+        InvariantCode::SlabConservation => Seed::Mutation(Mutation::DropRobEntry),
+        InvariantCode::PolicyOrder => Seed::Policy(Box::new(DuplicatingPolicy)),
+        InvariantCode::PolicyGating => Seed::Policy(Box::new(SelfContradictingPolicy)),
+        InvariantCode::CacheTagIntegrity => Seed::Mutation(Mutation::DuplicateCacheTag),
+    }
+}
+
+/// Plant `code`'s seed and return what the sanitizer recorded.
+fn fire(code: InvariantCode) -> RecordingSanitizer {
+    match firing_seed(code) {
+        Seed::Mutation(m) => violations_after(m),
+        Seed::Policy(policy) => {
+            let mut sim = Simulator::try_sanitized(
+                SimConfig::baseline(),
+                policy,
+                &specs(),
+                RecordingSanitizer::new(),
+            )
+            .expect("valid config");
+            // A reversed order is only provably wrong once the threads'
+            // ICOUNTs diverge, so step until the audit catches it.
+            for _ in 0..WARM {
+                sim.step();
+                if sim.sanitizer().saw(code) {
+                    break;
+                }
+            }
+            sim.into_sanitizer()
         }
     }
-    let rec = sim.into_sanitizer();
-    assert!(
-        rec.saw(InvariantCode::PolicyGating),
-        "self-contradicting order must trigger INV013; got:\n{}",
-        rec.render_report()
-    );
+}
+
+#[test]
+fn every_invariant_fires_and_is_documented() {
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+        .expect("DESIGN.md at the repository root");
+    for &code in InvariantCode::ALL {
+        let rec = fire(code);
+        assert!(
+            rec.saw(code),
+            "{code}'s seed did not fire it; got:\n{}",
+            rec.render_report()
+        );
+        assert!(
+            design.contains(code.code()),
+            "{code} is not documented in DESIGN.md"
+        );
+    }
 }
 
 #[test]

@@ -17,6 +17,9 @@ impl FetchPolicy for IcountTest {
     fn fetch_order_into(&mut self, view: &PolicyView, out: &mut Vec<usize>) {
         view.icount_order_into(out);
     }
+    fn quiescence_safe(&self) -> bool {
+        false
+    }
 }
 
 fn sim(specs: Vec<ThreadSpec>) -> Simulator {

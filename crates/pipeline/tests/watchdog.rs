@@ -22,6 +22,9 @@ impl FetchPolicy for NeverFetch {
     fn fetch_order_into(&mut self, _view: &PolicyView, out: &mut Vec<usize>) {
         out.clear();
     }
+    fn quiescence_safe(&self) -> bool {
+        false
+    }
 }
 
 /// The paper's ICOUNT baseline, for the healthy-run control tests.
@@ -34,6 +37,9 @@ impl FetchPolicy for Icount {
 
     fn fetch_order_into(&mut self, view: &PolicyView, out: &mut Vec<usize>) {
         view.icount_order_into(out);
+    }
+    fn quiescence_safe(&self) -> bool {
+        false
     }
 }
 

@@ -20,6 +20,10 @@
 //! region — with probabilities taken from Table 2(a), so the **real**
 //! simulated cache hierarchy reproduces each benchmark's L1/L2 miss rates.
 
+// User-facing paths degrade to typed errors; a stray unwrap turns a
+// recoverable fault into an abort.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod instr;
 pub mod profile;
 pub mod program;

@@ -127,6 +127,10 @@ impl ChainState {
 impl StaticProgram {
     /// Deterministically generate the static program for a profile.
     /// The same `(profile, seed)` always yields the same program.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract: profiles are validated at build time, so an invalid one cannot reach generate()"
+    )]
     pub fn generate(profile: &BenchProfile, seed: u64) -> StaticProgram {
         profile.validate().expect("invalid benchmark profile");
         let mut rng = Rng::new(seed ^ 0xD1C7_10AA_5EED_0001);

@@ -414,4 +414,85 @@ mod tests {
         c.reset_stats();
         assert_eq!(c.stats().accesses, 0);
     }
+
+    /// Shadow model: per set, the resident tags from least to most
+    /// recently used, capped at the associativity.
+    struct LruSets {
+        ways: usize,
+        sets: Vec<std::collections::VecDeque<u64>>,
+    }
+
+    impl LruSets {
+        /// Move `line` to the MRU end if resident; report whether it was.
+        fn touch(&mut self, line: u64) -> bool {
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n) as usize];
+            match set.iter().position(|&l| l == line) {
+                Some(i) => {
+                    set.remove(i);
+                    set.push_back(line);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn fill(&mut self, line: u64) {
+            if !self.touch(line) {
+                let n = self.sets.len() as u64;
+                let set = &mut self.sets[(line % n) as usize];
+                if set.len() == self.ways {
+                    set.pop_front();
+                }
+                set.push_back(line);
+            }
+        }
+
+        fn probe(&self, line: u64) -> bool {
+            self.sets[(line % self.sets.len() as u64) as usize].contains(&line)
+        }
+    }
+
+    /// Seeded random access/fill/probe sequences on small geometries
+    /// against the naive LRU lists, checked after every operation. The
+    /// address range is a few times the capacity, so sets thrash.
+    #[test]
+    fn matches_an_lru_list_reference_on_random_sequences() {
+        for (seed, sets, ways) in [
+            (1, 1, 1),
+            (2, 1, 4),
+            (3, 2, 2),
+            (4, 4, 1),
+            (5, 4, 2),
+            (6, 8, 4),
+        ] {
+            let mut rng = smt_trace::Rng::new(seed);
+            let mut cache = Cache::new(CacheConfig {
+                size_bytes: sets * ways * 64,
+                ways: ways as u32,
+                line_bytes: 64,
+                banks: 1,
+                latency: 1,
+            });
+            let mut model = LruSets {
+                ways: ways as usize,
+                sets: vec![std::collections::VecDeque::new(); sets as usize],
+            };
+            for step in 0..4_000 {
+                let line = rng.below(3 * sets * ways + 1);
+                let addr = line * 64 + rng.below(64);
+                let at = format!("seed {seed}, step {step}, line {line}");
+                match rng.below(3) {
+                    0 => assert_eq!(cache.access(addr), model.touch(line), "access: {at}"),
+                    1 => {
+                        cache.fill(addr);
+                        model.fill(line);
+                    }
+                    _ => assert_eq!(cache.probe(addr), model.probe(line), "probe: {at}"),
+                }
+                let resident: usize = model.sets.iter().map(|s| s.len()).sum();
+                assert_eq!(cache.resident_lines(), resident, "{at}");
+            }
+        }
+    }
 }

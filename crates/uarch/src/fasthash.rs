@@ -8,10 +8,18 @@
 //! integer mix — in a handful of arithmetic instructions, and is unseeded so
 //! map behaviour is identical across runs and across Rust releases.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the FastMap definition site wraps std's HashMap with the fixed-seed FastHasher"
+)]
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` specialised to the splitmix-based [`FastHasher`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the FastMap definition site wraps std's HashMap with the fixed-seed FastHasher"
+)]
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Hasher state: the mixed value of the last integer written.

@@ -154,4 +154,41 @@ mod tests {
         assert_eq!(t.accesses(), 2);
         assert_eq!(t.misses(), 1);
     }
+
+    /// Shadow model: seeded random page sequences against a naive LRU list
+    /// (least recently used page first), on capacities from 1 to 8 and a
+    /// page range a few times the capacity.
+    #[test]
+    fn matches_an_lru_list_reference_on_random_sequences() {
+        for (seed, entries) in [(1, 1), (2, 2), (3, 3), (4, 8)] {
+            let mut rng = smt_trace::Rng::new(seed);
+            let mut tlb = Tlb::new(TlbConfig {
+                entries,
+                page_bytes: 4096,
+            });
+            let mut lru = std::collections::VecDeque::new();
+            for step in 0..4_000 {
+                let vpn = rng.below(3 * entries as u64 + 1);
+                let hit = match lru.iter().position(|&p| p == vpn) {
+                    Some(i) => {
+                        lru.remove(i);
+                        true
+                    }
+                    None => {
+                        if lru.len() == entries {
+                            lru.pop_front();
+                        }
+                        false
+                    }
+                };
+                lru.push_back(vpn);
+                let addr = vpn * 4096 + rng.below(4096);
+                assert_eq!(
+                    tlb.access(addr),
+                    hit,
+                    "seed {seed}, step {step}, page {vpn}"
+                );
+            }
+        }
+    }
 }

@@ -5,6 +5,11 @@
 //! ([`smt_trace::Rng`]) so every failure reproduces from the fixed master
 //! seed.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "test-only set of touched lines; its iteration order never reaches an assertion"
+)]
+
 use smt_trace::Rng;
 use smt_uarch::{
     Cache, CacheConfig, FuKind, FuPools, IqKind, IssueQueues, MemHierarchy, MemTiming, RegPool,

@@ -35,6 +35,12 @@ impl FetchPolicy for RoundRobin {
         out.clear();
         out.extend((0..n).map(|i| (self.turn + i) % n));
     }
+
+    // The rotation advances on every call: not idempotent, so the
+    // quiescence engine must not skip cycles under this policy.
+    fn quiescence_safe(&self) -> bool {
+        false
+    }
 }
 
 /// DWarn with a third priority class: threads with a *declared* long-latency
@@ -58,6 +64,11 @@ impl FetchPolicy for ThreeClassDWarn {
                 0
             }
         });
+    }
+
+    // A pure function of the view: idle cycles may be skipped in bulk.
+    fn quiescence_safe(&self) -> bool {
+        true
     }
 }
 
