@@ -13,146 +13,265 @@ use smt_metrics::table::TextTable;
 use smt_pipeline::{FetchPolicy, SimConfig};
 use smt_workloads::{workload, Workload, WorkloadClass};
 
-use crate::runner::Campaign;
+use crate::runner::{Campaign, CustomRun, Request};
 
-/// One cached ablation run. `desc` must pin down the policy *and its
-/// parameters* (it is the policy part of the campaign cache key); the boxed
-/// policy's own `name()` is what the stats artifact records.
-fn run_policy(
-    campaign: &Campaign,
-    cfg: SimConfig,
-    wl: &Workload,
-    desc: &str,
-    policy: impl Fn() -> Box<dyn FetchPolicy> + Sync,
-    tag: &str,
-) -> f64 {
-    let name = policy().name();
-    let result = campaign.run_custom(&cfg, &wl.thread_specs(), desc, policy);
-    crate::artifacts::record_tagged(tag, "baseline", &wl.name, name, &result);
-    result.throughput()
+/// One declared custom run and the stats record it leaves: `tag` names
+/// the experiment, `workload` the row. Experiments declare every point
+/// before anything runs, so their runs go to the campaign as one batch.
+pub(crate) struct Point {
+    run: CustomRun,
+    workload: String,
+    tag: String,
+}
+
+impl Point {
+    /// `desc` must pin down the policy *and its parameters* (it is the
+    /// policy part of the run's description); the built policy's own
+    /// `name()` is what the stats record carries.
+    pub(crate) fn new(
+        cfg: SimConfig,
+        wl: &Workload,
+        desc: &str,
+        policy: impl Fn() -> Box<dyn FetchPolicy> + Sync + 'static,
+        tag: &str,
+    ) -> Point {
+        Point {
+            run: CustomRun::new(cfg, wl, desc, policy),
+            workload: wl.name.clone(),
+            tag: tag.to_string(),
+        }
+    }
+
+    pub(crate) fn request(&self) -> Request<'_> {
+        Request::Custom(&self.run)
+    }
+
+    /// The run's throughput, recorded as a stats artifact. After the
+    /// point's batch this reads the campaign's memo; alone, it simulates.
+    pub(crate) fn throughput(&self, campaign: &Campaign) -> f64 {
+        let CustomRun {
+            cfg,
+            specs,
+            policy_desc,
+            build,
+        } = &self.run;
+        let name = build().name();
+        let result = campaign.run_custom(cfg, specs, policy_desc, build);
+        crate::artifacts::record_tagged(&self.tag, "baseline", &self.workload, name, &result);
+        result.throughput()
+    }
+}
+
+/// One ablation table: each row's label and its runs, one per
+/// throughput column.
+struct Sweep {
+    /// Title and the paper's claim, printed above the table.
+    heading: &'static str,
+    columns: Vec<&'static str>,
+    rows: Vec<(String, Vec<Point>)>,
+    /// Append DWarn's gain over ICOUNT, the row's second run over its
+    /// first.
+    gain: bool,
+}
+
+impl Sweep {
+    fn requests(&self) -> impl Iterator<Item = Request<'_>> {
+        self.rows
+            .iter()
+            .flat_map(|(_, points)| points.iter().map(Point::request))
+    }
+
+    fn render(&self, campaign: &Campaign) -> String {
+        let mut t = TextTable::new(self.columns.clone());
+        for (label, points) in &self.rows {
+            let tputs: Vec<f64> = points.iter().map(|p| p.throughput(campaign)).collect();
+            let mut row = vec![label.clone()];
+            row.extend(tputs.iter().map(|x| format!("{x:.2}")));
+            if self.gain {
+                let gain = smt_metrics::improvement_pct(tputs[1], tputs[0]);
+                row.push(format!("{gain:+.1}%"));
+            }
+            t.row(row);
+        }
+        format!("{}\n\n{}", self.heading, t.render())
+    }
+
+    /// Batch this sweep's runs, then render it.
+    fn report(&self, campaign: &Campaign) -> String {
+        campaign.prefetch(self.requests());
+        self.render(campaign)
+    }
+}
+
+/// The runs of [`dg_threshold_sweep`].
+fn dg_threshold() -> Sweep {
+    let tag = "ablation:dg-threshold";
+    let rows = [
+        workload(4, WorkloadClass::Mix),
+        workload(4, WorkloadClass::Mem),
+    ]
+    .iter()
+    .map(|wl| {
+        let mut runs: Vec<Point> = [1u32, 2, 4]
+            .into_iter()
+            .map(|n| {
+                // n = 1 is the paper's DG, which Figure 1 runs: under its
+                // grid description it is the same simulation.
+                let desc = match n {
+                    1 => PolicyKind::Dg.cache_desc(),
+                    n => format!("DG(n={n})"),
+                };
+                Point::new(
+                    SimConfig::baseline(),
+                    wl,
+                    &desc,
+                    move || Box::new(DataGating::with_threshold(n)),
+                    tag,
+                )
+            })
+            .collect();
+        runs.push(Point::new(
+            SimConfig::baseline(),
+            wl,
+            "ICOUNT",
+            || PolicyKind::Icount.build(),
+            tag,
+        ));
+        (wl.name.clone(), runs)
+    })
+    .collect();
+    Sweep {
+        heading: "Ablation — DG outstanding-miss threshold (throughput)\n\
+                  Paper: n = 1 presents the best overall results.",
+        columns: vec!["workload", "n=1", "n=2", "n=4", "ICOUNT"],
+        rows,
+        gain: false,
+    }
+}
+
+/// The runs of [`declare_threshold_sweep`].
+fn declare_threshold() -> Sweep {
+    let wl = workload(4, WorkloadClass::Mem);
+    let rows = [PolicyKind::Stall, PolicyKind::Flush]
+        .into_iter()
+        .map(|kind| {
+            let runs = [8u64, 15, 30, 60]
+                .into_iter()
+                .map(|thr| {
+                    let mut cfg = SimConfig::baseline();
+                    cfg.l2_declare_threshold = thr;
+                    let tag = format!("ablation:declare-thr{thr}");
+                    Point::new(cfg, &wl, kind.name(), move || kind.build(), &tag)
+                })
+                .collect();
+            (kind.name().to_string(), runs)
+        })
+        .collect();
+    Sweep {
+        heading: "Ablation — L2-declare threshold (throughput, 4-MEM)\n\
+                  Paper: 15 cycles presents the best overall results for the baseline.",
+        columns: vec!["policy", "thr=8", "thr=15", "thr=30", "thr=60"],
+        rows,
+        gain: false,
+    }
+}
+
+/// The runs of [`dwarn_hybrid_ablation`].
+fn dwarn_hybrid() -> Sweep {
+    let tag = "ablation:hybrid-rule";
+    let rows = [
+        (2, WorkloadClass::Mix),
+        (2, WorkloadClass::Mem),
+        (4, WorkloadClass::Mix),
+        (4, WorkloadClass::Mem),
+    ]
+    .into_iter()
+    .map(|(threads, class)| {
+        let wl = workload(threads, class);
+        let runs = vec![
+            Point::new(
+                SimConfig::baseline(),
+                &wl,
+                "DWARN",
+                || Box::new(DWarn::new()),
+                tag,
+            ),
+            Point::new(
+                SimConfig::baseline(),
+                &wl,
+                "DWARN(prio-only)",
+                || Box::new(DWarn::priority_only()),
+                tag,
+            ),
+            Point::new(
+                SimConfig::baseline(),
+                &wl,
+                "ICOUNT",
+                || PolicyKind::Icount.build(),
+                tag,
+            ),
+        ];
+        (wl.name.clone(), runs)
+    })
+    .collect();
+    Sweep {
+        heading: "Ablation — DWarn hybrid rule (throughput)\n\
+                  Paper §3: with fewer than three threads, priority reduction alone cannot\n\
+                  keep a Dmiss thread from slowly filling the machine; the hybrid gates\n\
+                  declared L2 misses there. At 4+ threads the two variants coincide.",
+        columns: vec!["workload", "DWarn(hybrid)", "DWarn(prio-only)", "ICOUNT"],
+        rows,
+        gain: false,
+    }
+}
+
+/// The runs of [`fetch_mechanism_sweep`].
+fn fetch_mechanism() -> Sweep {
+    let wl = workload(4, WorkloadClass::Mix);
+    let rows = [(1u32, 4u32), (1, 8), (2, 4), (2, 8), (4, 8)]
+        .into_iter()
+        .map(|(threads, width)| {
+            let mut cfg = SimConfig::baseline();
+            cfg.fetch_threads = threads;
+            cfg.fetch_width = width;
+            let tag = format!("ablation:fetch-{threads}.{width}");
+            let runs = vec![
+                Point::new(
+                    cfg.clone(),
+                    &wl,
+                    "ICOUNT",
+                    || PolicyKind::Icount.build(),
+                    &tag,
+                ),
+                Point::new(cfg, &wl, "DWARN", || PolicyKind::DWarn.build(), &tag),
+            ];
+            (format!("{threads}.{width}"), runs)
+        })
+        .collect();
+    Sweep {
+        heading: "Ablation — fetch mechanism (ICOUNT x.y), 4-MIX throughput\n\
+                  Paper probes x.y at 2.8 (baseline/deep) and 1.4 (small machine).",
+        columns: vec!["mechanism", "ICOUNT", "DWARN", "DWarn gain"],
+        rows,
+        gain: true,
+    }
 }
 
 /// DG threshold sweep on 4-MIX and 4-MEM.
 pub fn dg_threshold_sweep(campaign: &Campaign) -> String {
-    let mut t = TextTable::new(vec!["workload", "n=1", "n=2", "n=4", "ICOUNT"]);
-    for wl in [
-        workload(4, WorkloadClass::Mix),
-        workload(4, WorkloadClass::Mem),
-    ] {
-        let mut row = vec![wl.name.clone()];
-        for n in [1u32, 2, 4] {
-            let tput = run_policy(
-                campaign,
-                SimConfig::baseline(),
-                &wl,
-                &format!("DG(n={n})"),
-                || Box::new(DataGating::with_threshold(n)),
-                "ablation:dg-threshold",
-            );
-            row.push(format!("{tput:.2}"));
-        }
-        let ic = run_policy(
-            campaign,
-            SimConfig::baseline(),
-            &wl,
-            "ICOUNT",
-            || PolicyKind::Icount.build(),
-            "ablation:dg-threshold",
-        );
-        row.push(format!("{ic:.2}"));
-        t.row(row);
-    }
-    format!(
-        "Ablation — DG outstanding-miss threshold (throughput)\n\
-         Paper: n = 1 presents the best overall results.\n\n{}",
-        t.render()
-    )
+    dg_threshold().report(campaign)
 }
 
 /// STALL/FLUSH declare-threshold sweep on 4-MEM.
 pub fn declare_threshold_sweep(campaign: &Campaign) -> String {
-    let mut t = TextTable::new(vec!["policy", "thr=8", "thr=15", "thr=30", "thr=60"]);
-    let wl = workload(4, WorkloadClass::Mem);
-    for kind in [PolicyKind::Stall, PolicyKind::Flush] {
-        let mut row = vec![kind.name().to_string()];
-        for thr in [8u64, 15, 30, 60] {
-            let mut cfg = SimConfig::baseline();
-            cfg.l2_declare_threshold = thr;
-            let tput = run_policy(
-                campaign,
-                cfg,
-                &wl,
-                kind.name(),
-                || kind.build(),
-                &format!("ablation:declare-thr{thr}"),
-            );
-            row.push(format!("{tput:.2}"));
-        }
-        t.row(row);
-    }
-    format!(
-        "Ablation — L2-declare threshold (throughput, 4-MEM)\n\
-         Paper: 15 cycles presents the best overall results for the baseline.\n\n{}",
-        t.render()
-    )
+    declare_threshold().report(campaign)
 }
 
 /// DWarn hybrid-rule ablation: hybrid vs. priority-only on the 2-thread
 /// workloads (where the rule matters) and 4-thread workloads (where it is
 /// inactive by design).
 pub fn dwarn_hybrid_ablation(campaign: &Campaign) -> String {
-    let mut t = TextTable::new(vec![
-        "workload",
-        "DWarn(hybrid)",
-        "DWarn(prio-only)",
-        "ICOUNT",
-    ]);
-    for (threads, class) in [
-        (2, WorkloadClass::Mix),
-        (2, WorkloadClass::Mem),
-        (4, WorkloadClass::Mix),
-        (4, WorkloadClass::Mem),
-    ] {
-        let wl = workload(threads, class);
-        let tag = "ablation:hybrid-rule";
-        let hybrid = run_policy(
-            campaign,
-            SimConfig::baseline(),
-            &wl,
-            "DWARN",
-            || Box::new(DWarn::new()),
-            tag,
-        );
-        let prio = run_policy(
-            campaign,
-            SimConfig::baseline(),
-            &wl,
-            "DWARN(prio-only)",
-            || Box::new(DWarn::priority_only()),
-            tag,
-        );
-        let ic = run_policy(
-            campaign,
-            SimConfig::baseline(),
-            &wl,
-            "ICOUNT",
-            || PolicyKind::Icount.build(),
-            tag,
-        );
-        t.row(vec![
-            wl.name.clone(),
-            format!("{hybrid:.2}"),
-            format!("{prio:.2}"),
-            format!("{ic:.2}"),
-        ]);
-    }
-    format!(
-        "Ablation — DWarn hybrid rule (throughput)\n\
-         Paper §3: with fewer than three threads, priority reduction alone cannot\n\
-         keep a Dmiss thread from slowly filling the machine; the hybrid gates\n\
-         declared L2 misses there. At 4+ threads the two variants coincide.\n\n{}",
-        t.render()
-    )
+    dwarn_hybrid().report(campaign)
 }
 
 /// Fetch-mechanism sweep: the x.y axis the paper probes at two points
@@ -161,52 +280,20 @@ pub fn dwarn_hybrid_ablation(campaign: &Campaign) -> String {
 /// the less DWarn's priority reduction leaks — and at 1.X the Dmiss
 /// group cannot fetch at all while a Normal thread exists.
 pub fn fetch_mechanism_sweep(campaign: &Campaign) -> String {
-    let mut t = TextTable::new(vec!["mechanism", "ICOUNT", "DWARN", "DWarn gain"]);
-    let wl = workload(4, WorkloadClass::Mix);
-    for (threads, width) in [(1u32, 4u32), (1, 8), (2, 4), (2, 8), (4, 8)] {
-        let mut cfg = SimConfig::baseline();
-        cfg.fetch_threads = threads;
-        cfg.fetch_width = width;
-        let tag = format!("ablation:fetch-{threads}.{width}");
-        let ic = run_policy(
-            campaign,
-            cfg.clone(),
-            &wl,
-            "ICOUNT",
-            || PolicyKind::Icount.build(),
-            &tag,
-        );
-        let dw = run_policy(
-            campaign,
-            cfg,
-            &wl,
-            "DWARN",
-            || PolicyKind::DWarn.build(),
-            &tag,
-        );
-        t.row(vec![
-            format!("{threads}.{width}"),
-            format!("{ic:.2}"),
-            format!("{dw:.2}"),
-            format!("{:+.1}%", smt_metrics::improvement_pct(dw, ic)),
-        ]);
-    }
-    format!(
-        "Ablation — fetch mechanism (ICOUNT x.y), 4-MIX throughput\n\
-         Paper probes x.y at 2.8 (baseline/deep) and 1.4 (small machine).\n\n{}",
-        t.render()
-    )
+    fetch_mechanism().report(campaign)
 }
 
-/// All ablations.
+/// All ablations, their runs batched together.
 pub fn report(campaign: &Campaign) -> String {
-    format!(
-        "{}\n{}\n{}\n{}",
-        dg_threshold_sweep(campaign),
-        declare_threshold_sweep(campaign),
-        dwarn_hybrid_ablation(campaign),
-        fetch_mechanism_sweep(campaign)
-    )
+    let sweeps = [
+        dg_threshold(),
+        declare_threshold(),
+        dwarn_hybrid(),
+        fetch_mechanism(),
+    ];
+    campaign.prefetch(sweeps.iter().flat_map(Sweep::requests));
+    let parts: Vec<String> = sweeps.iter().map(|s| s.render(campaign)).collect();
+    parts.join("\n")
 }
 
 #[cfg(test)]
@@ -223,23 +310,21 @@ mod tests {
             measure: 6_000,
         });
         let wl = workload(4, WorkloadClass::Mix);
-        let a = run_policy(
-            &c,
+        let hybrid = Point::new(
             SimConfig::baseline(),
             &wl,
             "DWARN",
             || Box::new(DWarn::new()),
             "test",
         );
-        let b = run_policy(
-            &c,
+        let prio = Point::new(
             SimConfig::baseline(),
             &wl,
             "DWARN(prio-only)",
             || Box::new(DWarn::priority_only()),
             "test",
         );
-        assert_eq!(a, b);
+        assert_eq!(hybrid.throughput(&c), prio.throughput(&c));
     }
 
     #[test]

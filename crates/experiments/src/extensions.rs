@@ -12,24 +12,31 @@ use smt_metrics::table::TextTable;
 use smt_pipeline::{FetchPolicy, SimConfig};
 use smt_workloads::{all_workloads, Workload};
 
+use crate::ablation::Point;
 use crate::runner::Campaign;
 
-/// One cached extension run; `desc` pins the policy and its parameters
-/// for the campaign cache key.
-fn run(
-    campaign: &Campaign,
-    wl: &Workload,
-    desc: &str,
-    policy: impl Fn() -> Box<dyn FetchPolicy> + Sync,
-) -> f64 {
-    let name = policy().name();
-    let result = campaign.run_custom(&SimConfig::baseline(), &wl.thread_specs(), desc, policy);
-    crate::artifacts::record_tagged("extensions", "baseline", &wl.name, name, &result);
-    result.throughput()
+/// One workload's runs: DWarn, FLUSH, and the two extensions. Each
+/// description pins the policy and its parameters.
+fn row(wl: &Workload) -> [Point; 4] {
+    let point = |desc, policy: fn() -> Box<dyn FetchPolicy>| {
+        Point::new(SimConfig::baseline(), wl, desc, policy, "extensions")
+    };
+    [
+        point("DWARN", || PolicyKind::DWarn.build()),
+        point("FLUSH", || PolicyKind::Flush.build()),
+        point("DWARN+FLUSH", || Box::new(DWarnFlush::new())),
+        point("DWARN-K(k=2)", || Box::new(DWarnThreshold::new(2))),
+    ]
 }
 
-/// Throughput of DWarn, FLUSH, and the two extensions over all workloads.
+/// Throughput of DWarn, FLUSH, and the two extensions over all workloads,
+/// their runs batched together.
 pub fn report(campaign: &Campaign) -> String {
+    let rows: Vec<(String, [Point; 4])> = all_workloads()
+        .iter()
+        .map(|wl| (wl.name.clone(), row(wl)))
+        .collect();
+    campaign.prefetch(rows.iter().flat_map(|(_, r)| r.iter().map(Point::request)));
     let mut t = TextTable::new(vec![
         "workload",
         "DWARN",
@@ -38,20 +45,16 @@ pub fn report(campaign: &Campaign) -> String {
         "DWARN-K2",
     ]);
     let mut wins = 0usize;
-    let mut rows = 0usize;
-    for wl in all_workloads() {
-        let dwarn = run(campaign, &wl, "DWARN", || PolicyKind::DWarn.build());
-        let flush = run(campaign, &wl, "FLUSH", || PolicyKind::Flush.build());
-        let combo = run(campaign, &wl, "DWARN+FLUSH", || Box::new(DWarnFlush::new()));
-        let k2 = run(campaign, &wl, "DWARN-K(k=2)", || {
-            Box::new(DWarnThreshold::new(2))
-        });
+    for (name, [dwarn, flush, combo, k2]) in &rows {
+        let dwarn = dwarn.throughput(campaign);
+        let flush = flush.throughput(campaign);
+        let combo = combo.throughput(campaign);
+        let k2 = k2.throughput(campaign);
         if combo >= dwarn.max(flush) * 0.99 {
             wins += 1;
         }
-        rows += 1;
         t.row(vec![
-            wl.name.clone(),
+            name.clone(),
             format!("{dwarn:.2}"),
             format!("{flush:.2}"),
             format!("{combo:.2}"),
@@ -62,8 +65,9 @@ pub fn report(campaign: &Campaign) -> String {
         "Extension study — combining DWarn's early warning with FLUSH's late cure\n\
          (DWARN+FLUSH = DWarn priorities, plus squash-on-declared-L2-miss at 6+ threads;\n\
          DWARN-K2 = demote a thread only at 2+ in-flight L1 misses)\n\n{}\n\
-         DWARN+FLUSH matches-or-beats the better of its two parents on {wins}/{rows} workloads.\n",
-        t.render()
+         DWARN+FLUSH matches-or-beats the better of its two parents on {wins}/{total} workloads.\n",
+        t.render(),
+        total = rows.len(),
     )
 }
 
@@ -82,8 +86,7 @@ mod tests {
             measure: 20_000,
         });
         let wl = workload(8, WorkloadClass::Mem);
-        let dwarn = run(&c, &wl, "DWARN", || PolicyKind::DWarn.build());
-        let combo = run(&c, &wl, "DWARN+FLUSH", || Box::new(DWarnFlush::new()));
+        let [dwarn, _, combo, _] = row(&wl).map(|p| p.throughput(&c));
         assert!(
             combo > dwarn,
             "DWarn+FLUSH {combo} should beat plain DWarn {dwarn} on 8-MEM"
@@ -98,8 +101,7 @@ mod tests {
             measure: 8_000,
         });
         let wl = workload(4, WorkloadClass::Mix);
-        let dwarn = run(&c, &wl, "DWARN", || PolicyKind::DWarn.build());
-        let combo = run(&c, &wl, "DWARN+FLUSH", || Box::new(DWarnFlush::new()));
+        let [dwarn, _, combo, _] = row(&wl).map(|p| p.throughput(&c));
         assert_eq!(dwarn, combo);
     }
 

@@ -65,7 +65,7 @@ pub use cache::{CacheFault, DiskCache};
 pub use checkpoint::{CheckpointFault, CheckpointStore, Journal};
 pub use error::{ExpError, RunFailure};
 pub use grid::{GridData, Metric};
-pub use runner::{Arch, Campaign, ExpParams, RunKey};
+pub use runner::{Arch, Campaign, CustomRun, ExpParams, Request, RunKey};
 
 /// Lock `m`, recovering the guard when the mutex is poisoned. Campaign
 /// state (memo tables, failure lists, artifact sinks) stays structurally

@@ -2,8 +2,9 @@
 //!
 //! Experiments share simulation results: Figure 1(b), Figure 3, Table 4 and
 //! the Figure 2 series are all views over the same (architecture, workload,
-//! policy) grid. [`Campaign`] memoizes each simulation and runs uncached
-//! batches in parallel across OS threads. With
+//! policy) grid. [`Campaign`] memoizes each simulation, and
+//! [`Campaign::prefetch`] runs a batch of uncached requests, grid keys and
+//! custom runs alike, in parallel across OS threads. With
 //! [`Campaign::with_disk_cache`], the memo additionally persists across
 //! processes through the content-addressed store in [`crate::cache`].
 //!
@@ -154,6 +155,64 @@ fn parse_workload_name(name: &str) -> Result<(usize, smt_workloads::WorkloadClas
     Ok((threads, class))
 }
 
+/// An ad-hoc simulation outside the paper's grid: a perturbed
+/// configuration, a parameterized policy, or both.
+pub struct CustomRun {
+    pub cfg: SimConfig,
+    pub specs: Vec<ThreadSpec>,
+    /// Names the policy *including its parameters* (`"DG(n=2)"`, not
+    /// `"DG"`): it is the policy part of the run's description, so two
+    /// different policies sharing one would alias.
+    pub policy_desc: String,
+    /// Builds the policy; called only when the run really simulates.
+    pub build: Box<dyn Fn() -> Box<dyn FetchPolicy> + Sync>,
+}
+
+impl CustomRun {
+    /// `wl` on `cfg` under the policy `build` makes.
+    pub fn new(
+        cfg: SimConfig,
+        wl: &Workload,
+        policy_desc: &str,
+        build: impl Fn() -> Box<dyn FetchPolicy> + Sync + 'static,
+    ) -> CustomRun {
+        CustomRun {
+            cfg,
+            specs: wl.thread_specs(),
+            policy_desc: policy_desc.to_string(),
+            build: Box::new(build),
+        }
+    }
+}
+
+/// One request of a [`Campaign::prefetch`] batch.
+pub enum Request<'a> {
+    /// A point of the (architecture, workload, policy) grid.
+    Grid(&'a RunKey),
+    /// An ad-hoc run, as [`Campaign::try_run_custom`] takes it.
+    Custom(&'a CustomRun),
+}
+
+impl<'a> From<&'a RunKey> for Request<'a> {
+    fn from(key: &'a RunKey) -> Request<'a> {
+        Request::Grid(key)
+    }
+}
+
+impl<'a> From<&'a CustomRun> for Request<'a> {
+    fn from(run: &'a CustomRun) -> Request<'a> {
+        Request::Custom(run)
+    }
+}
+
+/// A batch request that still has to run, with its canonical description
+/// (`None` for a grid key that has none: it fails on its worker, as it
+/// would on demand).
+enum Job<'a> {
+    Grid(&'a RunKey, Option<String>),
+    Custom(&'a CustomRun, String),
+}
+
 /// Canonical one-line description of a simulation request: everything that
 /// determines its result, prefixed by the cache's code-version salt. This
 /// string *is* the disk-cache key (content-addressed via FNV-1a).
@@ -184,9 +243,12 @@ fn describe_run(
 pub struct Campaign {
     pub params: ExpParams,
     cache: Mutex<HashMap<RunKey, SimResult>>,
-    /// Memo for custom runs (ablation sweeps with perturbed configs or
-    /// parameterized policies), keyed by canonical run description.
-    custom: Mutex<HashMap<String, SimResult>>,
+    /// Every result in the process by canonical run description: custom
+    /// runs, and grid runs too, so a custom request that describes a grid
+    /// simulation is served by it. Grid lookups stay on `cache`: a custom
+    /// result never answers a grid key, which must count its telemetry
+    /// and write its stats record.
+    by_desc: Mutex<HashMap<String, SimResult>>,
     /// Cross-process persistent store, when `--cache-dir` is active.
     disk: Option<DiskCache>,
     /// Maximum worker threads for batch runs.
@@ -221,10 +283,12 @@ pub struct Campaign {
     /// (`--fragments <cycles>`); `None` runs every simulation
     /// sequentially.
     fragments: Option<u64>,
-    /// How many campaign workers are currently simulating (1 outside a
-    /// prefetch batch). Fragment replay only engages with the cores the
-    /// batch pool leaves idle: intra-run parallelism is for grids
-    /// *narrower* than the machine, not for competing with the pool.
+    /// How many campaign workers are currently simulating: the width of
+    /// the running prefetch batch, grid or custom, and 1 outside one (a
+    /// lone `try_run_custom` call included). Fragment replay only engages
+    /// with the cores the batch pool leaves idle: intra-run parallelism is
+    /// for batches *narrower* than the machine, not for competing with
+    /// the pool.
     pool_width: AtomicUsize,
     /// Progress of the current prefetch batch, for runs/sec and ETA:
     /// `(batch_total, started, completed_before_batch)`.
@@ -289,7 +353,8 @@ struct Run<'a> {
 
 /// What a fresh simulation hands back besides its result, by value.
 /// `skipped` and `switches` feed the stats record's `skip_ratio` and
-/// `policy_switches`, `fragments` its `fragments`/`fragment_cycles`.
+/// `policy_switches`, `fragments` its `fragments`/`fragment_cycles`;
+/// the caller writes `series` under `--intervals`.
 struct RunAccount {
     result: SimResult,
     /// Cycles the quiescence engine skipped (the scout's, when fragmented).
@@ -299,6 +364,8 @@ struct RunAccount {
     switches: u64,
     /// `(fragments, fragment_cycles)` when fragment replay ran.
     fragments: Option<(u64, u64)>,
+    /// The interval time-series, when the interval probe was attached.
+    series: Option<IntervalSeries>,
 }
 
 impl RunAccount {
@@ -312,6 +379,7 @@ impl RunAccount {
             skipped: sim.skipped_cycles(),
             switches: sim.policy().switch_log().len() as u64,
             fragments: None,
+            series: None,
         }
     }
 }
@@ -407,7 +475,7 @@ impl Campaign {
         Ok(Campaign {
             params,
             cache: Mutex::new(HashMap::new()),
-            custom: Mutex::new(HashMap::new()),
+            by_desc: Mutex::new(HashMap::new()),
             disk: None,
             parallelism,
             failures: Mutex::new(Vec::new()),
@@ -698,7 +766,7 @@ impl Campaign {
     /// * **sequential** otherwise.
     ///
     /// Afterwards every sanitizer is audited and the probes' interval
-    /// series are stitched and written.
+    /// series are stitched into the account; the caller writes them.
     fn drive<F, P, S>(
         &self,
         run: &Run<'_>,
@@ -714,7 +782,7 @@ impl Campaign {
     {
         let ExpParams { warmup, measure } = self.params;
         protect(run.what, move || {
-            let (account, observers) = match self.fragment_plan() {
+            let (mut account, observers) = match self.fragment_plan() {
                 Some((jobs, fragment_cycles)) => {
                     let mut scout = self.build(run, policy, NullProbe, NullSanitizer)?;
                     let factory = || Ok(self.build(run, rebuild(), probe(), sanitizer())?);
@@ -734,6 +802,7 @@ impl Campaign {
                         skipped: report.scout_skipped,
                         switches: report.switches.len() as u64,
                         fragments: Some((report.fragments.len() as u64, fragment_cycles)),
+                        series: None,
                     };
                     let observers: Vec<(P, S)> = report
                         .fragments
@@ -771,7 +840,7 @@ impl Campaign {
                         detail,
                     })
                 })?;
-                self.write_intervals(run.what, run.specs, &series);
+                account.series = Some(series);
             }
             Ok(account)
         })
@@ -903,13 +972,14 @@ impl Campaign {
         ))
     }
 
-    /// Run `key`, consulting and feeding the disk cache when attached.
-    /// Every result entering the process (fresh or loaded) is recorded as
-    /// a stats artifact exactly once.
+    /// Run `key`, consulting and feeding the disk cache when attached, and
+    /// hand back its canonical description with the result. Every result
+    /// entering the process (fresh or loaded) is recorded as a stats
+    /// artifact exactly once.
     ///
     /// The full robustness path: the configuration is validated before the
     /// cache is consulted, and [`Campaign::load_or_simulate`] does the rest.
-    fn run_protected(&self, key: &RunKey) -> Result<SimResult, ExpError> {
+    fn run_protected(&self, key: &RunKey) -> Result<(String, SimResult), ExpError> {
         let specs = specs_for(key)?;
         let cfg = key.arch.config();
         cfg.validate(specs.len())?;
@@ -953,11 +1023,11 @@ impl Campaign {
                 kind: key.policy,
             })
         })?;
-        match served {
+        let result = match served {
             Served::Stored(result) => {
                 crate::artifacts::record(key, &result);
                 self.note_done(&what, "disk");
-                Ok(result)
+                result
             }
             Served::Simulated(acc) => {
                 let total = self.params.warmup + self.params.measure;
@@ -968,10 +1038,14 @@ impl Campaign {
                     Some(acc.switches),
                     acc.fragments,
                 );
+                if let Some(series) = &acc.series {
+                    self.write_intervals(&what, &specs, series);
+                }
                 self.note_done(&what, "sim");
-                Ok(acc.result)
+                acc.result
             }
-        }
+        };
+        Ok((desc, result))
     }
 
     /// The sequence every campaign run goes through once its
@@ -1087,7 +1161,11 @@ impl Campaign {
 
     /// As [`Campaign::run_custom`], with the same fault isolation as the
     /// grid path: config validation up front, panic capture, watchdog, and
-    /// retrying stores. Failures are recorded on the campaign.
+    /// retrying stores. Failures are recorded on the campaign. This is the
+    /// single-request path: it simulates on the calling thread, and a batch
+    /// of custom runs goes through [`Campaign::prefetch`] instead. A grid
+    /// run this process already holds serves a request with the same
+    /// description.
     pub fn try_run_custom(
         &self,
         cfg: &SimConfig,
@@ -1095,13 +1173,8 @@ impl Campaign {
         policy_desc: &str,
         build: impl Fn() -> Box<dyn FetchPolicy> + Sync,
     ) -> Result<SimResult, ExpError> {
-        if let Err(e) = cfg.validate(specs.len()) {
-            let e = ExpError::Config(e);
-            self.note_failure(policy_desc, &e);
-            return Err(e);
-        }
         let desc = describe_run(cfg, specs, policy_desc, self.params);
-        if let Some(r) = crate::lock_unpoisoned(&self.custom).get(&desc) {
+        if let Some(r) = crate::lock_unpoisoned(&self.by_desc).get(&desc) {
             return Ok(r.clone());
         }
         let run = Run {
@@ -1110,54 +1183,73 @@ impl Campaign {
             cfg,
             specs,
         };
-        let result = match self.load_or_simulate(&run, || self.simulate(&run, build(), &build)) {
-            Ok(Served::Stored(r)) => r,
-            Ok(Served::Simulated(acc)) => acc.result,
+        let (result, series) = self.custom_protected(&run, &build)?;
+        if let Some(series) = series {
+            self.write_intervals(policy_desc, specs, &series);
+        }
+        Ok(result)
+    }
+
+    /// A custom run's miss path, for one request and for a batch alike:
+    /// validate the configuration, load or simulate, memoize. The interval
+    /// series, under `--intervals`, goes back to the caller, so a batch can
+    /// write its files in declared order.
+    fn custom_protected(
+        &self,
+        run: &Run<'_>,
+        build: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
+    ) -> Result<(SimResult, Option<IntervalSeries>), ExpError> {
+        let served = match run.cfg.validate(run.specs.len()) {
+            Ok(()) => self.load_or_simulate(run, || self.simulate(run, build(), build)),
+            Err(e) => Err(ExpError::Config(e)),
+        };
+        let (result, series) = match served {
+            Ok(Served::Stored(r)) => (r, None),
+            Ok(Served::Simulated(acc)) => (acc.result, acc.series),
             Err(e) => {
-                self.note_failure(policy_desc, &e);
+                self.note_failure(run.what, &e);
                 return Err(e);
             }
         };
-        Ok(crate::lock_unpoisoned(&self.custom)
-            .entry(desc)
+        let result = crate::lock_unpoisoned(&self.by_desc)
+            .entry(run.desc.to_string())
             .or_insert(result)
-            .clone())
+            .clone();
+        Ok((result, series))
     }
 
-    /// Ensure all `keys` are cached, running missing ones in parallel.
+    /// Resolve a batch of requests, grid keys and custom runs alike, on a
+    /// pool of up to `SMT_JOBS` workers, filling the memos that
+    /// [`Campaign::try_result`] and [`Campaign::try_run_custom`] read.
+    /// Memoized requests are dropped, and duplicates collapse by canonical
+    /// description before dispatch, so each distinct simulation runs once
+    /// and builds its policy once; a custom run that describes a grid key
+    /// of the same batch is answered by that key's run. Failures are
+    /// recorded on the campaign and leave their request unmemoized.
+    ///
+    /// Grid runs write their stats records and interval files as they
+    /// finish. A custom run's interval files are written after the batch,
+    /// in declared order, so two runs sharing a policy description leave
+    /// the file a serial loop would.
     #[expect(
         clippy::disallowed_methods,
         reason = "live telemetry (runs/s, ETA, heartbeat) needs wall time; every simulated number is fixed before the clock is read"
     )]
-    pub fn prefetch(&self, keys: &[RunKey]) {
-        let missing: Vec<RunKey> = {
-            let cache = crate::lock_unpoisoned(&self.cache);
-            let mut seen = std::collections::HashSet::new();
-            keys.iter()
-                .filter(|k| !cache.contains_key(*k) && seen.insert((*k).clone()))
-                .cloned()
-                .collect()
-        };
-        if missing.is_empty() {
+    pub fn prefetch<'a, R: Into<Request<'a>>>(&self, requests: impl IntoIterator<Item = R>) {
+        let (jobs, pending) = self.pending_jobs(requests.into_iter().map(Into::into).collect());
+        if jobs.is_empty() {
             return;
         }
-        let next = std::sync::atomic::AtomicUsize::new(0);
+        let next = AtomicUsize::new(0);
+        let completed = AtomicUsize::new(0);
+        // Custom runs' interval series, by job index, written after the
+        // batch.
+        let deferred: Mutex<Vec<(usize, IntervalSeries)>> = Mutex::new(Vec::new());
         // Clamp the worker pool to the runs that will actually simulate: on
-        // a warm batch most keys resolve from the disk cache (cheap loads),
-        // and spawning a thread per key would mostly spawn idle threads.
-        let pending = match self.disk.as_ref().filter(|_| !self.bypass_cache_loads()) {
-            Some(d) => missing
-                .iter()
-                .filter(|k| {
-                    self.describe(k)
-                        .map(|desc| !d.entry_path(&desc).exists())
-                        .unwrap_or(true)
-                })
-                .count()
-                .max(1),
-            None => missing.len(),
-        };
-        let workers = self.parallelism.min(pending);
+        // a warm batch most requests resolve from the disk cache (cheap
+        // loads), and spawning a thread per request would mostly spawn idle
+        // threads.
+        let workers = self.parallelism.min(pending.max(1));
         // Tell the fragment planner how many cores the batch pool holds:
         // a narrow batch (fewer pending runs than cores) leaves the
         // remainder free for intra-run fragment replay, while a full
@@ -1165,11 +1257,10 @@ impl Campaign {
         self.pool_width.store(workers, Ordering::Relaxed);
         if self.live {
             let (hits, sims, _) = self.telemetry_counters();
-            *crate::lock_unpoisoned(&self.batch) =
-                Some((missing.len(), Instant::now(), hits + sims));
+            *crate::lock_unpoisoned(&self.batch) = Some((jobs.len(), Instant::now(), hits + sims));
             eprintln!(
-                "[campaign] prefetch: {} keys ({} pending simulation), {} worker(s)",
-                missing.len(),
+                "[campaign] prefetch: {} requests ({} pending simulation), {} worker(s)",
+                jobs.len(),
                 pending,
                 workers
             );
@@ -1177,41 +1268,65 @@ impl Campaign {
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let missing = &missing;
-                    let next = &next;
+                    let (jobs, next, completed, deferred) = (&jobs, &next, &completed, &deferred);
                     s.spawn(move || loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= missing.len() {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs.len() {
                             break;
                         }
                         // Ctrl-C on a checkpointing campaign: in-flight
-                        // runs drain to resumable checkpoints; keys not
+                        // runs drain to resumable checkpoints; requests not
                         // yet started stay untouched for the resume.
                         if self.ckpt.is_some() && crate::interrupt::requested() {
                             break;
                         }
-                        let k = &missing[i];
-                        if self.live {
-                            eprintln!(
-                                "[worker {w}] {}/{}/{} ({}/{})",
-                                k.arch.as_str(),
-                                k.workload,
-                                k.policy.name(),
-                                i + 1,
-                                missing.len()
-                            );
-                        }
                         // Failures are recorded on the campaign; a failed
-                        // key simply stays unmemoized, and the rest of the
-                        // batch keeps going (partial results).
-                        let _ = self.try_result_owned(k.clone());
+                        // request simply stays unmemoized, and the rest of
+                        // the batch keeps going (partial results).
+                        match &jobs[i] {
+                            Job::Grid(k, _) => {
+                                if self.live {
+                                    eprintln!(
+                                        "[worker {w}] {}/{}/{} ({}/{})",
+                                        k.arch.as_str(),
+                                        k.workload,
+                                        k.policy.name(),
+                                        i + 1,
+                                        jobs.len()
+                                    );
+                                }
+                                let _ = self.try_result_owned((*k).clone());
+                            }
+                            Job::Custom(custom, desc) => {
+                                if self.live {
+                                    eprintln!(
+                                        "[worker {w}] {} ({}/{})",
+                                        custom.policy_desc,
+                                        i + 1,
+                                        jobs.len()
+                                    );
+                                }
+                                let run = Run {
+                                    what: &custom.policy_desc,
+                                    desc,
+                                    cfg: &custom.cfg,
+                                    specs: &custom.specs,
+                                };
+                                if let Ok((_, Some(series))) =
+                                    self.custom_protected(&run, &custom.build)
+                                {
+                                    crate::lock_unpoisoned(deferred).push((i, series));
+                                }
+                            }
+                        }
+                        completed.fetch_add(1, Ordering::Relaxed);
                     })
                 })
                 .collect();
             for h in handles {
                 // Workers shouldn't panic (every simulation is behind the
                 // campaign's panic boundary), but if one does, record it
-                // and let the remaining keys finish on later demand.
+                // and let the remaining requests finish on later demand.
                 if let Err(payload) = h.join() {
                     self.note_failure(
                         "prefetch worker",
@@ -1224,10 +1339,19 @@ impl Campaign {
             }
         });
         self.pool_width.store(1, Ordering::Relaxed);
+        let mut deferred = deferred
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        deferred.sort_unstable_by_key(|&(i, _)| i);
+        for (i, series) in deferred {
+            if let Job::Custom(custom, _) = &jobs[i] {
+                self.write_intervals(&custom.policy_desc, &custom.specs, &series);
+            }
+        }
         if self.live {
-            if let Some((total, started, base)) = crate::lock_unpoisoned(&self.batch).take() {
+            if let Some((total, started, _)) = crate::lock_unpoisoned(&self.batch).take() {
                 let (hits, sims, coalesced) = self.telemetry_counters();
-                let done = (hits + sims).saturating_sub(base);
+                let done = completed.load(Ordering::Relaxed);
                 let secs = started.elapsed().as_secs_f64().max(1e-9);
                 eprintln!(
                     "[campaign] batch done: {done}/{total} in {secs:.1}s ({:.1} runs/s; hits={hits} sims={sims} coalesced={coalesced})",
@@ -1235,6 +1359,57 @@ impl Campaign {
                 );
             }
         }
+    }
+
+    /// The requests of a batch that still have to run, in declared order,
+    /// and how many of them will simulate rather than load from disk.
+    /// Dropped: grid keys already memoized or repeated, and custom runs
+    /// whose description is memoized, repeated, or that of a grid key in
+    /// the batch (the grid run answers it and keeps its telemetry and
+    /// stats record).
+    fn pending_jobs<'a>(&self, requests: Vec<Request<'a>>) -> (Vec<Job<'a>>, usize) {
+        let mut keys = std::collections::HashSet::new();
+        let mut jobs: Vec<Job<'a>> = {
+            let cache = crate::lock_unpoisoned(&self.cache);
+            requests
+                .into_iter()
+                .filter_map(|req| match req {
+                    Request::Grid(k) => (!cache.contains_key(k) && keys.insert(k))
+                        .then(|| Job::Grid(k, self.describe(k).ok())),
+                    Request::Custom(run) => Some(Job::Custom(
+                        run,
+                        describe_run(&run.cfg, &run.specs, &run.policy_desc, self.params),
+                    )),
+                })
+                .collect()
+        };
+        // Grid descriptions go in first, so a custom run yields to a grid
+        // key wherever the key stands in the batch.
+        let mut descs: std::collections::HashSet<String> = jobs
+            .iter()
+            .filter_map(|job| match job {
+                Job::Grid(_, desc) => desc.clone(),
+                Job::Custom(..) => None,
+            })
+            .collect();
+        {
+            let memo = crate::lock_unpoisoned(&self.by_desc);
+            jobs.retain(|job| match job {
+                Job::Grid(..) => true,
+                Job::Custom(_, desc) => !memo.contains_key(desc) && descs.insert(desc.clone()),
+            });
+        }
+        let disk = self.disk.as_ref().filter(|_| !self.bypass_cache_loads());
+        let on_disk = jobs
+            .iter()
+            .filter_map(|job| match job {
+                Job::Grid(_, desc) => desc.as_deref(),
+                Job::Custom(_, desc) => Some(desc),
+            })
+            .filter(|desc| disk.is_some_and(|d| d.entry_path(desc).exists()))
+            .count();
+        let pending = jobs.len() - on_disk;
+        (jobs, pending)
     }
 
     /// Get (running on demand if not cached) a simulation result.
@@ -1276,13 +1451,18 @@ impl Campaign {
     /// Fallible [`Campaign::result_owned`]. The memo is re-checked and
     /// filled through the entry API under a single lock acquisition; if
     /// another thread raced us to the same key, its (identical —
-    /// simulation is deterministic) result wins and ours is dropped.
+    /// simulation is deterministic) result wins and ours is dropped. The
+    /// result is also filed under its description, where custom requests
+    /// find it.
     pub fn try_result_owned(&self, key: RunKey) -> Result<SimResult, ExpError> {
         if let Some(r) = crate::lock_unpoisoned(&self.cache).get(&key) {
             return Ok(r.clone());
         }
         match self.run_protected(&key) {
-            Ok(r) => {
+            Ok((desc, r)) => {
+                crate::lock_unpoisoned(&self.by_desc)
+                    .entry(desc)
+                    .or_insert_with(|| r.clone());
                 let mut cache = crate::lock_unpoisoned(&self.cache);
                 let out = match cache.entry(key) {
                     std::collections::hash_map::Entry::Occupied(e) => {
@@ -1543,7 +1723,7 @@ mod tests {
     fn prefetch_survives_failing_keys() {
         let c = quick_campaign();
         let wl = workload(2, WorkloadClass::Mix);
-        let keys = vec![
+        let keys = [
             RunKey {
                 arch: Arch::Baseline,
                 workload: "9-MIX".into(),
@@ -1556,12 +1736,59 @@ mod tests {
                 policy: PolicyKind::Icount,
             },
         ];
-        c.prefetch(&keys);
-        // The good key is cached; the bad ones are failures, not crashes.
+        let mut no_fetch = SimConfig::baseline();
+        no_fetch.fetch_width = 0;
+        let custom = [
+            CustomRun::new(no_fetch, &wl, "ICOUNT", || PolicyKind::Icount.build()),
+            CustomRun::new(SimConfig::baseline(), &wl, "DG(n=2)", || {
+                Box::new(dwarn_core::DataGating::with_threshold(2))
+            }),
+        ];
+        let batch: Vec<Request<'_>> = keys
+            .iter()
+            .map(Request::from)
+            .chain(custom.iter().map(Request::from))
+            .collect();
+        c.prefetch(batch);
+        // The good requests are memoized; the bad ones are failures, not
+        // crashes.
         assert_eq!(c.cached(), 1);
-        assert_eq!(c.failures().len(), 2);
+        let kinds: Vec<&str> = c.failures().iter().map(|f| f.error.kind()).collect();
+        assert_eq!(kinds.len(), 3, "{kinds:?}");
+        assert!(kinds.contains(&"config"), "{kinds:?}");
         let r = c.workload_result(Arch::Baseline, &wl, PolicyKind::Icount);
         assert!(r.throughput() > 0.0);
+        let good = &custom[1];
+        let r = c.run_custom(&good.cfg, &good.specs, &good.policy_desc, || {
+            panic!("the batch must have memoized {}", good.policy_desc)
+        });
+        assert!(r.throughput() > 0.0);
+    }
+
+    #[test]
+    fn a_custom_run_describing_a_grid_key_is_answered_by_the_grid_run() {
+        // Wherever the custom request stands in the batch, the grid run
+        // answers it: one simulation, counted once in the grid telemetry.
+        let wl = workload(2, WorkloadClass::Mix);
+        let key = RunKey::workload(Arch::Baseline, &wl, PolicyKind::DWarn);
+        let builds = std::sync::Arc::new(AtomicUsize::new(0));
+        let counter = std::sync::Arc::clone(&builds);
+        let custom = CustomRun::new(SimConfig::baseline(), &wl, "DWARN", move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+            PolicyKind::DWarn.build()
+        });
+        let c = quick_campaign();
+        c.prefetch([Request::Custom(&custom), Request::Grid(&key)]);
+        assert_eq!(builds.load(Ordering::Relaxed), 0);
+        assert_eq!(c.telemetry_counters(), (0, 1, 0));
+        let r = c.run_custom(
+            &custom.cfg,
+            &custom.specs,
+            &custom.policy_desc,
+            &custom.build,
+        );
+        assert_eq!(builds.load(Ordering::Relaxed), 0);
+        assert_eq!(r.digest(), c.result(&key).digest());
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! content-exact value, so every promise here is one `assert_eq!`.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use dwarn_core::PolicyKind;
-use smt_experiments::{Arch, Campaign, ExpParams, RunKey};
+use smt_experiments::{Arch, Campaign, CustomRun, ExpParams, RunKey};
+use smt_pipeline::{FetchPolicy, SimConfig};
 use smt_workloads::{workload, WorkloadClass};
 
 fn quick() -> ExpParams {
@@ -57,10 +60,19 @@ fn independent_campaigns_agree_digest_for_digest() {
     }
 }
 
+/// A DG(n) policy builder that counts its calls in `builds`.
+fn counted_dg(builds: &Arc<AtomicUsize>, n: u32) -> impl Fn() -> Box<dyn FetchPolicy> + Sync {
+    let builds = Arc::clone(builds);
+    move || {
+        builds.fetch_add(1, Ordering::Relaxed);
+        Box::new(dwarn_core::DataGating::with_threshold(n))
+    }
+}
+
 #[test]
 fn prefetch_and_on_demand_agree() {
     // The parallel batch path and the on-demand path must be the same
-    // simulation.
+    // simulation, for grid keys and custom runs alike.
     let keys = grid();
     let batch = Campaign::new(quick());
     batch.prefetch(&keys);
@@ -68,6 +80,53 @@ fn prefetch_and_on_demand_agree() {
     for key in &keys {
         assert_eq!(batch.result(key).digest(), serial.result(key).digest());
     }
+
+    // Two custom requests that share a description, one the campaign
+    // already holds, and one that describes a grid run of the batch above.
+    let (shared, held) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let mem4 = workload(4, WorkloadClass::Mem);
+    let mix2 = workload(2, WorkloadClass::Mix);
+    let mem8 = workload(8, WorkloadClass::Mem);
+    let cfg = SimConfig::baseline();
+    let runs = [
+        CustomRun::new(cfg.clone(), &mem4, "DG(n=2)", counted_dg(&shared, 2)),
+        CustomRun::new(cfg.clone(), &mem4, "DG(n=2)", counted_dg(&shared, 2)),
+        CustomRun::new(cfg.clone(), &mix2, "DG(n=4)", counted_dg(&held, 4)),
+        CustomRun::new(cfg, &mem8, "ICOUNT", || -> Box<dyn FetchPolicy> {
+            panic!("the grid's 8-MEM ICOUNT run must answer this request")
+        }),
+    ];
+    let run =
+        |c: &Campaign, r: &CustomRun| c.run_custom(&r.cfg, &r.specs, &r.policy_desc, &r.build);
+    run(&batch, &runs[2]);
+    assert_eq!(held.load(Ordering::Relaxed), 1);
+    let grid_counters = batch.telemetry_counters();
+    batch.prefetch(&runs);
+    assert_eq!(
+        shared.load(Ordering::Relaxed),
+        1,
+        "two requests sharing a description must build one policy"
+    );
+    assert_eq!(
+        held.load(Ordering::Relaxed),
+        1,
+        "a memoized request must not build its policy again"
+    );
+    assert_eq!(
+        batch.telemetry_counters(),
+        grid_counters,
+        "custom runs stay out of the grid's telemetry"
+    );
+    // After the batch, every request reads the memo: no further builds.
+    let batched: Vec<u64> = runs.iter().map(|r| run(&batch, r).digest()).collect();
+    assert_eq!(shared.load(Ordering::Relaxed), 1);
+    assert_eq!(held.load(Ordering::Relaxed), 1);
+    assert!(batch.failures().is_empty(), "{:?}", batch.failures());
+    for (r, digest) in runs[..3].iter().zip(&batched) {
+        assert_eq!(*digest, run(&serial, r).digest(), "{}", r.policy_desc);
+    }
+    let grid_icount = RunKey::workload(Arch::Baseline, &mem8, PolicyKind::Icount);
+    assert_eq!(batched[3], serial.result(&grid_icount).digest());
 }
 
 #[test]
@@ -111,6 +170,40 @@ fn custom_runs_round_trip_through_the_cache() {
         panic!("warm hit must not rebuild the policy")
     });
     assert_eq!(a.digest(), b.digest());
+
+    // A warm batch of custom runs builds no policy either.
+    let builds = Arc::new(AtomicUsize::new(0));
+    let runs: Vec<CustomRun> = [2u32, 4]
+        .into_iter()
+        .map(|n| {
+            CustomRun::new(
+                cfg.clone(),
+                &wl,
+                &format!("DG(n={n})"),
+                counted_dg(&builds, n),
+            )
+        })
+        .collect();
+    let cold = Campaign::with_disk_cache(quick(), &dir).unwrap();
+    cold.prefetch(&runs);
+    assert_eq!(
+        builds.load(Ordering::Relaxed),
+        1,
+        "only DG(n=4) was missing"
+    );
+    let warm = Campaign::with_disk_cache(quick(), &dir).unwrap();
+    warm.prefetch(&runs);
+    assert_eq!(
+        builds.load(Ordering::Relaxed),
+        1,
+        "a warm custom batch must not build a policy"
+    );
+    for r in &runs {
+        let want = cold.run_custom(&r.cfg, &r.specs, &r.policy_desc, &r.build);
+        let got = warm.run_custom(&r.cfg, &r.specs, &r.policy_desc, &r.build);
+        assert_eq!(want.digest(), got.digest(), "{}", r.policy_desc);
+    }
+    assert_eq!(builds.load(Ordering::Relaxed), 1);
 }
 
 #[test]

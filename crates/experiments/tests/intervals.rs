@@ -206,3 +206,52 @@ fn campaign_intervals_end_to_end() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_custom_batch_leaves_the_interval_files_a_serial_loop_leaves() {
+    use smt_experiments::{Campaign, CustomRun, ExpParams};
+
+    // Two custom runs share a policy description, so they write the same
+    // interval file names. The slow one is declared first: a batch that
+    // wrote files as runs finish would leave its series, where a serial
+    // loop leaves the last declared run's.
+    let runs = [(8, WorkloadClass::Mem), (2, WorkloadClass::Ilp)].map(|(threads, class)| {
+        CustomRun::new(
+            SimConfig::baseline(),
+            &workload(threads, class),
+            "ICOUNT",
+            || PolicyKind::Icount.build(),
+        )
+    });
+    let files = |batch: bool| {
+        let tag = if batch { "batch" } else { "serial" };
+        let dir = std::env::temp_dir().join(format!(
+            "dwarn-intervals-order-{}-{tag}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut campaign = Campaign::new(ExpParams {
+            warmup: WARMUP,
+            measure: MEASURE,
+        });
+        campaign.set_intervals(&dir, WINDOW).unwrap();
+        if batch {
+            campaign.prefetch(&runs);
+        }
+        for r in &runs {
+            campaign.run_custom(&r.cfg, &r.specs, &r.policy_desc, &r.build);
+        }
+        let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+        let out = (
+            read("icount.intervals.jsonl"),
+            read("icount.counters.trace.json"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    };
+    let (serial, batch) = (files(false), files(true));
+    assert!(
+        serial == batch,
+        "the batch left another run's interval files"
+    );
+}

@@ -13,6 +13,12 @@
 //! once per drain; correctness never depends on the horizon, only
 //! performance does.
 //!
+//! A bitmap with one bit per bucket marks the buckets that hold events.
+//! Only a few dozen of the 1,024 buckets are occupied at a time, so the
+//! scans that must find them — the quiescence engine's
+//! [`EventWheel::next_due`] and the sanitizer's per-cycle
+//! [`EventWheel::audit`] — walk set bits instead of every bucket.
+//!
 //! # Ordering contract
 //!
 //! [`EventWheel::drain_due`] yields, for one value of `now`, exactly the
@@ -70,6 +76,9 @@ pub(crate) struct EventWheel {
     /// One bucket per cycle within the horizon, indexed by `at & mask`.
     buckets: Vec<Vec<Ev>>,
     mask: u64,
+    /// Bit `i` is set while `buckets[i]` may hold events: filing sets it,
+    /// draining the bucket clears it. Derived from `buckets`.
+    occupied: Vec<u64>,
     /// Events scheduled `>= horizon` cycles ahead (rare).
     overflow: BinaryHeap<Reverse<Ev>>,
     /// Total queued events (buckets + overflow).
@@ -84,9 +93,45 @@ impl EventWheel {
         EventWheel {
             buckets: (0..horizon).map(|_| Vec::new()).collect(),
             mask: horizon as u64 - 1,
+            occupied: vec![0; horizon.div_ceil(64)],
             overflow: BinaryHeap::new(),
             len: 0,
         }
+    }
+
+    /// File `ev` in its bucket, `at & mask`, and flag the bucket.
+    #[inline]
+    fn file(&mut self, ev: Ev) {
+        let i = (ev.at & self.mask) as usize;
+        self.buckets[i].push(ev);
+        self.occupied[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn is_occupied(&self, i: usize) -> bool {
+        self.occupied[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The first flagged bucket index in `from..to`.
+    fn next_occupied(&self, from: usize, to: usize) -> Option<usize> {
+        let mut i = from;
+        while i < to {
+            let word = self.occupied[i / 64] >> (i % 64);
+            if word != 0 {
+                let found = i + word.trailing_zeros() as usize;
+                return (found < to).then_some(found);
+            }
+            i = (i / 64 + 1) * 64;
+        }
+        None
+    }
+
+    /// Every flagged bucket index, ascending.
+    fn occupied_buckets(&self) -> impl Iterator<Item = usize> + '_ {
+        let n = self.buckets.len();
+        std::iter::successors(self.next_occupied(0, n), move |&i| {
+            self.next_occupied(i + 1, n)
+        })
     }
 
     /// Queue `ev`; `now` is the current cycle and `ev.at` must be in the
@@ -98,7 +143,7 @@ impl EventWheel {
             // Within the horizon the target bucket cannot still hold older
             // events: bucket `at & mask` was drained at cycle `at - horizon`
             // before any event this far out could have been filed into it.
-            self.buckets[(ev.at & self.mask) as usize].push(ev);
+            self.file(ev);
         } else {
             self.overflow.push(Reverse(ev));
         }
@@ -112,9 +157,8 @@ impl EventWheel {
         if self.len == 0 {
             return false;
         }
-        self.buckets[(now & self.mask) as usize]
-            .iter()
-            .any(|e| e.at == now)
+        let i = (now & self.mask) as usize;
+        (self.is_occupied(i) && self.buckets[i].iter().any(|e| e.at == now))
             || self
                 .overflow
                 .peek()
@@ -126,9 +170,11 @@ impl EventWheel {
     /// cycles by the caller.
     pub fn drain_due(&mut self, now: u64, out: &mut Vec<Ev>) {
         out.clear();
-        let bucket = &mut self.buckets[(now & self.mask) as usize];
+        let i = (now & self.mask) as usize;
+        let bucket = &mut self.buckets[i];
         debug_assert!(bucket.iter().all(|e| e.at == now));
         out.append(bucket);
+        self.occupied[i / 64] &= !(1 << (i % 64));
         while let Some(&Reverse(ev)) = self.overflow.peek() {
             debug_assert!(ev.at >= now, "overflow event missed its cycle");
             if ev.at != now {
@@ -161,24 +207,29 @@ impl EventWheel {
     /// Events due exactly at `now` (queued for the upcoming step) are
     /// included so the engine never skips over pending work.
     ///
-    /// Cost is proportional to the distance scanned, i.e. to the cycles a
-    /// naive loop would have ticked through anyway — so the scan is
-    /// amortized against the work it saves.
+    /// The scan visits flagged buckets only, in cycle order from `now`'s
+    /// bucket around the ring: a word of the bitmap covers 64 cycles.
     pub fn next_due(&self, now: u64) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
-        let horizon = self.buckets.len() as u64;
+        let (n, start) = (self.buckets.len(), (now & self.mask) as usize);
         let mut wheel_next = None;
-        for delta in 0..horizon {
-            let at = now + delta;
-            let bucket = &self.buckets[(at & self.mask) as usize];
-            // A bucket may hold events one full horizon ahead of the slot
-            // being probed (filed before `now` advanced past them), so the
-            // stored timestamp — not mere non-emptiness — decides.
-            if bucket.iter().any(|e| e.at == at) {
-                wheel_next = Some(at);
-                break;
+        // From `now`'s bucket to the end of the ring, then around to the
+        // bucket before it.
+        'scan: for (lo, hi, lap) in [(start, n, 0), (0, start, n)] {
+            let mut from = lo;
+            while let Some(i) = self.next_occupied(from, hi) {
+                let at = now + (i + lap - start) as u64;
+                // A bucket may hold events one full horizon ahead of the
+                // slot being probed (filed before `now` advanced past
+                // them), so the stored timestamp — not mere occupancy —
+                // decides.
+                if self.buckets[i].iter().any(|e| e.at == at) {
+                    wheel_next = Some(at);
+                    break 'scan;
+                }
+                from = i + 1;
             }
         }
         let overflow_next = self.overflow.peek().map(|&Reverse(ev)| ev.at);
@@ -188,10 +239,11 @@ impl EventWheel {
         }
     }
 
-    /// Sanitizer audit (`INV007`/`INV008`): scan the whole structure for
+    /// Sanitizer audit (`INV007`/`INV008`): scan the flagged buckets for
     /// events that are already due (they will never drain — `drain_due`
     /// visits only the current cycle's bucket) and cross-check the cached
-    /// length against the actual queued count.
+    /// length against the count they hold, so an event in a bucket the
+    /// bitmap missed shows as a length mismatch.
     pub fn audit(&self, now: u64) -> WheelAudit {
         let mut past_due: Option<(u64, u64)> = None;
         let mut note = |ev: &Ev| {
@@ -200,9 +252,9 @@ impl EventWheel {
             }
         };
         let mut queued = self.overflow.len();
-        for bucket in &self.buckets {
-            queued += bucket.len();
-            for ev in bucket {
+        for i in self.occupied_buckets() {
+            queued += self.buckets[i].len();
+            for ev in &self.buckets[i] {
                 note(ev);
             }
         }
@@ -226,6 +278,7 @@ impl EventWheel {
         let EventWheel {
             buckets,
             mask: _,
+            occupied: _,
             overflow,
             len,
         } = self;
@@ -248,13 +301,15 @@ impl EventWheel {
     /// counter. Every event must be due at or after `now` (`INV007`: events
     /// due exactly at `now` are legal between cycles — they drain at the
     /// head of the next step). The horizon is construction-derived and not
-    /// serialized; placement replicates [`EventWheel::push`].
+    /// serialized, nor is the occupancy bitmap; placement replicates
+    /// [`EventWheel::push`].
     #[deny(unused_variables)]
     pub fn load_state(&mut self, now: u64, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         const MAX_EVENTS: usize = 1 << 24;
         let EventWheel {
             buckets,
             mask,
+            occupied,
             overflow,
             len,
         } = self;
@@ -262,6 +317,7 @@ impl EventWheel {
         for b in buckets.iter_mut() {
             b.clear();
         }
+        occupied.fill(0);
         overflow.clear();
         for _ in 0..*len {
             let mut ev = Ev {
@@ -281,7 +337,9 @@ impl EventWheel {
                 )
             })?;
             if ev.at - now < buckets.len() as u64 {
-                buckets[(ev.at & *mask) as usize].push(ev);
+                let i = (ev.at & *mask) as usize;
+                buckets[i].push(ev);
+                occupied[i / 64] |= 1 << (i % 64);
             } else {
                 overflow.push(Reverse(ev));
             }
@@ -297,7 +355,7 @@ impl EventWheel {
     #[doc(hidden)]
     pub fn inject_unchecked(&mut self, ev: Ev) {
         self.len += 1;
-        self.buckets[(ev.at & self.mask) as usize].push(ev);
+        self.file(ev);
     }
 
     /// Mutation-test hook: inflate the cached length without filing an
@@ -527,7 +585,9 @@ mod tests {
                 wheel.drain_due(now, &mut buf);
                 assert_eq!(buf, want, "seed {seed}, cycle {now}");
                 assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.audit(now).past_due, None);
+                let audit = wheel.audit(now);
+                assert_eq!(audit.past_due, None);
+                assert_eq!(audit.queued, heap.len(), "seed {seed}, cycle {now}");
             }
         }
     }

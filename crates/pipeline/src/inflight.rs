@@ -165,6 +165,19 @@ impl Slab {
         }
     }
 
+    /// The cold record, sequence number and stage in one validity check
+    /// (the sanitizer's ROB walk).
+    #[inline]
+    pub fn lookup(&self, h: Handle) -> Option<(&InFlight, u64, Stage)> {
+        match self.gens.get(h.idx as usize) {
+            Some(&gen) if gen == h.gen => {
+                let i = h.idx as usize;
+                Some((self.items[i].as_ref()?, self.seqs[i], self.stages[i]))
+            }
+            _ => None,
+        }
+    }
+
     /// Move the instruction to `stage`; the handle must be current.
     #[inline]
     pub fn set_stage(&mut self, h: Handle, stage: Stage) {

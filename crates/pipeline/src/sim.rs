@@ -2033,12 +2033,10 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             let mut dmiss_live = 0u32;
             let mut declared_live = 0u32;
             for &h in &self.robs[t] {
-                let Some(inst) = self.slab.get(h) else {
+                let Some((inst, seq, stage)) = self.slab.lookup(h) else {
                     dead += 1;
                     continue;
                 };
-                let seq = self.slab.seq_of(h).expect("live");
-                let stage = self.slab.stage(h).expect("live");
                 if inst.thread != t {
                     found.push((
                         C::RobConservation,
