@@ -528,8 +528,8 @@ fn main() {
     if exps.contains(&"all") {
         // `meta` is deliberately absent: its oracle math needs full
         // interval series, so every one of its runs is live (the disk
-        // cache stores only SimResults) and it would break the warm
-        // `all` budget that BENCH_PR5.json gates. Run it as `-- meta`.
+        // cache stores only SimResults) and it would break the 5 s warm
+        // `all` budget that CI's `bench` job gates. Run it as `-- meta`.
         exps = vec![
             "table2a",
             "fig1",

@@ -54,7 +54,8 @@ impl ExpParams {
         }
     }
 
-    /// Short windows for smoke tests and Criterion benches.
+    /// Short windows (`--quick`): smoke tests, CI's golden report and the
+    /// benchmark's `paper-all` workload.
     pub fn quick() -> ExpParams {
         ExpParams {
             warmup: 5_000,
@@ -113,6 +114,17 @@ impl RunKey {
             workload: format!("solo:{bench}"),
             policy: PolicyKind::Icount,
         }
+    }
+
+    /// `arch/workload/policy`: the run's name in failures, the journal,
+    /// progress lines and interval file names.
+    fn label(&self) -> String {
+        format!(
+            "{}/{}/{}",
+            self.arch.as_str(),
+            self.workload,
+            self.policy.name()
+        )
     }
 }
 
@@ -242,13 +254,15 @@ fn describe_run(
 /// Memoizing, parallel simulation campaign.
 pub struct Campaign {
     pub params: ExpParams,
-    cache: Mutex<HashMap<RunKey, SimResult>>,
+    /// Grid runs by key. A failed run stays here with its error, so a later
+    /// lookup neither simulates it again nor records a second failure.
+    cache: Mutex<HashMap<RunKey, Result<SimResult, ExpError>>>,
     /// Every result in the process by canonical run description: custom
-    /// runs, and grid runs too, so a custom request that describes a grid
-    /// simulation is served by it. Grid lookups stay on `cache`: a custom
-    /// result never answers a grid key, which must count its telemetry
-    /// and write its stats record.
-    by_desc: Mutex<HashMap<String, SimResult>>,
+    /// runs, failed ones included, and grid results too, so a custom
+    /// request that describes a grid simulation is served by it. Grid
+    /// lookups stay on `cache`: a custom result never answers a grid key,
+    /// which must count its telemetry and write its stats record.
+    by_desc: Mutex<HashMap<String, Result<SimResult, ExpError>>>,
     /// Cross-process persistent store, when `--cache-dir` is active.
     disk: Option<DiskCache>,
     /// Maximum worker threads for batch runs.
@@ -987,12 +1001,7 @@ impl Campaign {
         // switching meta-policies; for the static policies it equals
         // `name()`, so pre-existing cache entries stay valid.
         let desc = describe_run(&cfg, &specs, &key.policy.cache_desc(), self.params);
-        let what = format!(
-            "{}/{}/{}",
-            key.arch.as_str(),
-            key.workload,
-            key.policy.name()
-        );
+        let what = key.label();
         let run = Run {
             what: &what,
             desc: &desc,
@@ -1175,7 +1184,7 @@ impl Campaign {
     ) -> Result<SimResult, ExpError> {
         let desc = describe_run(cfg, specs, policy_desc, self.params);
         if let Some(r) = crate::lock_unpoisoned(&self.by_desc).get(&desc) {
-            return Ok(r.clone());
+            return r.clone();
         }
         let run = Run {
             what: policy_desc,
@@ -1191,9 +1200,9 @@ impl Campaign {
     }
 
     /// A custom run's miss path, for one request and for a batch alike:
-    /// validate the configuration, load or simulate, memoize. The interval
-    /// series, under `--intervals`, goes back to the caller, so a batch can
-    /// write its files in declared order.
+    /// validate the configuration, load or simulate, memoize the result or
+    /// the recorded failure. The interval series, under `--intervals`, goes
+    /// back to the caller, so a batch can write its files in declared order.
     fn custom_protected(
         &self,
         run: &Run<'_>,
@@ -1203,19 +1212,19 @@ impl Campaign {
             Ok(()) => self.load_or_simulate(run, || self.simulate(run, build(), build)),
             Err(e) => Err(ExpError::Config(e)),
         };
-        let (result, series) = match served {
-            Ok(Served::Stored(r)) => (r, None),
-            Ok(Served::Simulated(acc)) => (acc.result, acc.series),
+        let (outcome, series) = match served {
+            Ok(Served::Stored(r)) => (Ok(r), None),
+            Ok(Served::Simulated(acc)) => (Ok(acc.result), acc.series),
             Err(e) => {
                 self.note_failure(run.what, &e);
-                return Err(e);
+                (Err(e), None)
             }
         };
-        let result = crate::lock_unpoisoned(&self.by_desc)
+        let outcome = crate::lock_unpoisoned(&self.by_desc)
             .entry(run.desc.to_string())
-            .or_insert(result)
+            .or_insert(outcome)
             .clone();
-        Ok((result, series))
+        Ok((outcome?, series))
     }
 
     /// Resolve a batch of requests, grid keys and custom runs alike, on a
@@ -1224,8 +1233,9 @@ impl Campaign {
     /// Memoized requests are dropped, and duplicates collapse by canonical
     /// description before dispatch, so each distinct simulation runs once
     /// and builds its policy once; a custom run that describes a grid key
-    /// of the same batch is answered by that key's run. Failures are
-    /// recorded on the campaign and leave their request unmemoized.
+    /// of the same batch is answered by that key's run. A failure is
+    /// recorded on the campaign and memoized with its request, so a later
+    /// lookup returns the error without simulating again.
     ///
     /// Grid runs write their stats records and interval files as they
     /// finish. A custom run's interval files are written after the batch,
@@ -1280,17 +1290,15 @@ impl Campaign {
                         if self.ckpt.is_some() && crate::interrupt::requested() {
                             break;
                         }
-                        // Failures are recorded on the campaign; a failed
-                        // request simply stays unmemoized, and the rest of
-                        // the batch keeps going (partial results).
+                        // Failures are recorded and memoized on the
+                        // campaign, and the rest of the batch keeps going
+                        // (partial results).
                         match &jobs[i] {
                             Job::Grid(k, _) => {
                                 if self.live {
                                     eprintln!(
-                                        "[worker {w}] {}/{}/{} ({}/{})",
-                                        k.arch.as_str(),
-                                        k.workload,
-                                        k.policy.name(),
+                                        "[worker {w}] {} ({}/{})",
+                                        k.label(),
                                         i + 1,
                                         jobs.len()
                                     );
@@ -1428,10 +1436,10 @@ impl Campaign {
 
     /// Fallible [`Campaign::result`]: a failed run is recorded as a
     /// [`RunFailure`] and returned as the error, leaving the rest of the
-    /// campaign untouched.
+    /// campaign untouched. Asking again returns the same error.
     pub fn try_result(&self, key: &RunKey) -> Result<SimResult, ExpError> {
         if let Some(r) = crate::lock_unpoisoned(&self.cache).get(key) {
-            return Ok(r.clone());
+            return r.clone();
         }
         self.try_result_owned(key.clone())
     }
@@ -1451,35 +1459,35 @@ impl Campaign {
     /// Fallible [`Campaign::result_owned`]. The memo is re-checked and
     /// filled through the entry API under a single lock acquisition; if
     /// another thread raced us to the same key, its (identical —
-    /// simulation is deterministic) result wins and ours is dropped. The
+    /// simulation is deterministic) outcome wins and ours is dropped. A
     /// result is also filed under its description, where custom requests
-    /// find it.
+    /// find it; a failure is recorded under the key's label.
     pub fn try_result_owned(&self, key: RunKey) -> Result<SimResult, ExpError> {
         if let Some(r) = crate::lock_unpoisoned(&self.cache).get(&key) {
-            return Ok(r.clone());
+            return r.clone();
         }
-        match self.run_protected(&key) {
+        let outcome = match self.run_protected(&key) {
             Ok((desc, r)) => {
                 crate::lock_unpoisoned(&self.by_desc)
                     .entry(desc)
-                    .or_insert_with(|| r.clone());
-                let mut cache = crate::lock_unpoisoned(&self.cache);
-                let out = match cache.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        // Another worker raced the same key to completion;
-                        // its (identical — simulation is deterministic)
-                        // result wins and ours is dropped.
-                        self.telemetry.coalesced.fetch_add(1, Ordering::Relaxed);
-                        e.get().clone()
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => v.insert(r).clone(),
-                };
-                Ok(out)
+                    .or_insert_with(|| Ok(r.clone()));
+                Ok(r)
             }
             Err(e) => {
-                self.note_failure(&format!("{}/{}", key.arch.as_str(), key.workload), &e);
+                self.note_failure(&key.label(), &e);
                 Err(e)
             }
+        };
+        let mut cache = crate::lock_unpoisoned(&self.cache);
+        match cache.entry(key) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                // Another worker raced the same key to completion; its
+                // (identical — simulation is deterministic) outcome wins
+                // and ours is dropped.
+                self.telemetry.coalesced.fetch_add(1, Ordering::Relaxed);
+                e.get().clone()
+            }
+            std::collections::hash_map::Entry::Vacant(v) => v.insert(outcome).clone(),
         }
     }
 
@@ -1510,9 +1518,12 @@ impl Campaign {
         smt_metrics::hmean(&self.relative_ipcs(arch, wl, policy))
     }
 
-    /// Number of cached results (for tests).
+    /// Number of memoized grid results, failures not counted (for tests).
     pub fn cached(&self) -> usize {
-        crate::lock_unpoisoned(&self.cache).len()
+        crate::lock_unpoisoned(&self.cache)
+            .values()
+            .filter(|r| r.is_ok())
+            .count()
     }
 
     /// Build the full key grid for a set of workloads × policies.
@@ -1753,9 +1764,30 @@ mod tests {
         // The good requests are memoized; the bad ones are failures, not
         // crashes.
         assert_eq!(c.cached(), 1);
-        let kinds: Vec<&str> = c.failures().iter().map(|f| f.error.kind()).collect();
+        let failures = c.failures();
+        let kinds: Vec<&str> = failures.iter().map(|f| f.error.kind()).collect();
         assert_eq!(kinds.len(), 3, "{kinds:?}");
         assert!(kinds.contains(&"config"), "{kinds:?}");
+        // A grid failure names its policy.
+        let labels: Vec<&str> = failures.iter().map(|f| f.what.as_str()).collect();
+        assert!(labels.contains(&"baseline/9-MIX/ICOUNT"), "{labels:?}");
+        assert!(
+            labels.contains(&"baseline/solo:nosuchbench/ICOUNT"),
+            "{labels:?}"
+        );
+        // Asking again returns the recorded error: nothing runs again and
+        // no second failure is recorded.
+        for bad in [&keys[0], &keys[2]] {
+            assert!(c.try_result(bad).is_err(), "{bad:?}");
+        }
+        let bad = &custom[0];
+        let err = c
+            .try_run_custom(&bad.cfg, &bad.specs, &bad.policy_desc, || {
+                panic!("a failed request must not be built again")
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), "config");
+        assert_eq!(c.failures().len(), 3);
         let r = c.workload_result(Arch::Baseline, &wl, PolicyKind::Icount);
         assert!(r.throughput() > 0.0);
         let good = &custom[1];

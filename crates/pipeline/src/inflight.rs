@@ -464,6 +464,68 @@ mod tests {
         assert!(Slab::new().load_state(&mut r).is_err());
     }
 
+    /// The slab against a naive reference: a map from each live handle to
+    /// its sequence number, stage and thread. Every handle ever minted stays
+    /// in the pool the operations draw from, so removes and lookups also go
+    /// through stale handles, including handles whose slot has since been
+    /// reused.
+    #[test]
+    fn matches_a_map_reference_on_random_operations() {
+        const STAGES: [Stage; 5] = [
+            FE,
+            Stage::Waiting,
+            Stage::Ready { at: 3 },
+            Stage::Executing { complete_at: 7 },
+            Stage::Done,
+        ];
+        fn agree(s: &Slab, model: &smt_uarch::FastMap<Handle, (u64, Stage, usize)>, h: Handle) {
+            let want = model.get(&h).copied();
+            assert_eq!(s.get(h).map(|i| i.thread), want.map(|(_, _, t)| t), "{h:?}");
+            assert_eq!(s.stage_seq(h), want.map(|(q, st, _)| (st, q)), "{h:?}");
+            let got = s.lookup(h).map(|(i, q, st)| (q, st, i.thread));
+            assert_eq!(got, want, "{h:?}");
+        }
+        let mut reused = 0;
+        for seed in 1..=8 {
+            let mut rng = smt_trace::Rng::new(seed);
+            let mut s = Slab::new();
+            let mut model = smt_uarch::FastMap::default();
+            let mut seen: Vec<Handle> = Vec::new();
+            for seq in 0..4_000u64 {
+                let pick = (!seen.is_empty()).then(|| seen[rng.below(seen.len() as u64) as usize]);
+                let h = match (rng.below(10), pick) {
+                    (0..=3, _) | (_, None) => {
+                        let (stage, thread) =
+                            (STAGES[rng.below(5) as usize], rng.below(8) as usize);
+                        let h = s.insert(seq, stage, dummy(thread));
+                        assert!(!seen.contains(&h), "{h:?} minted twice");
+                        reused += usize::from(seen.iter().any(|o| o.idx == h.idx));
+                        model.insert(h, (seq, stage, thread));
+                        seen.push(h);
+                        h
+                    }
+                    (4..=6, Some(h)) => {
+                        let removed = model.remove(&h).map(|(_, _, t)| t);
+                        assert_eq!(s.remove(h).map(|i| i.thread), removed, "{h:?}");
+                        h
+                    }
+                    (7..=8, Some(h)) => {
+                        if let Some(entry) = model.get_mut(&h) {
+                            entry.1 = STAGES[rng.below(5) as usize];
+                            s.set_stage(h, entry.1);
+                        }
+                        h
+                    }
+                    (_, Some(h)) => h,
+                };
+                agree(&s, &model, h);
+                agree(&s, &model, seen[rng.below(seen.len() as u64) as usize]);
+                assert_eq!(s.live(), model.len(), "seed {seed}, op {seq}");
+            }
+        }
+        assert!(reused > 1_000, "slots must be recycled ({reused} reuses)");
+    }
+
     #[test]
     fn live_count_tracks_inserts_and_removes() {
         let mut s = Slab::new();

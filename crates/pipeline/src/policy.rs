@@ -119,7 +119,7 @@ pub enum PolicyEvent {
     /// per-interval IPC without reading simulator statistics; batching
     /// keeps that integration at ~one virtual call per cycle instead of
     /// one per retired µop (the difference is the bulk of the meta-policy
-    /// overhead `BENCH_PR7.json` gates).
+    /// composite's host-time overhead).
     Committed { thread: usize, count: u32 },
 }
 

@@ -2374,95 +2374,6 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     // Introspection for tests
     // ------------------------------------------------------------------
 
-    /// Check cross-structure invariants; panics on violation. Test-oriented
-    /// but cheap enough to call periodically.
-    pub fn check_invariants(&self) {
-        let n = self.num_threads();
-        let queued: usize = self.fronts.iter().map(|f| f.queue.len()).sum();
-        let robbed: usize = self.robs.iter().map(|r| r.len()).sum();
-        assert_eq!(
-            queued + robbed,
-            self.slab.live(),
-            "every live instruction is in exactly one of fetch queue / ROB"
-        );
-        for t in 0..n {
-            assert_eq!(
-                self.robs[t].len(),
-                self.rob_count.used(t) as usize,
-                "ROB counters track ROB deques"
-            );
-            // icount == pre-issue instructions of the thread.
-            let pre_issue = self.fronts[t].queue.len()
-                + self.robs[t]
-                    .iter()
-                    .filter(|&&h| {
-                        matches!(
-                            self.slab.stage(h).unwrap(),
-                            Stage::Waiting | Stage::Ready { .. }
-                        )
-                    })
-                    .count();
-            assert_eq!(
-                pre_issue, self.icount[t] as usize,
-                "ICOUNT tracks pre-issue occupancy (thread {t})"
-            );
-        }
-        for t in 0..n {
-            let held: u32 = self.robs[t]
-                .iter()
-                .filter(|&&h| {
-                    matches!(
-                        self.slab.stage(h).unwrap(),
-                        Stage::Waiting | Stage::Ready { .. }
-                    )
-                })
-                .count() as u32;
-            assert_eq!(held, self.iq_held[t], "per-thread IQ holdings (thread {t})");
-            let regs: u32 = self.robs[t]
-                .iter()
-                .filter(|&&h| self.slab.get(h).unwrap().holds_reg)
-                .count() as u32;
-            assert_eq!(
-                regs, self.regs_held[t],
-                "per-thread reg holdings (thread {t})"
-            );
-        }
-        // Issue-queue occupancy equals dispatched-but-not-issued instructions.
-        let in_iq: u32 = self
-            .robs
-            .iter()
-            .flatten()
-            .filter(|&&h| {
-                matches!(
-                    self.slab.stage(h).unwrap(),
-                    Stage::Waiting | Stage::Ready { .. }
-                )
-            })
-            .count() as u32;
-        assert_eq!(in_iq, self.iqs.total_used(), "IQ occupancy consistent");
-        // Register occupancy equals holders.
-        let int_holders = self
-            .robs
-            .iter()
-            .flatten()
-            .filter(|&&h| {
-                let i = self.slab.get(h).unwrap();
-                i.holds_reg && !i.inst.class.dest_is_fp()
-            })
-            .count() as u32;
-        let fp_holders = self
-            .robs
-            .iter()
-            .flatten()
-            .filter(|&&h| {
-                let i = self.slab.get(h).unwrap();
-                i.holds_reg && i.inst.class.dest_is_fp()
-            })
-            .count() as u32;
-        assert_eq!(int_holders, self.regs_int.in_use(), "int regs consistent");
-        assert_eq!(fp_holders, self.regs_fp.in_use(), "fp regs consistent");
-    }
-
     /// Current issue-queue occupancy: [int, fp, ldst].
     pub fn iq_usage(&self) -> [u32; 3] {
         [

@@ -222,13 +222,3 @@ fn every_invariant_fires_and_is_documented() {
         );
     }
 }
-
-#[test]
-fn null_sanitizer_default_still_exposes_check_invariants() {
-    // The legacy panic-based checker stays for fast in-test assertions.
-    let mut sim = Simulator::new(SimConfig::baseline(), Box::new(IcountTest), &specs());
-    for _ in 0..500 {
-        sim.step();
-    }
-    sim.check_invariants();
-}

@@ -3,8 +3,8 @@
 //! this crate).
 
 use smt_pipeline::{
-    CheckpointOpts, FetchPolicy, MachineSnapshot, PolicyView, RunOutcome, SimConfig, Simulator,
-    SnapshotError, ThreadSpec, Watchdog,
+    CheckpointOpts, FetchPolicy, MachineSnapshot, NullProbe, PolicyView, RecordingSanitizer,
+    RunOutcome, SimConfig, Simulator, SnapshotError, ThreadSpec, Watchdog,
 };
 use smt_trace::profile;
 
@@ -24,6 +24,25 @@ impl FetchPolicy for IcountTest {
 
 fn sim(specs: Vec<ThreadSpec>) -> Simulator {
     Simulator::new(SimConfig::baseline(), Box::new(IcountTest), &specs)
+}
+
+/// As [`sim`], with every cycle audited by the sanitizer.
+fn sanitized(specs: Vec<ThreadSpec>) -> Simulator<NullProbe, RecordingSanitizer> {
+    Simulator::try_sanitized(
+        SimConfig::baseline(),
+        Box::new(IcountTest) as Box<dyn FetchPolicy>,
+        &specs,
+        RecordingSanitizer::new(),
+    )
+    .unwrap()
+}
+
+fn assert_clean(s: &Simulator<NullProbe, RecordingSanitizer>) {
+    assert!(
+        s.sanitizer().is_clean(),
+        "{}",
+        s.sanitizer().render_report()
+    );
 }
 
 fn spec(p: smt_trace::BenchProfile, seed: u64, skip: u64) -> ThreadSpec {
@@ -80,18 +99,16 @@ fn simulation_is_deterministic() {
 
 #[test]
 fn invariants_hold_throughout_a_mixed_run() {
-    let mut s = sim(vec![
+    let mut s = sanitized(vec![
         spec(profile::gzip(), 1, 0),
         spec(profile::mcf(), 2, 0),
         spec(profile::twolf(), 3, 0),
         spec(profile::bzip2(), 4, 0),
     ]);
-    for _ in 0..200 {
-        for _ in 0..50 {
-            s.step();
-        }
-        s.check_invariants();
+    for _ in 0..10_000 {
+        s.step();
     }
+    assert_clean(&s);
     assert!(s.total_committed() > 0);
 }
 
@@ -177,9 +194,9 @@ fn eight_threads_run_without_leaks() {
         .enumerate()
         .map(|(i, n)| spec(profile::by_name(n).unwrap(), 10 + i as u64, 0))
         .collect();
-    let mut s = sim(specs);
+    let mut s = sanitized(specs);
     let r = s.run(3_000, 15_000);
-    s.check_invariants();
+    assert_clean(&s);
     assert!(r.throughput() > 1.0, "throughput {}", r.throughput());
     for (i, t) in r.threads.iter().enumerate() {
         assert!(t.committed > 0, "thread {i} ({}) starved", names[i]);
@@ -220,7 +237,7 @@ fn restore_at_cycle_k_matches_the_straight_run() {
     }
     let straight = a.snapshot();
 
-    let mut b = sim(specs);
+    let mut b = sanitized(specs);
     b.restore(&snap).unwrap();
     // Equal machine state serializes to equal bytes immediately...
     assert_eq!(b.snapshot().digest(), snap.digest());
@@ -229,7 +246,7 @@ fn restore_at_cycle_k_matches_the_straight_run() {
         b.step();
     }
     assert_eq!(b.snapshot().digest(), straight.digest());
-    b.check_invariants();
+    assert_clean(&b);
 }
 
 #[test]
@@ -298,7 +315,7 @@ fn interrupted_checkpointed_run_resumes_to_the_straight_result() {
     // format — with a *different* checkpoint interval, which must not
     // change the result (chunking is behavior-neutral).
     let snap = MachineSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-    let mut c = sim(specs);
+    let mut c = sanitized(specs);
     let pending = c.restore_run(&snap).unwrap();
     assert!(pending.cycles_left() > 0);
     let mut sink2 = |_: &MachineSnapshot| {};
@@ -317,7 +334,7 @@ fn interrupted_checkpointed_run_resumes_to_the_straight_result() {
         resumed.branch_mispredict_rate.to_bits(),
         straight.branch_mispredict_rate.to_bits()
     );
-    c.check_invariants();
+    assert_clean(&c);
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Integration tests for the observability layer: the probe's view of a
 //! simulation must agree with the simulator's own statistics, event streams
 //! must be well-formed (gates balance, miss lifetimes nest), and the
-//! pipeline invariants must hold at sample points while a probe is active.
+//! sanitizer must find the pipeline invariants holding on every cycle while
+//! a probe is active.
 
 use dwarn_smt::core::PolicyKind;
 use dwarn_smt::obs::{EventKind, RecordingProbe};
-use dwarn_smt::pipeline::{SimConfig, Simulator};
+use dwarn_smt::pipeline::{RecordingSanitizer, SimConfig, Simulator};
 use dwarn_smt::workloads::{workload, WorkloadClass};
 
 const MEASURE: u64 = 20_000;
@@ -158,18 +159,22 @@ fn pipeline_invariants_hold_at_sample_points_under_probe() {
     let wl = workload(4, WorkloadClass::Mix);
     let specs = wl.thread_specs();
     let probe = RecordingProbe::new(specs.len(), RING);
-    let mut sim = Simulator::with_probe(
+    let mut sim = Simulator::try_with_specs(
         SimConfig::baseline(),
         PolicyKind::DWarn.build(),
         &specs,
         probe,
-    );
-    for _ in 0..100 {
-        for _ in 0..100 {
-            sim.step();
-        }
-        sim.check_invariants();
+        RecordingSanitizer::new(),
+    )
+    .unwrap();
+    for _ in 0..10_000 {
+        sim.step();
     }
+    assert!(
+        sim.sanitizer().is_clean(),
+        "{}",
+        sim.sanitizer().render_report()
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use dwarn_smt::core::PolicyKind;
 use dwarn_smt::metrics;
-use dwarn_smt::pipeline::{SimConfig, Simulator, ThreadSpec};
+use dwarn_smt::pipeline::{RecordingSanitizer, SimConfig, Simulator, ThreadSpec};
 use dwarn_smt::trace::{all_benchmarks, CtrlKind, Rng, StaticProgram, ThreadTrace};
 use dwarn_smt::uarch::{Cache, CacheConfig};
 
@@ -107,8 +107,8 @@ fn hmean_algebra() {
 }
 
 /// Any 1-4 benchmarks under any paper policy: the simulator's
-/// cross-structure invariants hold after an arbitrary number of steps, and
-/// no resources leak.
+/// cross-structure invariants hold on every cycle of an arbitrary number of
+/// steps, and no resources leak.
 #[test]
 fn simulator_invariants_hold() {
     let mut r = Rng::new(0x0B5EED ^ 5);
@@ -123,11 +123,21 @@ fn simulator_invariants_hold() {
             .collect();
         let kind = PolicyKind::paper_set()[r.below(6) as usize];
         let steps = r.range(200, 1_500);
-        let mut sim = Simulator::new(SimConfig::baseline(), kind.build(), &specs);
+        let mut sim = Simulator::try_sanitized(
+            SimConfig::baseline(),
+            kind.build(),
+            &specs,
+            RecordingSanitizer::new(),
+        )
+        .unwrap();
         for _ in 0..steps {
             sim.step();
         }
-        sim.check_invariants();
+        assert!(
+            sim.sanitizer().is_clean(),
+            "{kind:?}: {}",
+            sim.sanitizer().render_report()
+        );
     }
 }
 
