@@ -2,6 +2,7 @@
 //! policy produces its paper-documented behaviour.
 
 use dwarn_core::PolicyKind;
+use smt_obs::{IntervalConfig, IntervalProbe};
 use smt_pipeline::{SimConfig, SimResult, Simulator, ThreadSpec};
 use smt_trace::profile;
 
@@ -189,9 +190,17 @@ fn dcpred_limits_the_suspect_threads_resource_share() {
     // still fetching every cycle it wins ICOUNT priority.
     let wl = mix4(); // gzip, twolf, bzip2, mcf
     let occupancy = |kind: PolicyKind| {
-        let mut sim = Simulator::new(SimConfig::baseline(), kind.build(), &wl);
-        let (r, occ) = sim.run_sampled(10_000, 25_000, 8);
-        (r, occ.avg_iq_per_thread[3]) // mcf
+        // One warmup-long window, dropped: the rest is the measured run.
+        let probe = IntervalProbe::new(IntervalConfig { window: 10_000 });
+        let mut sim = Simulator::with_probe(SimConfig::baseline(), kind.build(), &wl, probe);
+        let r = sim.run(10_000, 25_000);
+        let mut series = sim.into_probe().into_series();
+        series.intervals.remove(0);
+        let measured = series.total();
+        (
+            r,
+            measured.threads[3].iq_acc as f64 / measured.cycles as f64,
+        ) // mcf
     };
     let (ric, ic_iq) = occupancy(PolicyKind::Icount);
     let (rdc, dc_iq) = occupancy(PolicyKind::DcPred);

@@ -46,9 +46,10 @@ experiments:
              inspect, empty, or integrity-check a persistent result cache
 
   trace [--policy P] [--workload W] [--arch A] [--cycles N] [--warmup N]
-        [--sample-every N] [--detail] [--out DIR]
+        [--detail] [--out DIR]
              capture one run with the recording probe and write a Chrome
-             trace-event JSON (Perfetto / chrome://tracing) plus stats JSON
+             trace-event JSON (Perfetto / chrome://tracing: the event
+             timeline plus 50-cycle interval counter tracks) plus stats JSON
 
   chaos [--seed N] [--faults N] [--keep-dir <dir>]
              deterministic fault injection: corrupt cache entries,

@@ -121,7 +121,7 @@ fn run_probed(campaign: &Campaign, wl: &Workload, kind: PolicyKind) -> (SimResul
         &wl.name,
         kind.name(),
         &result,
-        Some(total_switches(&series)),
+        Some(series.total().policy_switches),
     );
     (result, series)
 }
@@ -145,14 +145,6 @@ fn committed_per_thread(s: &IntervalSeries, num_threads: usize) -> Vec<u64> {
     per
 }
 
-fn total_cycles(s: &IntervalSeries) -> u64 {
-    s.intervals.iter().map(|iv| iv.cycles).sum()
-}
-
-fn total_switches(s: &IntervalSeries) -> u64 {
-    s.intervals.iter().map(|iv| iv.policy_switches).sum()
-}
-
 /// Hmean of relative IPCs for per-thread committed counts over `cycles`.
 fn hmean_of(committed: &[u64], cycles: u64, solos: &[f64]) -> f64 {
     let ipcs: Vec<f64> = committed
@@ -174,10 +166,10 @@ fn compute_row(campaign: &Campaign, wl: &Workload) -> MetaRow {
         .iter()
         .map(|&k| run_probed(campaign, wl, k).1)
         .collect();
-    let cycles = total_cycles(&static_series[0]);
+    let cycles = static_series[0].total().cycles;
     for s in &static_series {
         assert_eq!(
-            total_cycles(s),
+            s.total().cycles,
             cycles,
             "{}: fixed-length runs must cover identical cycle ranges",
             wl.name
@@ -219,7 +211,7 @@ fn compute_row(campaign: &Campaign, wl: &Workload) -> MetaRow {
         let committed = committed_per_thread(&series, wl.benchmarks.len());
         meta_ipc.push(committed.iter().sum::<u64>() as f64 / cycles as f64);
         meta_hmean.push(hmean_of(&committed, cycles, &solos));
-        switches.push(total_switches(&series));
+        switches.push(series.total().policy_switches);
     }
 
     let static_hmean: Vec<f64> = static_series

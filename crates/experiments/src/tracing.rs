@@ -1,5 +1,6 @@
 //! The `trace` subcommand: run one (architecture, workload, policy)
-//! simulation under a [`RecordingProbe`] and export the capture as a Chrome
+//! simulation under a [`RecordingProbe`] and export the capture (the event
+//! timeline plus the interval series' counter tracks) as a Chrome
 //! trace-event file (loadable in Perfetto / `chrome://tracing`) plus a
 //! structured stats JSON.
 //!
@@ -12,11 +13,15 @@
 use std::path::PathBuf;
 
 use dwarn_core::PolicyKind;
-use smt_obs::{chrome_trace, Json, RecordingProbe};
-use smt_pipeline::Simulator;
+use smt_obs::{chrome_trace, IntervalConfig, Json, RecordingProbe};
+use smt_pipeline::{Simulator, Watchdog};
 use smt_workloads::WorkloadClass;
 
 use crate::runner::Arch;
+
+/// Window, in cycles, of the interval series a trace records: its counter
+/// tracks and the stats file's `occupancy` means come from that series.
+pub const TRACE_WINDOW: u64 = 50;
 
 /// Parsed `trace` subcommand options.
 pub struct TraceOpts {
@@ -26,7 +31,6 @@ pub struct TraceOpts {
     pub arch: Arch,
     pub warmup: u64,
     pub measure: u64,
-    pub sample_every: u64,
     /// Also capture per-instruction fetch/dispatch/issue/commit instants.
     pub detail: bool,
     /// Event-ring capacity (oldest events drop beyond this).
@@ -43,7 +47,6 @@ impl Default for TraceOpts {
             arch: Arch::Baseline,
             warmup: 2_000,
             measure: 20_000,
-            sample_every: 50,
             detail: false,
             ring: 1 << 20,
             out_dir: PathBuf::from("target/traces"),
@@ -104,14 +107,6 @@ pub fn parse_args(args: &[&str]) -> Result<TraceOpts, String> {
             "--arch" => o.arch = parse_arch(&value(a)?)?,
             "--warmup" => o.warmup = value(a)?.parse().map_err(|e| format!("--warmup: {e}"))?,
             "--cycles" => o.measure = value(a)?.parse().map_err(|e| format!("--cycles: {e}"))?,
-            "--sample-every" => {
-                o.sample_every = value(a)?
-                    .parse()
-                    .map_err(|e| format!("--sample-every: {e}"))?;
-                if o.sample_every == 0 {
-                    return Err("--sample-every must be >= 1".to_string());
-                }
-            }
             "--detail" => o.detail = true,
             "--out" => o.out_dir = PathBuf::from(value(a)?),
             other => return Err(format!("unknown trace argument '{other}'")),
@@ -142,50 +137,56 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
     let specs = wl.thread_specs();
     let cfg = o.arch.config();
     cfg.validate(specs.len())?;
-    let probe = RecordingProbe::new(specs.len(), o.ring).with_detail(o.detail);
+    let window = IntervalConfig {
+        window: TRACE_WINDOW,
+    };
+    let probe = RecordingProbe::new(o.ring, window).with_detail(o.detail);
     let mut sim = Simulator::with_probe(cfg, o.policy.build(), &specs, probe);
-    let (result, occ) = sim.run_sampled(o.warmup, o.measure, o.sample_every);
+    let result = sim.try_run(o.warmup, o.measure, &Watchdog::default())?;
+    // A trace is always a live execution, so the switch count exists (the
+    // generic stats path leaves it null for cache-served runs).
+    let switches = sim.policy().switch_log().len() as u64;
     let probe = sim.into_probe();
+    let peak_iq = probe.peak_iq();
+    let (ring, series) = probe.into_parts();
 
     let names: Vec<String> = wl.benchmarks.iter().map(|b| b.to_string()).collect();
-    let trace = chrome_trace(probe.ring(), probe.samples(), &names);
+    let trace = chrome_trace(&ring, &series, &names);
 
+    // Exact means over every cycle of the run, warmup included.
+    let total = series.total();
+    let mean = |acc: u64| Json::F64(acc as f64 / total.cycles.max(1) as f64);
     let mut stats =
         crate::artifacts::stats_json("trace", o.arch.as_str(), &wl.name, o.policy.name(), &result);
     if let Json::Obj(pairs) = &mut stats {
-        // A trace is always a live execution, so the switch count exists
-        // (the generic stats path leaves it null for cache-served runs).
         if let Some(p) = pairs.iter_mut().find(|(k, _)| k == "policy_switches") {
-            p.1 = Json::U64(probe.policy_switches());
+            p.1 = Json::U64(switches);
         }
         pairs.push((
             "capture".to_string(),
             Json::obj(vec![
-                ("events", Json::U64(probe.ring().len() as u64)),
-                ("events_dropped", Json::U64(probe.ring().dropped())),
-                ("occupancy_samples", Json::U64(probe.samples().len() as u64)),
-                ("sample_every", Json::U64(o.sample_every)),
+                ("events", Json::U64(ring.len() as u64)),
+                ("events_dropped", Json::U64(ring.dropped())),
+                ("interval_window", Json::U64(TRACE_WINDOW)),
                 ("detail", Json::Bool(o.detail)),
             ]),
         ));
         pairs.push((
             "occupancy".to_string(),
             Json::obj(vec![
-                (
-                    "avg_iq",
-                    Json::Arr(occ.avg_iq.iter().map(|&x| Json::F64(x)).collect()),
-                ),
+                ("cycles", Json::U64(total.cycles)),
+                ("avg_iq", Json::Arr(total.iq_occ_acc.map(mean).to_vec())),
                 (
                     "peak_iq",
-                    Json::Arr(occ.peak_iq.iter().map(|&x| Json::U64(x as u64)).collect()),
+                    Json::Arr(peak_iq.iter().map(|&x| Json::U64(x as u64)).collect()),
                 ),
                 (
                     "avg_regs",
-                    Json::Arr(vec![Json::F64(occ.avg_regs.0), Json::F64(occ.avg_regs.1)]),
+                    Json::Arr(vec![mean(total.regs_acc.0), mean(total.regs_acc.1)]),
                 ),
                 (
                     "avg_rob",
-                    Json::Arr(occ.avg_rob.iter().map(|&x| Json::F64(x)).collect()),
+                    Json::Arr(total.threads.iter().map(|t| mean(t.rob_acc)).collect()),
                 ),
             ]),
         ));
@@ -197,7 +198,7 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
         &wl.name,
         o.policy.name(),
         &result,
-        Some(probe.policy_switches()),
+        Some(switches),
     );
 
     std::fs::create_dir_all(&o.out_dir).map_err(io(&o.out_dir))?;
@@ -214,7 +215,7 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
 
     Ok(format!(
         "traced {} / {} / {} for {} cycles (+{} warmup)\n\
-         throughput {:.2} IPC, {} events captured ({} dropped), {} occupancy samples\n\
+         throughput {:.2} IPC, {} events captured ({} dropped), {} intervals of {} cycles\n\
          trace: {}\n\
          stats: {}",
         o.arch.as_str(),
@@ -223,9 +224,10 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
         o.measure,
         o.warmup,
         result.throughput(),
-        probe.ring().len(),
-        probe.ring().dropped(),
-        probe.samples().len(),
+        ring.len(),
+        ring.dropped(),
+        series.intervals.len(),
+        TRACE_WINDOW,
         trace_path.display(),
         stats_path.display(),
     ))
@@ -282,9 +284,15 @@ mod tests {
         assert!(summary.contains("trace:"));
         let trace = std::fs::read_to_string(dir.join("baseline-4-mix-dwarn.trace.json")).unwrap();
         assert!(trace.starts_with("{\"traceEvents\":["));
+        // The interval series reaches the trace as counter tracks.
+        assert!(trace.contains("\"cat\":\"interval\""));
         let stats = std::fs::read_to_string(dir.join("baseline-4-mix-dwarn.stats.json")).unwrap();
         assert!(stats.contains("\"throughput_ipc\""));
-        assert!(stats.contains("\"occupancy\""));
+        assert!(stats.contains("\"interval_window\": 50"));
+        let doc = Json::parse(&stats).unwrap();
+        let occupancy = doc.get("occupancy").unwrap();
+        // The occupancy means cover the whole run, warmup included.
+        assert_eq!(occupancy.get("cycles").and_then(Json::as_u64), Some(2_200));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -169,7 +169,7 @@ fn fragmented_interval_series_and_sanitizer_match_sequential() {
         );
         // `skipped` is excluded from the digest (meta-telemetry), but the
         // stitched totals must still cover the same simulated time.
-        assert_eq!(stitched.total_cycles(), want_series.total_cycles());
+        assert_eq!(stitched.total().cycles, want_series.total().cycles);
     }
 }
 

@@ -102,10 +102,10 @@ fn interval_series_bit_identical_skip_vs_no_skip() {
             );
             // The naive loop never reports skipped cycles; the digest must
             // be blind to the difference in skip accounting.
-            assert_eq!(s_naive.total_skipped(), 0);
-            any_skipped |= s_skip.total_skipped() > 0;
-            assert_eq!(s_skip.total_cycles(), WARMUP + MEASURE);
-            assert_eq!(s_naive.total_cycles(), WARMUP + MEASURE);
+            assert_eq!(s_naive.total().skipped, 0);
+            any_skipped |= s_skip.total().skipped > 0;
+            assert_eq!(s_skip.total().cycles, WARMUP + MEASURE);
+            assert_eq!(s_naive.total().cycles, WARMUP + MEASURE);
         }
     }
     assert!(

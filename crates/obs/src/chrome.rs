@@ -9,14 +9,15 @@
 //! * L2 declares/resolves, squashes, I-fetch misses → instant events (`i`);
 //! * per-instruction fetch/dispatch/issue/commit (when captured) →
 //!   instant events;
-//! * occupancy samples → counter tracks (`C`) for issue queues, physical
-//!   registers, and per-thread ROB occupancy.
+//! * the run's interval series → counter tracks (`C`, `cat: "interval"`),
+//!   emitted exactly as `IntervalSeries::counter_trace` emits them.
 
+use crate::interval::IntervalSeries;
 use crate::json::Json;
-use crate::probe::OccupancySample;
 use crate::ring::{EventKind, EventRing};
 
-const PID: u64 = 1;
+/// The Chrome-trace process id of every exported event.
+pub(crate) const PID: u64 = 1;
 
 fn base(name: &str, cat: &str, ph: &str, cycle: u64, tid: usize) -> Vec<(String, Json)> {
     vec![
@@ -37,31 +38,41 @@ fn hex(v: u64) -> Json {
     Json::Str(format!("{v:#x}"))
 }
 
-/// Convert captured events + occupancy samples into a Chrome trace-event
-/// JSON document. `thread_names` labels the per-thread tracks (pass
-/// benchmark names); missing entries fall back to `t<i>`.
-pub fn chrome_trace(
-    events: &EventRing,
-    samples: &[OccupancySample],
-    thread_names: &[String],
-) -> String {
-    let mut out: Vec<Json> = Vec::with_capacity(events.len() + samples.len() * 3 + 8);
-
-    // Track metadata.
-    out.push(Json::Obj(vec![
+/// The metadata record naming the trace's one process.
+pub(crate) fn process_name() -> Json {
+    Json::Obj(vec![
         ("name".to_string(), Json::str("process_name")),
         ("ph".to_string(), Json::str("M")),
         ("pid".to_string(), Json::U64(PID)),
         args(vec![("name", Json::str("dwarn-smt"))]),
-    ]));
+    ])
+}
+
+/// Thread `t`'s track label: `t<i> <name>`, or `t<i>` without a name.
+pub(crate) fn thread_label(thread_names: &[String], t: usize) -> String {
+    thread_names
+        .get(t)
+        .map(|n| format!("t{t} {n}"))
+        .unwrap_or_else(|| format!("t{t}"))
+}
+
+/// Convert captured events plus the run's interval series into a Chrome
+/// trace-event JSON document. `thread_names` labels the per-thread tracks
+/// (pass benchmark names); missing entries fall back to `t<i>`.
+pub fn chrome_trace(
+    events: &EventRing,
+    series: &IntervalSeries,
+    thread_names: &[String],
+) -> String {
+    let mut out: Vec<Json> = Vec::with_capacity(events.len() + series.intervals.len() * 6 + 8);
+
+    // Track metadata.
+    out.push(process_name());
     let num_threads = thread_names
         .len()
         .max(events.iter().map(|e| e.thread + 1).max().unwrap_or(0));
     for t in 0..num_threads {
-        let label = thread_names
-            .get(t)
-            .map(|n| format!("t{t} {n}"))
-            .unwrap_or_else(|| format!("t{t}"));
+        let label = thread_label(thread_names, t);
         out.push(Json::Obj(vec![
             ("name".to_string(), Json::str("thread_name")),
             ("ph".to_string(), Json::str("M")),
@@ -189,33 +200,7 @@ pub fn chrome_trace(
         out.push(json);
     }
 
-    for s in samples {
-        let mut iq = base("issue queues", "occupancy", "C", s.cycle, 0);
-        iq.push(args(vec![
-            ("int", Json::U64(s.iq[0] as u64)),
-            ("fp", Json::U64(s.iq[1] as u64)),
-            ("ldst", Json::U64(s.iq[2] as u64)),
-        ]));
-        out.push(Json::Obj(iq));
-        let mut regs = base("physical registers", "occupancy", "C", s.cycle, 0);
-        regs.push(args(vec![
-            ("int", Json::U64(s.regs_int as u64)),
-            ("fp", Json::U64(s.regs_fp as u64)),
-        ]));
-        out.push(Json::Obj(regs));
-        let mut rob = base("rob occupancy", "occupancy", "C", s.cycle, 0);
-        rob.push((
-            "args".to_string(),
-            Json::Obj(
-                s.rob
-                    .iter()
-                    .enumerate()
-                    .map(|(t, &v)| (format!("t{t}"), Json::U64(v as u64)))
-                    .collect(),
-            ),
-        ));
-        out.push(Json::Obj(rob));
-    }
+    series.push_counter_events(thread_names, &mut out);
 
     Json::obj(vec![
         ("traceEvents", Json::Arr(out)),
@@ -254,7 +239,11 @@ mod tests {
                 reason: GateReason::Policy,
             },
         });
-        let s = chrome_trace(&ring, &[], &["mcf".to_string(), "gzip".to_string()]);
+        let s = chrome_trace(
+            &ring,
+            &IntervalSeries::default(),
+            &["mcf".to_string(), "gzip".to_string()],
+        );
         assert!(s.starts_with("{\"traceEvents\":["));
         assert!(s.contains("\"ph\":\"B\""));
         assert!(s.contains("\"ph\":\"E\""));
@@ -279,7 +268,7 @@ mod tests {
             thread: 0,
             kind: EventKind::L1MissEnd { load_id: 42 },
         });
-        let s = chrome_trace(&ring, &[], &[]);
+        let s = chrome_trace(&ring, &IntervalSeries::default(), &[]);
         assert!(s.contains("\"ph\":\"b\""));
         assert!(s.contains("\"ph\":\"e\""));
         assert!(s.contains("\"id\":42"));
@@ -287,18 +276,33 @@ mod tests {
     }
 
     #[test]
-    fn samples_become_counter_events() {
-        let samples = vec![OccupancySample {
-            cycle: 10,
+    fn series_becomes_counter_events() {
+        use crate::interval::{IntervalConfig, IntervalProbe};
+        use crate::probe::{CycleState, Enabled, Probe};
+        let on = Enabled::of::<IntervalProbe>().expect("the interval probe is enabled");
+        let mut p = IntervalProbe::new(IntervalConfig { window: 10 });
+        let state = CycleState {
+            cycle: 0,
             iq: [3, 0, 2],
             regs_int: 17,
             regs_fp: 4,
-            rob: vec![12, 9],
-            iq_per_thread: vec![4, 1],
-        }];
-        let s = chrome_trace(&EventRing::new(4), &samples, &[]);
-        assert!(s.contains("\"ph\":\"C\""));
-        assert!(s.contains("issue queues"));
-        assert!(s.contains("\"ldst\":2"));
+            rob: &[12, 9],
+            iq_per_thread: &[4, 1],
+            outstanding_miss: &[1, 0],
+            gate: &[None, None],
+        };
+        p.on_quiescent_span(on, &state, 20);
+        let series = p.into_series();
+        let s = chrome_trace(&EventRing::new(4), &series, &["mcf".to_string()]);
+        // Two windows × six tracks, the same records the counter-trace
+        // export writes after its metadata line.
+        assert_eq!(s.matches("\"ph\":\"C\"").count(), 12);
+        assert!(s.contains("\"cat\":\"interval\""));
+        assert!(s.contains("\"iq_ldst\":2"));
+        assert!(s.contains("\"t0 mcf\":0"));
+        let counters = series.counter_trace(&["mcf".to_string()]);
+        let start = counters.find("{\"name\":\"interval ipc\"").unwrap();
+        let end = counters.find("],\"displayTimeUnit\"").unwrap();
+        assert!(s.contains(&counters[start..end]));
     }
 }

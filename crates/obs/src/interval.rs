@@ -26,6 +26,7 @@
 use smt_trace::snap_fields;
 use smt_trace::snapio::{self, ensure, Fnv1a, Same, Seq};
 
+use crate::chrome::{process_name, thread_label, PID};
 use crate::json::Json;
 use crate::probe::{CycleState, Enabled, GateReason, Observer, Probe};
 
@@ -142,14 +143,18 @@ impl IntervalSeries {
         h.finish()
     }
 
-    /// Total cycles covered by the series.
-    pub fn total_cycles(&self) -> u64 {
-        self.intervals.iter().map(|i| i.cycles).sum()
-    }
-
-    /// Total bulk-advanced cycles across the series.
-    pub fn total_skipped(&self) -> u64 {
-        self.intervals.iter().map(|i| i.skipped).sum()
+    /// The whole series as one window: every counter summed over all
+    /// intervals, per thread and machine-wide. `index` and `start_cycle`
+    /// are 0, so the result reads as a single window starting at cycle 0.
+    pub fn total(&self) -> Interval {
+        let mut acc = Interval {
+            threads: vec![ThreadWindow::default(); self.num_threads],
+            ..Interval::default()
+        };
+        for iv in &self.intervals {
+            add_interval(&mut acc, iv);
+        }
+        acc
     }
 
     /// Stitch per-fragment series (from a fragmented replay) into the
@@ -285,14 +290,35 @@ impl IntervalSeries {
     }
 
     /// Export the series as Chrome trace-event counter tracks (`ph: "C"`),
-    /// sharing the PR 1 convention — PID 1, one cycle = 1 µs — so a
+    /// sharing the event-track convention — PID 1, one cycle = 1 µs — so a
     /// counter trace stacks with the event-track trace of the same run in
-    /// Perfetto. Emits per-thread IPC and L1D-miss tracks, a gate-cycles
-    /// track by reason, shared-occupancy means, a skipped-cycles track,
-    /// and a policy-switch track (non-zero only for switching
-    /// meta-policies).
+    /// Perfetto. Per interval: per-thread IPC and L1D-miss tracks, a
+    /// gate-cycles track by reason, shared-occupancy means, a
+    /// skipped-cycles track, and a policy-switch track (non-zero only for
+    /// switching meta-policies). [`crate::chrome_trace`] appends the same
+    /// tracks to a captured event timeline.
     pub fn counter_trace(&self, thread_names: &[String]) -> String {
-        const PID: u64 = 1;
+        let mut out: Vec<Json> = Vec::with_capacity(self.intervals.len() * 6 + 1);
+        out.push(process_name());
+        self.push_counter_events(thread_names, &mut out);
+        Json::obj(vec![
+            ("traceEvents", Json::Arr(out)),
+            ("displayTimeUnit", Json::str("ms")),
+            (
+                "otherData",
+                Json::obj(vec![
+                    ("cycles_per_us", Json::U64(1)),
+                    ("interval_window", Json::U64(self.window)),
+                ]),
+            ),
+        ])
+        .render()
+    }
+
+    /// Append the series' counter-track events (`cat: "interval"`) to
+    /// `out`: the one emitter behind both [`IntervalSeries::counter_trace`]
+    /// and [`crate::chrome_trace`].
+    pub(crate) fn push_counter_events(&self, thread_names: &[String], out: &mut Vec<Json>) {
         let base = |name: &str, cycle: u64| -> Vec<(String, Json)> {
             vec![
                 ("name".to_string(), Json::str(name)),
@@ -303,22 +329,7 @@ impl IntervalSeries {
                 ("tid".to_string(), Json::U64(0)),
             ]
         };
-        let label = |t: usize| -> String {
-            thread_names
-                .get(t)
-                .map(|n| format!("t{t} {n}"))
-                .unwrap_or_else(|| format!("t{t}"))
-        };
-        let mut out: Vec<Json> = Vec::with_capacity(self.intervals.len() * 6 + 1);
-        out.push(Json::Obj(vec![
-            ("name".to_string(), Json::str("process_name")),
-            ("ph".to_string(), Json::str("M")),
-            ("pid".to_string(), Json::U64(PID)),
-            (
-                "args".to_string(),
-                Json::obj(vec![("name", Json::str("dwarn-smt"))]),
-            ),
-        ]));
+        let label = |t: usize| thread_label(thread_names, t);
         for iv in &self.intervals {
             let c = iv.cycles.max(1) as f64;
             let ts = iv.start_cycle;
@@ -388,26 +399,14 @@ impl IntervalSeries {
             ));
             out.push(Json::Obj(switches));
         }
-        Json::obj(vec![
-            ("traceEvents", Json::Arr(out)),
-            ("displayTimeUnit", Json::str("ms")),
-            (
-                "otherData",
-                Json::obj(vec![
-                    ("cycles_per_us", Json::U64(1)),
-                    ("interval_window", Json::U64(self.window)),
-                ]),
-            ),
-        ])
-        .render()
     }
 }
 
 /// The interval sampler. Attach via `Simulator::with_probe` (or the
-/// campaign's `--intervals` flag) and call [`IntervalProbe::into_series`]
-/// after the run. An enabled [`Probe`] (`ENABLED = true`); the
-/// simulator's per-cycle state feeding stays compiled out for
-/// `NullProbe` runs, which is what bench `pr6` gates.
+/// campaign's `--intervals` flag, or inside a [`crate::RecordingProbe`])
+/// and call [`IntervalProbe::into_series`] after the run. An enabled
+/// [`Probe`] (`ENABLED = true`); the simulator's per-cycle state feeding
+/// stays compiled out for `NullProbe` runs.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalProbe {
     window: u64,
@@ -512,50 +511,47 @@ impl IntervalProbe {
     }
 }
 
-/// Field-wise sum of one part's interval into the accumulator. Both
-/// sides are destructured exhaustively, so a new [`Interval`] field does
-/// not compile until it is merged here.
+/// Field-wise sum of one part's interval into the accumulator of the
+/// same window.
 fn merge_interval(acc: &mut Interval, part: &Interval) -> Result<(), String> {
+    if (acc.index, acc.start_cycle) != (part.index, part.start_cycle) {
+        return Err(format!(
+            "interval alignment mismatch: ({}, {}) vs ({}, {})",
+            acc.index, acc.start_cycle, part.index, part.start_cycle
+        ));
+    }
+    add_interval(acc, part);
+    Ok(())
+}
+
+/// Add every counter of `part` to `acc`, leaving `acc`'s `index` and
+/// `start_cycle`. `part` is destructured exhaustively, so a new
+/// [`Interval`] field does not compile until it is summed here.
+fn add_interval(acc: &mut Interval, part: &Interval) {
     let Interval {
-        index,
-        start_cycle,
+        index: _,
+        start_cycle: _,
         cycles,
         skipped,
         iq_occ_acc,
         regs_acc,
         policy_switches,
         threads,
-    } = acc;
-    let Interval {
-        index: p_index,
-        start_cycle: p_start_cycle,
-        cycles: p_cycles,
-        skipped: p_skipped,
-        iq_occ_acc: p_iq_occ_acc,
-        regs_acc: p_regs_acc,
-        policy_switches: p_policy_switches,
-        threads: p_threads,
     } = part;
-    if index != p_index || start_cycle != p_start_cycle {
-        return Err(format!(
-            "interval alignment mismatch: ({index}, {start_cycle}) vs ({p_index}, {p_start_cycle})"
-        ));
-    }
-    *cycles += p_cycles;
-    *skipped += p_skipped;
-    for (a, p) in iq_occ_acc.iter_mut().zip(p_iq_occ_acc) {
+    acc.cycles += cycles;
+    acc.skipped += skipped;
+    for (a, p) in acc.iq_occ_acc.iter_mut().zip(iq_occ_acc) {
         *a += p;
     }
-    regs_acc.0 += p_regs_acc.0;
-    regs_acc.1 += p_regs_acc.1;
-    *policy_switches += p_policy_switches;
-    if threads.len() < p_threads.len() {
-        threads.resize(p_threads.len(), ThreadWindow::default());
+    acc.regs_acc.0 += regs_acc.0;
+    acc.regs_acc.1 += regs_acc.1;
+    acc.policy_switches += policy_switches;
+    if acc.threads.len() < threads.len() {
+        acc.threads.resize(threads.len(), ThreadWindow::default());
     }
-    for (a, w) in threads.iter_mut().zip(p_threads) {
+    for (a, w) in acc.threads.iter_mut().zip(threads) {
         merge_thread_window(a, w);
     }
-    Ok(())
 }
 
 /// Field-wise sum of one part's per-thread window into the accumulator,
@@ -751,8 +747,8 @@ mod tests {
         let (sa, sb) = (a.into_series(), b.into_series());
         assert_eq!(sa.digest(), sb.digest());
         assert_eq!(sa.intervals.len(), 3);
-        assert_eq!(sb.total_skipped(), 2500);
-        assert_eq!(sa.total_skipped(), 0); // only the meta-counter differs
+        assert_eq!(sb.total().skipped, 2500);
+        assert_eq!(sa.total().skipped, 0); // only the meta-counter differs
         assert_eq!(sa.intervals[0].threads[0].gate_cycles[0], 1024);
         assert_eq!(sa.intervals[2].cycles, 2500 - 2 * 1024);
     }

@@ -7,23 +7,22 @@
 //!
 //! * [`Probe`] — a trait of pipeline hook points (fetch, dispatch, issue,
 //!   commit, squash, gate/ungate, L1-miss begin/end, L2-miss declare,
-//!   occupancy samples). Every method has an empty default body and the
-//!   simulator is generic over `P: Probe`, so the disabled case
+//!   end-of-cycle resource state). Every method has an empty default body
+//!   and the simulator is generic over `P: Probe`, so the disabled case
 //!   ([`NullProbe`]) monomorphizes to nothing — no virtual calls, no
 //!   branches, no allocations.
-//! * [`Registry`] / [`Histogram`] — named counters and log2-bucketed
-//!   latency histograms.
-//! * [`EventRing`] — bounded ring buffer of [`TraceEvent`]s (oldest events
-//!   are dropped first, with a drop count kept).
-//! * [`RecordingProbe`] — the batteries-included [`Probe`]: per-thread
-//!   counters, miss-latency and gate-duration histograms, the event ring,
-//!   and per-thread occupancy time-series.
 //! * [`IntervalProbe`] — fixed-window interval sampler: per-interval,
 //!   per-thread time-series (IPC, gate breakdown, miss counts, occupancy
 //!   integrals) with closed-form accounting across quiescence-skipped
 //!   spans, so skipped and `--no-skip` runs produce bit-identical series.
-//! * [`chrome`] — export captured events as Chrome trace-event JSON,
-//!   loadable in Perfetto / `chrome://tracing`.
+//!   It is the one source of occupancy and per-thread counts.
+//! * [`EventRing`] — bounded ring buffer of [`TraceEvent`]s (oldest events
+//!   are dropped first, with a drop count kept).
+//! * [`RecordingProbe`] — the event ring plus an embedded
+//!   [`IntervalProbe`]: a timeline of gates, misses, squashes and policy
+//!   switches over the run's interval series.
+//! * [`chrome`] — export captured events and the series' counter tracks
+//!   as Chrome trace-event JSON, loadable in Perfetto / `chrome://tracing`.
 //! * [`json`] — a small dependency-free JSON document builder (and parser)
 //!   used by the exporters and by `smt-experiments`' `--stats-json` run
 //!   artifacts and `report` subcommand.
@@ -33,15 +32,11 @@ pub mod interval;
 pub mod json;
 pub mod probe;
 pub mod record;
-pub mod registry;
 pub mod ring;
 
 pub use chrome::chrome_trace;
 pub use interval::{Interval, IntervalConfig, IntervalProbe, IntervalSeries, ThreadWindow};
 pub use json::Json;
-pub use probe::{
-    CycleState, Enabled, GateReason, NullProbe, Observer, OccupancySample, Probe, SquashKind,
-};
+pub use probe::{CycleState, Enabled, GateReason, NullProbe, Observer, Probe, SquashKind};
 pub use record::RecordingProbe;
-pub use registry::{Histogram, Registry};
 pub use ring::{EventKind, EventRing, TraceEvent};

@@ -7,7 +7,7 @@
 //! cares about — and the no-op [`NullProbe`] compiles away entirely.
 //!
 //! Hooks whose arguments cost per-cycle bookkeeping (gate-transition
-//! tracking, occupancy samples, end-of-cycle state) take an [`Enabled`]
+//! tracking, warn levels, end-of-cycle state) take an [`Enabled`]
 //! proof, which only an enabled [`Observer`] yields, so a default run pays
 //! nothing at all and a hook call outside its gate does not compile.
 
@@ -70,24 +70,6 @@ impl SquashKind {
             SquashKind::Flush => "flush",
         }
     }
-}
-
-/// One occupancy sample of the shared back-end, taken every `sample_every`
-/// cycles by `Simulator::run_sampled`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OccupancySample {
-    pub cycle: u64,
-    /// Issue-queue occupancy [int, fp, ldst].
-    pub iq: [u32; 3],
-    /// Physical integer registers in use (beyond the architectural
-    /// reservation).
-    pub regs_int: u32,
-    /// Physical floating-point registers in use.
-    pub regs_fp: u32,
-    /// Per-thread ROB occupancy.
-    pub rob: Vec<u32>,
-    /// Per-thread issue-queue entries held (all kinds combined).
-    pub iq_per_thread: Vec<u32>,
 }
 
 /// End-of-cycle resource snapshot handed to [`Probe::on_cycle_state`] and
@@ -208,9 +190,6 @@ pub trait Probe: Observer {
     /// An instruction-cache miss stalled a thread's fetch until `ready_at`.
     fn on_ifetch_miss(&mut self, _cycle: u64, _thread: usize, _addr: u64, _ready_at: u64) {}
 
-    /// A shared-resource occupancy sample (from `run_sampled`).
-    fn on_sample(&mut self, _on: Enabled, _sample: &OccupancySample) {}
-
     /// End-of-cycle resource state for one normally-stepped cycle. The
     /// interval sampler accumulates its time-series here.
     fn on_cycle_state(&mut self, _on: Enabled, _state: &CycleState<'_>) {}
@@ -298,9 +277,6 @@ impl<P: Probe> Probe for &mut P {
     }
     fn on_ifetch_miss(&mut self, cycle: u64, thread: usize, addr: u64, ready_at: u64) {
         (**self).on_ifetch_miss(cycle, thread, addr, ready_at)
-    }
-    fn on_sample(&mut self, on: Enabled, sample: &OccupancySample) {
-        (**self).on_sample(on, sample)
     }
     fn on_cycle_state(&mut self, on: Enabled, state: &CycleState<'_>) {
         (**self).on_cycle_state(on, state)

@@ -52,4 +52,4 @@ pub use sanitizer::{
 pub use sim::{CheckpointOpts, Clock, Mutation, PendingRun, RunOutcome, Simulator, ThreadSpec};
 pub use smt_obs::{Enabled, NullProbe, Observer, Probe};
 pub use snapshot::{MachineSnapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use stats::{OccupancyStats, SimResult, ThreadStats};
+pub use stats::{SimResult, ThreadStats};

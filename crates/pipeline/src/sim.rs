@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use smt_obs::{CycleState, Enabled, GateReason, NullProbe, OccupancySample, Probe, SquashKind};
+use smt_obs::{CycleState, Enabled, GateReason, NullProbe, Probe, SquashKind};
 use smt_trace::snapio::{self, ensure, Codec, Seq, Snap, SnapError, SnapReader};
 use smt_trace::{BenchProfile, DynInst, OpClass, INST_BYTES, NUM_ARCH_REGS};
 use smt_uarch::{
@@ -30,7 +30,7 @@ use crate::inflight::{Handle, InFlight, Slab, Stage};
 use crate::policy::{DeclareAction, FetchPolicy, PolicyEvent, PolicyView, ThreadView};
 use crate::sanitizer::{InvariantCode, InvariantViolation, NullSanitizer, Sanitizer};
 use crate::snapshot::{cfg_fingerprint, MachineSnapshot, SnapshotError};
-use crate::stats::{OccupancyStats, SimResult, ThreadStats};
+use crate::stats::{SimResult, ThreadStats};
 
 /// Cycle period of the cache tag-array integrity audit (`INV014`): scanning
 /// every set of every cache is the one audit whose cost scales with machine
@@ -562,11 +562,6 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         self.sanitizer
     }
 
-    /// The attached probe.
-    pub fn probe(&self) -> &P {
-        &self.probe
-    }
-
     /// Consume the simulator and return the probe (e.g. to export a
     /// recording after the final window).
     pub fn into_probe(self) -> P {
@@ -924,79 +919,20 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     }
 
     /// As [`Simulator::run`], but aborts with a typed [`SimError`] when the
-    /// watchdog detects no forward progress or a budget overrun.
+    /// watchdog detects no forward progress or a budget overrun. This is
+    /// the checkpointed driver with no sink and no stop request: each
+    /// phase runs as one chunk, and the run always completes or aborts.
     pub fn try_run(
         &mut self,
         warmup: u64,
         measure: u64,
         wd: &Watchdog,
     ) -> Result<SimResult, SimError> {
-        self.run_window(warmup, measure, wd, None)
-    }
-
-    /// As [`Simulator::run`], additionally sampling shared-resource
-    /// occupancy every `sample_every` cycles over the measured window.
-    /// Guarded by the default [`Watchdog`] like [`Simulator::run`].
-    pub fn run_sampled(
-        &mut self,
-        warmup: u64,
-        measure: u64,
-        sample_every: u64,
-    ) -> (SimResult, OccupancyStats) {
-        assert!(sample_every >= 1);
-        let mut sampling = Sampling::new(sample_every, self.num_threads());
-        let result = self
-            .run_window(warmup, measure, &Watchdog::default(), Some(&mut sampling))
-            .unwrap_or_else(|e| panic!("simulation aborted: {e}"));
-        (result, sampling.finish())
-    }
-
-    /// The checkpointed driver with no sink and no stop request: each
-    /// phase runs as one chunk, and the run always completes or aborts.
-    fn run_window(
-        &mut self,
-        warmup: u64,
-        measure: u64,
-        wd: &Watchdog,
-        sampling: Option<&mut Sampling>,
-    ) -> Result<SimResult, SimError> {
         let mut watch = WatchState::new(self);
         let mut phase = RunPhase::new(warmup, measure);
-        match self.drive_checkpointed(&mut phase, &mut watch, wd, None, sampling)? {
+        match self.drive_checkpointed(&mut phase, &mut watch, wd, None)? {
             RunOutcome::Completed(result) => Ok(result),
             RunOutcome::Interrupted(_) => unreachable!("only a stop request interrupts a run"),
-        }
-    }
-
-    /// Add one occupancy sample of the current cycle to `occ`, and hand
-    /// it to the probe.
-    fn sample_occupancy(&mut self, occ: &mut OccupancyStats) {
-        let n = self.num_threads();
-        occ.samples += 1;
-        let iq = self.iq_usage();
-        for (i, &q) in iq.iter().enumerate() {
-            occ.avg_iq[i] += q as f64;
-            occ.peak_iq[i] = occ.peak_iq[i].max(q);
-        }
-        let (ri, rf) = (self.regs_int.in_use(), self.regs_fp.in_use());
-        occ.avg_regs.0 += ri as f64;
-        occ.avg_regs.1 += rf as f64;
-        occ.peak_regs.0 = occ.peak_regs.0.max(ri);
-        occ.peak_regs.1 = occ.peak_regs.1.max(rf);
-        for t in 0..n {
-            occ.avg_rob[t] += self.robs[t].len() as f64;
-            occ.avg_iq_per_thread[t] += self.iq_held[t] as f64;
-        }
-        if let Some(on) = Enabled::of::<P>() {
-            let sample = OccupancySample {
-                cycle: self.now.get(),
-                iq,
-                regs_int: ri,
-                regs_fp: rf,
-                rob: (0..n).map(|t| self.robs[t].len() as u32).collect(),
-                iq_per_thread: self.iq_held.clone(),
-            };
-            self.probe.on_sample(on, &sample);
         }
     }
 
@@ -2461,54 +2397,6 @@ impl RunPhase {
     }
 }
 
-/// Occupancy sampling over the measured window ([`Simulator::run_sampled`]),
-/// riding on the guarded loop: every `every`-th measured cycle is stepped
-/// naively and sampled.
-struct Sampling {
-    every: u64,
-    /// Measured cycles advanced so far.
-    offset: u64,
-    occ: OccupancyStats,
-}
-
-impl Sampling {
-    fn new(every: u64, threads: usize) -> Sampling {
-        Sampling {
-            every,
-            offset: 0,
-            occ: OccupancyStats {
-                avg_rob: vec![0.0; threads],
-                avg_iq_per_thread: vec![0.0; threads],
-                ..Default::default()
-            },
-        }
-    }
-
-    /// Cycles until the next sampled cycle (0: the current one is).
-    fn cycles_to_next(&self) -> u64 {
-        (self.every - self.offset % self.every) % self.every
-    }
-
-    /// The sums turned into means.
-    fn finish(self) -> OccupancyStats {
-        let mut occ = self.occ;
-        let samples = occ.samples.max(1) as f64;
-        for v in &mut occ.avg_iq {
-            *v /= samples;
-        }
-        occ.avg_regs.0 /= samples;
-        occ.avg_regs.1 /= samples;
-        for v in occ
-            .avg_rob
-            .iter_mut()
-            .chain(occ.avg_iq_per_thread.iter_mut())
-        {
-            *v /= samples;
-        }
-        occ
-    }
-}
-
 /// An in-progress run decoded from a snapshot by
 /// [`Simulator::restore_run`], ready to be continued by
 /// [`Simulator::resume_run`]. Opaque: its contents mirror the private run
@@ -2520,11 +2408,6 @@ pub struct PendingRun {
 }
 
 impl PendingRun {
-    /// Guarded cycles already run (warmup + measure) — diagnostics.
-    pub fn cycles_done(&self) -> u64 {
-        self.watch.cycles
-    }
-
     /// Guarded cycles still to run (warmup + measure) — diagnostics.
     pub fn cycles_left(&self) -> u64 {
         self.phase.warmup_left + self.phase.measure_left
@@ -2878,45 +2761,30 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// actually advanced: on a watchdog abort the caller needs the exact
     /// remaining budget for the resumable checkpoint. A stepped cycle
     /// counts *before* the watchdog verdict: the step completed even when
-    /// the check then aborts the run. With `sampling`, every sampled cycle
-    /// is stepped naively (the sample reads live state at the exact naive
-    /// cycle), so skips stop short of the next one.
+    /// the check then aborts the run.
     fn run_guarded_counted(
         &mut self,
         cycles: u64,
         watch: &mut WatchState,
         wd: &Watchdog,
         progressed: &mut u64,
-        mut sampling: Option<&mut Sampling>,
     ) -> Result<(), SimError> {
         let skip = self.skip_active();
         let mut left = cycles;
         while left > 0 {
-            let to_sample = sampling
-                .as_deref()
-                .map_or(u64::MAX, Sampling::cycles_to_next);
-            if skip && to_sample > 0 {
-                let cap = watch.skip_cap(self, wd).min(left).min(to_sample);
+            if skip {
+                let cap = watch.skip_cap(self, wd).min(left);
                 let k = self.try_skip(cap);
                 if k > 0 {
                     watch.bulk_advance(k);
                     *progressed += k;
                     left -= k;
-                    if let Some(s) = sampling.as_deref_mut() {
-                        s.offset += k;
-                    }
                     continue;
                 }
             }
             self.step();
             *progressed += 1;
             watch.check(self, wd)?;
-            if let Some(s) = sampling.as_deref_mut() {
-                if s.offset.is_multiple_of(s.every) {
-                    self.sample_occupancy(&mut s.occ);
-                }
-                s.offset += 1;
-            }
             left -= 1;
         }
         Ok(())
@@ -2965,7 +2833,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     /// chunk, polling the stop request between chunks, and upgrading a
     /// watchdog abort with a final resumable checkpoint before returning
     /// the typed error. Without `opts` each phase runs as one chunk and no
-    /// checkpoint is taken; `sampling` rides on the measured phase.
+    /// checkpoint is taken.
     ///
     /// Chunking is behavior-neutral: the only effect of a chunk boundary
     /// is that a quiescent span crossing it is taken as two bulk advances
@@ -2978,7 +2846,6 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         watch: &mut WatchState,
         wd: &Watchdog,
         mut opts: Option<&mut CheckpointOpts<'_>>,
-        mut sampling: Option<&mut Sampling>,
     ) -> Result<RunOutcome, SimError> {
         let interval = opts.as_ref().map_or(0, |o| o.interval);
         loop {
@@ -3005,12 +2872,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 interval.min(left)
             };
             let mut progressed = 0u64;
-            let hook = if in_warmup {
-                None
-            } else {
-                sampling.as_deref_mut()
-            };
-            let res = self.run_guarded_counted(chunk, watch, wd, &mut progressed, hook);
+            let res = self.run_guarded_counted(chunk, watch, wd, &mut progressed);
             if in_warmup {
                 phase.warmup_left -= progressed;
             } else {
@@ -3068,7 +2930,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     ) -> Result<RunOutcome, SimError> {
         let mut watch = WatchState::new(self);
         let mut phase = RunPhase::new(warmup, measure);
-        self.drive_checkpointed(&mut phase, &mut watch, wd, Some(opts), None)
+        self.drive_checkpointed(&mut phase, &mut watch, wd, Some(opts))
     }
 
     /// Restore a run-carrying snapshot ([`MachineSnapshot::has_run_state`])
@@ -3147,6 +3009,6 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             mut watch,
         } = pending;
         watch.started = std::time::Instant::now();
-        self.drive_checkpointed(&mut phase, &mut watch, wd, Some(opts), None)
+        self.drive_checkpointed(&mut phase, &mut watch, wd, Some(opts))
     }
 }

@@ -42,26 +42,6 @@ impl ThreadStats {
     }
 }
 
-/// Time-averaged occupancy of the shared back-end resources over a sampled
-/// window — the quantity the paper's whole argument is about ("the actual
-/// problems are the issue queues and the physical registers").
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OccupancyStats {
-    pub samples: u64,
-    /// Mean issue-queue occupancy [int, fp, ldst].
-    pub avg_iq: [f64; 3],
-    /// Peak issue-queue occupancy [int, fp, ldst].
-    pub peak_iq: [u32; 3],
-    /// Mean physical registers in use (int, fp).
-    pub avg_regs: (f64, f64),
-    /// Peak physical registers in use (int, fp).
-    pub peak_regs: (u32, u32),
-    /// Mean per-thread ROB occupancy.
-    pub avg_rob: Vec<f64>,
-    /// Mean per-thread issue-queue entries held.
-    pub avg_iq_per_thread: Vec<f64>,
-}
-
 /// Whole-simulation result.
 #[derive(Debug, Clone, Default)]
 pub struct SimResult {
