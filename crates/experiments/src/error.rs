@@ -5,8 +5,8 @@
 //! invalid configuration, a simulation aborted by the watchdog, a panic
 //! caught at the isolation boundary, or an I/O problem. The CLI maps these
 //! to distinct exit codes (see [`Exit`]) so scripts driving large
-//! campaigns can tell "you typed it wrong" from "a run failed" from "the
-//! chaos harness found a robustness violation".
+//! campaigns can tell "you typed it wrong" from "a run failed" from "some
+//! runs failed, the rest finished".
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,23 +28,21 @@ pub enum Exit {
     Usage = 2,
     /// The campaign completed, but with partial results (some runs failed).
     Partial = 3,
-    /// The chaos harness observed a robustness violation (escaped panic,
-    /// hang, or a silently wrong golden digest).
-    ChaosViolation = 4,
     /// The campaign was interrupted (Ctrl-C) with resumable checkpoints on
     /// disk: partial results and failure artifacts were flushed, and
     /// re-running with the same `--resume <dir>` continues from them.
+    /// Status 4 is retired and stays unused, so scripts that read 5 keep
+    /// working.
     Interrupted = 5,
 }
 
 impl Exit {
     /// Every status, in value order.
-    pub const ALL: [Exit; 6] = [
+    pub const ALL: [Exit; 5] = [
         Exit::Ok,
         Exit::Runtime,
         Exit::Usage,
         Exit::Partial,
-        Exit::ChaosViolation,
         Exit::Interrupted,
     ];
 
@@ -279,19 +277,18 @@ mod tests {
     }
 
     #[test]
-    fn exit_codes_are_the_documented_zero_to_five() {
-        // No wildcard: a seventh status fails to compile here until the
+    fn exit_codes_are_the_documented_values() {
+        // No wildcard: a sixth status fails to compile here until the
         // contract (and its documentation) is extended on purpose.
         let documented = |e: Exit| match e {
             Exit::Ok => 0,
             Exit::Runtime => 1,
             Exit::Usage => 2,
             Exit::Partial => 3,
-            Exit::ChaosViolation => 4,
             Exit::Interrupted => 5,
         };
         let codes: Vec<i32> = Exit::ALL.iter().map(|e| e.code()).collect();
-        assert_eq!(codes, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(codes, [0, 1, 2, 3, 5]);
         for e in Exit::ALL {
             assert_eq!(e.code(), documented(e), "{e:?}");
         }

@@ -44,7 +44,6 @@
 pub mod ablation;
 pub mod artifacts;
 pub mod cache;
-pub mod chaos;
 pub mod checkpoint;
 pub mod error;
 pub mod extensions;

@@ -51,11 +51,6 @@ experiments:
              trace-event JSON (Perfetto / chrome://tracing: the event
              timeline plus 50-cycle interval counter tracks) plus stats JSON
 
-  chaos [--seed N] [--faults N] [--keep-dir <dir>]
-             deterministic fault injection: corrupt cache entries,
-             checkpoints, and configs, then verify every fault resolves to
-             a typed error or a bit-identical golden result
-
   report [<dir>]
              segment the interval time-series a previous `--intervals <dir>`
              campaign wrote into phases and print per-run phase summary
@@ -101,7 +96,6 @@ flags:
 exit codes:
   0  success          1  runtime failure       2  bad usage
   3  partial results (some runs failed)
-  4  chaos harness observed a robustness violation
   5  interrupted (Ctrl-C); resumable via --resume with the same directory
 ";
 
@@ -149,58 +143,6 @@ fn compare(campaign: &Campaign, args: &[&str]) -> String {
         }
         Err(e) => {
             eprintln!("compare: {e}");
-            e.exit_code().exit();
-        }
-    }
-}
-
-/// The `chaos` subcommand: run the deterministic fault-injection harness
-/// and map a violating report to [`Exit::ChaosViolation`].
-fn chaos_cmd(args: &[&str], quick: bool, no_skip: bool) -> ! {
-    use smt_experiments::chaos::{self, ChaosOpts};
-    let mut opts = ChaosOpts::new(1, 32);
-    opts.quick = quick;
-    opts.no_skip = no_skip;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |what: &str| -> u64 {
-            match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => n,
-                None => {
-                    eprintln!("chaos: {what} needs a numeric argument\n");
-                    eprint!("{USAGE}");
-                    Exit::Usage.exit();
-                }
-            }
-        };
-        match *a {
-            "--seed" => opts.seed = num("--seed"),
-            "--faults" => opts.faults = num("--faults") as usize,
-            "--keep-dir" => match it.next() {
-                Some(d) => opts.dir = Some(PathBuf::from(d)),
-                None => {
-                    eprintln!("chaos: --keep-dir needs a directory argument\n");
-                    eprint!("{USAGE}");
-                    Exit::Usage.exit();
-                }
-            },
-            other => {
-                eprintln!("chaos: unknown flag {other}\n");
-                eprint!("{USAGE}");
-                Exit::Usage.exit();
-            }
-        }
-    }
-    match chaos::run(&opts) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.violations() > 0 {
-                Exit::ChaosViolation.exit();
-            }
-            Exit::Ok.exit();
-        }
-        Err(e) => {
-            eprintln!("chaos: {e}");
             e.exit_code().exit();
         }
     }
@@ -466,17 +408,6 @@ fn main() {
             Exit::Usage.exit();
         };
         cache_admin(action, cache_dir.as_ref());
-    }
-
-    if args.first().map(String::as_str) == Some("chaos") {
-        let rest: Vec<&str> = args[1..]
-            .iter()
-            .map(String::as_str)
-            .filter(|a| {
-                *a != "--quick" && *a != "--sanitize" && *a != "--no-skip" && *a != "--live"
-            })
-            .collect();
-        chaos_cmd(&rest, quick, no_skip);
     }
 
     if args.first().map(String::as_str) == Some("trace") {

@@ -270,8 +270,6 @@ pub struct Campaign {
     /// Failed runs (watchdog trips, isolated panics, cache irregularities)
     /// recorded so the campaign can finish with partial results.
     failures: Mutex<Vec<RunFailure>>,
-    /// Watchdog applied to every simulation this campaign runs.
-    watchdog: Watchdog,
     /// Attach the cycle-level µarch sanitizer to every simulation
     /// (`--sanitize`). Disk-cache *loads* are skipped so each run actually
     /// executes under audit; results are still stored (the sanitizer is
@@ -493,7 +491,6 @@ impl Campaign {
             disk: None,
             parallelism,
             failures: Mutex::new(Vec::new()),
-            watchdog: Watchdog::default(),
             sanitize: false,
             skip: true,
             intervals: None,
@@ -525,11 +522,6 @@ impl Campaign {
         self.disk.as_ref()
     }
 
-    /// Override the per-run watchdog (tests, chaos harness).
-    pub fn set_watchdog(&mut self, wd: Watchdog) {
-        self.watchdog = wd;
-    }
-
     /// Make this campaign crash-resumable under `dir` (`--resume <dir>`):
     /// every plain (unsanitized, unprobed) simulation writes a machine
     /// snapshot every `interval` cycles and on watchdog trips or interrupt
@@ -554,12 +546,6 @@ impl Campaign {
             interval,
         });
         Ok(())
-    }
-
-    /// The checkpoint store, when [`Campaign::set_checkpointing`] is
-    /// active (diagnostics, chaos fault injection).
-    pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.ckpt.as_ref().map(|c| &c.store)
     }
 
     /// Run every simulation under the cycle-level µarch sanitizer. A run
@@ -807,7 +793,7 @@ impl Campaign {
                     let report = scout.try_run_fragmented(
                         warmup,
                         measure,
-                        &self.watchdog,
+                        &Watchdog::default(),
                         &opts,
                         &factory,
                     )?;
@@ -835,7 +821,7 @@ impl Campaign {
                         Some(ck) if !P::ENABLED && !S::ENABLED => {
                             self.resume_or_run(&mut sim, run, ck)?
                         }
-                        _ => sim.try_run(warmup, measure, &self.watchdog)?,
+                        _ => sim.try_run(warmup, measure, &Watchdog::default())?,
                     };
                     (RunAccount::new(&sim, result), vec![sim.into_observers()])
                 }
@@ -913,11 +899,11 @@ impl Campaign {
             stop: Some(&stop),
         };
         let outcome = match pending {
-            Some(p) => sim.resume_run(p, &self.watchdog, &mut opts),
+            Some(p) => sim.resume_run(p, &Watchdog::default(), &mut opts),
             None => sim.try_run_checkpointed(
                 self.params.warmup,
                 self.params.measure,
-                &self.watchdog,
+                &Watchdog::default(),
                 &mut opts,
             ),
         }?;
@@ -1711,17 +1697,27 @@ mod tests {
     #[test]
     fn failed_runs_are_recorded_not_fatal() {
         let c = quick_campaign();
-        // Table 2(b) has no 3-thread workloads.
-        let bad = RunKey {
-            arch: Arch::Baseline,
-            workload: "3-MIX".into(),
-            policy: PolicyKind::Icount,
-        };
-        let err = c.try_result(&bad).unwrap_err();
-        assert!(matches!(err, ExpError::UnknownWorkload { threads: 3, .. }));
-        let failures = c.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].error.kind(), "unknown-workload");
+        // An invented class, a thread count Table 2(b) lacks, and a
+        // benchmark outside the paper's twelve.
+        let mut errors = Vec::new();
+        for workload in ["4-QUX", "3-MIX", "solo:nosuchbench"] {
+            let key = RunKey {
+                arch: Arch::Baseline,
+                workload: workload.into(),
+                policy: PolicyKind::Icount,
+            };
+            errors.push(c.try_result(&key).unwrap_err());
+        }
+        assert!(
+            matches!(&errors[..], [
+                ExpError::UnknownWorkloadClass { given: class },
+                ExpError::UnknownWorkload { threads: 3, class: "MIX" },
+                ExpError::UnknownBenchmark { given: bench },
+            ] if class == "QUX" && bench == "nosuchbench"),
+            "{errors:?}"
+        );
+        let failures: Vec<ExpError> = c.failures().into_iter().map(|f| f.error).collect();
+        assert_eq!(failures, errors);
         assert!(c.failure_summary().unwrap().contains("partial"));
 
         // The campaign keeps working after the failure.
@@ -1786,7 +1782,13 @@ mod tests {
                 panic!("a failed request must not be built again")
             })
             .unwrap_err();
-        assert_eq!(err.kind(), "config");
+        assert!(
+            matches!(
+                err,
+                ExpError::Config(ConfigError::ZeroFetch { fetch_width: 0, .. })
+            ),
+            "{err}"
+        );
         assert_eq!(c.failures().len(), 3);
         let r = c.workload_result(Arch::Baseline, &wl, PolicyKind::Icount);
         assert!(r.throughput() > 0.0);

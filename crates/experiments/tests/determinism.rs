@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dwarn_core::PolicyKind;
-use smt_experiments::{Arch, Campaign, CustomRun, ExpParams, RunKey};
+use smt_experiments::{Arch, CacheFault, Campaign, CustomRun, ExpError, ExpParams, RunKey};
 use smt_pipeline::{FetchPolicy, SimConfig};
 use smt_workloads::{workload, WorkloadClass};
 
@@ -214,21 +214,39 @@ fn corrupt_cache_entries_are_resimulated_not_trusted() {
     let cold = Campaign::with_disk_cache(quick(), &dir).unwrap();
     let fresh: Vec<u64> = keys.iter().map(|k| cold.result(k).digest()).collect();
 
-    // Vandalize every stored entry: truncate half of them, fill the rest
-    // with garbage.
+    // Vandalize every stored entry three ways: truncate a third of them,
+    // fill a third with garbage, and flip one bit in the rest.
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .collect();
     entries.sort();
     assert_eq!(entries.len(), keys.len());
+    let mut expected = Vec::new();
     for (i, path) in entries.iter().enumerate() {
-        if i % 2 == 0 {
-            let text = std::fs::read_to_string(path).unwrap();
-            std::fs::write(path, &text[..text.len() / 3]).unwrap();
-        } else {
-            std::fs::write(path, "{\"not\": \"a cache entry\"}\n").unwrap();
-        }
+        let text = std::fs::read_to_string(path).unwrap();
+        let fault = match i % 3 {
+            0 => {
+                std::fs::write(path, &text[..text.len() / 3]).unwrap();
+                CacheFault::BadChecksum
+            }
+            1 => {
+                std::fs::write(path, "{\"not\": \"a cache entry\"}\n").unwrap();
+                CacheFault::BadMagic
+            }
+            _ => {
+                // The last digit of the `cycles` count changes, so the
+                // entry still parses: only the checksum can reject it.
+                let line = text.find("\ncycles ").unwrap() + 1;
+                let last_digit = line + text[line..].find('\n').unwrap() - 1;
+                let mut bytes = text.into_bytes();
+                bytes[last_digit] ^= 1;
+                std::fs::write(path, bytes).unwrap();
+                CacheFault::BadChecksum
+            }
+        };
+        let path = path.display().to_string();
+        expected.push(ExpError::Cache { path, fault });
     }
     let verify = cold.disk().unwrap().verify().unwrap();
     assert_eq!(verify.ok, 0, "vandalism must be detectable");
@@ -244,6 +262,11 @@ fn corrupt_cache_entries_are_resimulated_not_trusted() {
             "corrupt entry changed the result for {key:?}"
         );
     }
+    // Each vandalized entry was recorded once, with its exact fault.
+    let mut recorded: Vec<ExpError> = warm.failures().into_iter().map(|f| f.error).collect();
+    recorded.sort_by_key(ExpError::to_string);
+    expected.sort_by_key(ExpError::to_string);
+    assert_eq!(recorded, expected);
     // The fallback runs also repaired the cache in passing.
     assert_eq!(warm.disk().unwrap().verify().unwrap().ok, keys.len());
 }

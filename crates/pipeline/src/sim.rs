@@ -133,7 +133,7 @@ pub enum Mutation {
 ///
 /// Finally, generic over the fetch policy itself. The default
 /// `Box<dyn FetchPolicy>` keeps the flexible runtime path (custom and
-/// chaos policies); passing a concrete policy type instead monomorphizes
+/// test policies); passing a concrete policy type instead monomorphizes
 /// the per-cycle `fetch_order_into` call — the hottest virtual dispatch in
 /// the simulator — into a direct, inlinable call
 /// (`PolicyKind::dispatch` in `dwarn-core` routes the paper's policies
@@ -2405,13 +2405,6 @@ impl RunPhase {
 pub struct PendingRun {
     phase: RunPhase,
     watch: WatchState,
-}
-
-impl PendingRun {
-    /// Guarded cycles still to run (warmup + measure) — diagnostics.
-    pub fn cycles_left(&self) -> u64 {
-        self.phase.warmup_left + self.phase.measure_left
-    }
 }
 
 /// Checkpointing controls for [`Simulator::try_run_checkpointed`] /

@@ -317,7 +317,6 @@ fn interrupted_checkpointed_run_resumes_to_the_straight_result() {
     let snap = MachineSnapshot::from_bytes(&snap.to_bytes()).unwrap();
     let mut c = sanitized(specs);
     let pending = c.restore_run(&snap).unwrap();
-    assert!(pending.cycles_left() > 0);
     let mut sink2 = |_: &MachineSnapshot| {};
     let mut opts2 = CheckpointOpts {
         interval: 700,
