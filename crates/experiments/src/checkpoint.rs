@@ -1,24 +1,14 @@
-//! Crash-resumable campaign checkpoints (`--resume <dir>`).
+//! The on-disk checkpoint store and run journal.
 //!
-//! A checkpointing campaign periodically serializes every in-flight
-//! simulation as a [`MachineSnapshot`] and stores it here; after a crash,
-//! a SIGKILL, or a Ctrl-C, re-running with the same `--resume <dir>`
-//! restores each interrupted run from its last checkpoint and continues
-//! it — bit-identical to never having stopped (pinned by the golden
-//! restore-equivalence suite in `tests/restore.rs`).
+//! No campaign writes or reads these. They remain only as the layer the
+//! benchmark's traced pass times (its `ckpt.*` metrics) over snapshots of
+//! the `smt-pipeline` checkpoint engine, until they are retired with that
+//! engine (ROADMAP item 2):
 //!
-//! Two stores live under the resume directory:
-//!
-//! * `checkpoints/` — one [`CheckpointStore`] entry per in-flight run,
-//!   keyed (like the disk cache) by the FNV-1a hash of the run's canonical
-//!   description. Completed runs delete their checkpoint.
-//! * `results/` — a plain [`DiskCache`](crate::cache::DiskCache) of
-//!   *completed* results, so resumed invocations never redo finished work
-//!   even when no `--cache-dir` is given.
-//!
-//! plus `journal.jsonl`, an append-only, per-line-checksummed event log
-//! ([`Journal`]) recording campaign opens, interruptions, and completions
-//! — the audit trail the kill–resume CI gate checks for duplicate work.
+//! * [`CheckpointStore`] — one entry per run, keyed (like the disk cache)
+//!   by the FNV-1a hash of the run's canonical description;
+//! * [`Journal`] — an append-only, per-line-checksummed log of completed
+//!   runs.
 //!
 //! # Checkpoint entry wire format
 //!
@@ -33,12 +23,11 @@
 //! Every irregularity in a stored entry — torn write, flipped bit, another
 //! format revision, a hash collision or code-version skew (both surface as
 //! a key mismatch, since the key embeds [`crate::cache::CODE_VERSION`]),
-//! or a snapshot the simulator rejects — is a typed [`CheckpointFault`].
-//! The campaign records it as a failure artifact, deletes the entry, and
-//! re-simulates from scratch: a damaged checkpoint can cost time but never
-//! a wrong number. Writes use the same crash-safe discipline as the disk
-//! cache (unique temp file, fsync, atomic rename; orphaned temp files from
-//! dead writers are swept on open).
+//! or a snapshot the simulator rejects — is a typed [`CheckpointFault`],
+//! never a panic or a silently wrong snapshot. Writes use the same
+//! crash-safe discipline as the disk cache (unique temp file, fsync,
+//! atomic rename; orphaned temp files from dead writers are swept on
+//! open).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -57,9 +46,8 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// Checkpoint entry file extension.
 const EXT: &str = "snap";
 
-/// Why a checkpoint entry was rejected. Every variant means the run
-/// re-simulates from scratch — typed so the irregularity becomes a failure
-/// artifact instead of vanishing silently.
+/// Why a checkpoint entry was rejected — typed, so the irregularity is
+/// reported instead of vanishing silently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointFault {
     /// The entry file exists but could not be read.
@@ -126,13 +114,8 @@ impl CheckpointStore {
         Ok(store)
     }
 
-    /// The directory this store keeps entries in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The file a checkpoint for `key_desc` lives in (diagnostics and
-    /// fault injection; the file may not exist).
+    /// The file a checkpoint for `key_desc` lives in (the file may not
+    /// exist).
     pub fn path_for(&self, key_desc: &str) -> PathBuf {
         self.dir
             .join(format!("{:016x}.{EXT}", fnv1a(key_desc.as_bytes())))
@@ -143,15 +126,6 @@ impl CheckpointStore {
     /// checkpoint or none, never a torn one.
     pub fn store(&self, key_desc: &str, snap: &MachineSnapshot) -> std::io::Result<()> {
         crate::cache::write_atomic(&self.path_for(key_desc), &render_entry(key_desc, snap))
-    }
-
-    /// Delete the checkpoint for `key_desc` (the run completed, or its
-    /// entry was found irregular). Missing entries are not an error.
-    pub fn remove(&self, key_desc: &str) -> std::io::Result<()> {
-        match std::fs::remove_file(self.path_for(key_desc)) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
     }
 
     /// Load the checkpoint for `key_desc`. `Ok(None)` means no checkpoint
@@ -165,14 +139,6 @@ impl CheckpointStore {
             Err(e) => return Err(CheckpointFault::Unreadable(e.to_string())),
         };
         parse_entry(&bytes, key_desc).map(Some)
-    }
-
-    /// Number of checkpoint entries currently stored.
-    pub fn entries(&self) -> std::io::Result<usize> {
-        Ok(std::fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some(EXT))
-            .count())
     }
 }
 
@@ -233,16 +199,11 @@ fn parse_entry(bytes: &[u8], expect_key: &str) -> Result<MachineSnapshot, Checkp
     MachineSnapshot::from_bytes(&snap_bytes).map_err(CheckpointFault::Snapshot)
 }
 
-/// Append-only, per-line-checksummed campaign event log.
+/// Append-only, per-line-checksummed log of completed runs.
 ///
 /// Each line is `<16-hex FNV-1a of payload> <payload JSON>`; a reader
 /// drops any line whose checksum fails (a torn tail from a crash mid-write
-/// costs that line, never the log). Events:
-///
-/// * `resume` — a checkpointing campaign opened this directory;
-/// * `completed` — a run finished (`source` says whether it simulated in
-///   this process or was served from the resume results cache);
-/// * `interrupted` — a run stopped on request with a resumable checkpoint.
+/// costs that line, never the log).
 #[derive(Debug)]
 pub struct Journal {
     file: std::fs::File,
@@ -265,31 +226,14 @@ impl Journal {
         self.file.sync_data()
     }
 
-    /// Record that a checkpointing campaign opened this resume directory.
-    pub fn note_resume(&mut self) -> std::io::Result<()> {
-        self.note(&Json::obj(vec![
-            ("event", Json::str("resume")),
-            ("pid", Json::U64(std::process::id() as u64)),
-        ]))
-    }
-
-    /// Record a completed run: `source` is `"sim"` for a fresh simulation
-    /// or `"resume-cache"` when served from the resume results store.
+    /// Record a completed run: `source` says where its result came from
+    /// (`"sim"` for a fresh simulation).
     pub fn note_completed(&mut self, what: &str, digest: u64, source: &str) -> std::io::Result<()> {
         self.note(&Json::obj(vec![
             ("event", Json::str("completed")),
             ("what", Json::str(what.to_string())),
             ("digest", Json::str(format!("{digest:#018x}"))),
             ("source", Json::str(source.to_string())),
-        ]))
-    }
-
-    /// Record a run interrupted with a resumable checkpoint on disk.
-    pub fn note_interrupted(&mut self, what: &str, cycle: u64) -> std::io::Result<()> {
-        self.note(&Json::obj(vec![
-            ("event", Json::str("interrupted")),
-            ("what", Json::str(what.to_string())),
-            ("cycle", Json::U64(cycle)),
         ]))
     }
 
@@ -342,10 +286,6 @@ mod tests {
         let back = s.load_checked("k").unwrap().unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.digest(), snap.digest());
-        assert_eq!(s.entries().unwrap(), 1);
-        s.remove("k").unwrap();
-        assert!(s.load_checked("k").unwrap().is_none());
-        s.remove("k").unwrap(); // idempotent
     }
 
     #[test]
@@ -462,10 +402,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.jsonl");
         let mut j = Journal::open(&path).unwrap();
-        j.note_resume().unwrap();
         j.note_completed("baseline/2-MIX/DWARN", 0xABCD, "sim")
             .unwrap();
-        j.note_interrupted("baseline/2-MEM/FLUSH", 1234).unwrap();
+        j.note_completed("baseline/2-MEM/FLUSH", 0x1234, "sim")
+            .unwrap();
         drop(j);
         // Simulate a crash mid-append: a torn final line.
         use std::io::Write as _;
@@ -477,19 +417,19 @@ mod tests {
         drop(f);
 
         let entries = Journal::read_verified(&path).unwrap();
-        assert_eq!(entries.len(), 3, "torn tail dropped: {entries:?}");
-        assert!(entries[0].contains("\"event\":\"resume\""));
-        assert!(entries[1].contains("\"what\":\"baseline/2-MIX/DWARN\""));
-        assert!(entries[1].contains("\"source\":\"sim\""));
-        assert!(entries[2].contains("\"cycle\":1234"));
+        assert_eq!(entries.len(), 2, "torn tail dropped: {entries:?}");
+        assert!(entries[0].contains("\"what\":\"baseline/2-MIX/DWARN\""));
+        assert!(entries[0].contains("\"source\":\"sim\""));
+        assert!(entries[1].contains("\"digest\":\"0x0000000000001234\""));
 
         // Reopening appends after the torn line without disturbing it.
         let mut j = Journal::open(&path).unwrap();
-        j.note_resume().unwrap();
+        j.note_completed("baseline/4-MIX/DWARN", 0xABCD, "sim")
+            .unwrap();
         // The torn fragment merged with the new line is itself dropped,
         // but the log as a whole keeps accepting entries.
         let after = Journal::read_verified(&path).unwrap();
-        assert!(after.len() >= 3);
+        assert!(after.len() >= 2);
 
         // A missing journal reads as empty.
         assert!(Journal::read_verified(&dir.join("absent.jsonl"))

@@ -14,10 +14,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use smt_pipeline::{ConfigError, SimError};
 
 use crate::cache::CacheFault;
-use crate::checkpoint::CheckpointFault;
 
 /// The CLI's process exit codes, a contract for scripts: the usage text,
-/// README.md and EXPERIMENTS.md document every value.
+/// README.md, EXPERIMENTS.md and DESIGN.md §9.1 document every value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exit {
     /// Everything went fine.
@@ -28,23 +27,11 @@ pub enum Exit {
     Usage = 2,
     /// The campaign completed, but with partial results (some runs failed).
     Partial = 3,
-    /// The campaign was interrupted (Ctrl-C) with resumable checkpoints on
-    /// disk: partial results and failure artifacts were flushed, and
-    /// re-running with the same `--resume <dir>` continues from them.
-    /// Status 4 is retired and stays unused, so scripts that read 5 keep
-    /// working.
-    Interrupted = 5,
 }
 
 impl Exit {
     /// Every status, in value order.
-    pub const ALL: [Exit; 5] = [
-        Exit::Ok,
-        Exit::Runtime,
-        Exit::Usage,
-        Exit::Partial,
-        Exit::Interrupted,
-    ];
+    pub const ALL: [Exit; 4] = [Exit::Ok, Exit::Runtime, Exit::Usage, Exit::Partial];
 
     /// The process exit status.
     pub fn code(self) -> i32 {
@@ -94,16 +81,6 @@ pub enum ExpError {
     /// A disk-cache entry was present but irregular (recorded as a failure
     /// artifact; the run itself falls back to re-simulation).
     Cache { path: String, fault: CacheFault },
-    /// A checkpoint entry was present but irregular (recorded as a failure
-    /// artifact; the entry is deleted and the run re-simulates from
-    /// scratch).
-    Checkpoint {
-        path: String,
-        fault: CheckpointFault,
-    },
-    /// The run stopped on an interrupt request with a resumable checkpoint
-    /// written; the campaign exits [`Exit::Interrupted`].
-    Interrupted { what: String },
     /// An I/O failure outside the cache (artifact export, trace files, …).
     Io { context: String, detail: String },
 }
@@ -144,12 +121,6 @@ impl fmt::Display for ExpError {
             ExpError::Cache { path, fault } => {
                 write!(f, "cache entry {path}: {fault} (re-simulated)")
             }
-            ExpError::Checkpoint { path, fault } => {
-                write!(f, "checkpoint entry {path}: {fault} (re-simulated)")
-            }
-            ExpError::Interrupted { what } => {
-                write!(f, "{what}: interrupted with a resumable checkpoint")
-            }
             ExpError::Io { context, detail } => write!(f, "I/O failure ({context}): {detail}"),
         }
     }
@@ -185,21 +156,18 @@ impl ExpError {
             ExpError::Panicked { .. } => "panic",
             ExpError::Invariant { .. } => "invariant",
             ExpError::Cache { .. } => "cache",
-            ExpError::Checkpoint { .. } => "checkpoint",
-            ExpError::Interrupted { .. } => "interrupted",
             ExpError::Io { .. } => "io",
         }
     }
 
     /// The process exit code this error maps to: usage errors exit 2,
-    /// interrupts exit 5, other runtime failures exit 1.
+    /// runtime failures exit 1.
     pub fn exit_code(&self) -> Exit {
         match self {
             ExpError::BadWorkloadName { .. }
             | ExpError::UnknownWorkloadClass { .. }
             | ExpError::UnknownWorkload { .. }
             | ExpError::UnknownBenchmark { .. } => Exit::Usage,
-            ExpError::Interrupted { .. } => Exit::Interrupted,
             _ => Exit::Runtime,
         }
     }
@@ -278,17 +246,16 @@ mod tests {
 
     #[test]
     fn exit_codes_are_the_documented_values() {
-        // No wildcard: a sixth status fails to compile here until the
+        // No wildcard: a fifth status fails to compile here until the
         // contract (and its documentation) is extended on purpose.
         let documented = |e: Exit| match e {
             Exit::Ok => 0,
             Exit::Runtime => 1,
             Exit::Usage => 2,
             Exit::Partial => 3,
-            Exit::Interrupted => 5,
         };
         let codes: Vec<i32> = Exit::ALL.iter().map(|e| e.code()).collect();
-        assert_eq!(codes, [0, 1, 2, 3, 5]);
+        assert_eq!(codes, [0, 1, 2, 3]);
         for e in Exit::ALL {
             assert_eq!(e.code(), documented(e), "{e:?}");
         }

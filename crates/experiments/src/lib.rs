@@ -49,7 +49,6 @@ pub mod error;
 pub mod extensions;
 pub mod figures;
 pub mod grid;
-pub mod interrupt;
 pub mod meta;
 pub mod paper;
 pub mod report;

@@ -15,12 +15,11 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use smt_experiments::error::{self, Exit};
-use smt_experiments::{artifacts, interrupt, suite, Campaign, DiskCache, ExpParams};
+use smt_experiments::{artifacts, suite, Campaign, DiskCache, ExpParams};
 
 const USAGE: &str = "\
 usage: smt-experiments [--quick] [--stats-json <dir>] [--cache-dir <dir>]
-                       [--intervals <dir>] [--resume <dir>] [--live]
-                       <experiment>...
+                       [--intervals <dir>] [--live] <experiment>...
 
 experiments:
   table2a    cache behaviour of isolated benchmarks (Table 2a)
@@ -76,28 +75,23 @@ flags:
   --cache-dir <dir>  persist simulation results across invocations; results
                      are re-simulated (never trusted) if an entry is stale,
                      corrupt, or from a different code version
-  --resume <dir>     make the campaign crash-resumable under <dir>: periodic
-                     machine snapshots for in-flight runs, completed results,
-                     and a journal live there; Ctrl-C (or a crash, or a
-                     watchdog trip) leaves resumable state, and re-running
-                     with the same <dir> continues bit-identically with no
-                     redone work (damaged checkpoints are typed failures
-                     that re-simulate from scratch)
-  --checkpoint-interval <n>
-                     cycles between periodic snapshots (default 20000)
   --fragments <n>    time-axis parallel fragment replay: when spare cores
                      exist (pending grid narrower than SMT_JOBS/core count),
                      each simulation runs a null-observer scout pass that
                      snapshots the machine every <n> cycles, then replays
                      the fragments concurrently with the real observers and
                      stitches a result proven bit-identical to a sequential
-                     run (ignored under --resume)
+                     run
 
 exit codes:
   0  success          1  runtime failure       2  bad usage
   3  partial results (some runs failed)
-  5  interrupted (Ctrl-C); resumable via --resume with the same directory
 ";
+
+/// The CLI's flags that take no value. Every value flag is taken off the
+/// command line before anything else reads it, so any other leftover
+/// `--<name>` argument is a flag the CLI does not know.
+const SWITCHES: [&str; 4] = ["--quick", "--sanitize", "--no-skip", "--live"];
 
 fn compare(campaign: &Campaign, args: &[&str]) -> String {
     use smt_experiments::Arch;
@@ -254,7 +248,6 @@ struct CampaignOpts {
     no_skip: bool,
     live: bool,
     intervals: Option<(PathBuf, u64)>,
-    resume: Option<(PathBuf, u64)>,
     /// Fragment length for time-axis parallel replay (0 = sequential).
     fragments: u64,
 }
@@ -286,15 +279,6 @@ fn build_campaign(params: ExpParams, cache_dir: Option<&PathBuf>, opts: &Campaig
             eprintln!("--intervals {}: {e}", dir.display());
             Exit::Runtime.exit();
         }
-    }
-    if let Some((dir, interval)) = &opts.resume {
-        if let Err(e) = campaign.set_checkpointing(dir, *interval) {
-            eprintln!("--resume {}: {e}", dir.display());
-            Exit::Runtime.exit();
-        }
-        // Ctrl-C on a checkpointing campaign drains to resumable
-        // checkpoints instead of killing the process mid-write.
-        interrupt::install();
     }
     campaign
 }
@@ -353,18 +337,30 @@ fn run_experiments(campaign: &Campaign, exps: &[&str]) -> u32 {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(dir) = take_dir_flag(&mut args, "stats-json") {
+    let stats_dir = take_dir_flag(&mut args, "stats-json");
+    let cache_dir = take_dir_flag(&mut args, "cache-dir");
+    let intervals_dir = take_dir_flag(&mut args, "intervals");
+    let interval_window = take_num_flag(&mut args, "interval-window", 1024);
+    let fragments = take_num_flag(&mut args, "fragments", 0);
+    // `trace` parses its own flags; everywhere else an unknown flag is a
+    // usage error, caught before anything touches the disk. A bare `--`,
+    // the separator in `smt-experiments -- all`, is not a flag.
+    if args.first().map(String::as_str) != Some("trace") {
+        let unknown = args
+            .iter()
+            .find(|a| a.starts_with("--") && *a != "--" && !SWITCHES.contains(&a.as_str()));
+        if let Some(flag) = unknown {
+            eprintln!("unknown flag: {flag}\n");
+            eprint!("{USAGE}");
+            Exit::Usage.exit();
+        }
+    }
+    if let Some(dir) = stats_dir {
         if let Err(e) = artifacts::enable(&dir) {
             eprintln!("--stats-json {}: {e}", dir.display());
             Exit::Runtime.exit();
         }
     }
-    let cache_dir = take_dir_flag(&mut args, "cache-dir");
-    let intervals_dir = take_dir_flag(&mut args, "intervals");
-    let interval_window = take_num_flag(&mut args, "interval-window", 1024);
-    let resume_dir = take_dir_flag(&mut args, "resume");
-    let checkpoint_interval = take_num_flag(&mut args, "checkpoint-interval", 20_000);
-    let fragments = take_num_flag(&mut args, "fragments", 0);
     let quick = args.iter().any(|a| a == "--quick");
     let sanitize = args.iter().any(|a| a == "--sanitize");
     let no_skip = args.iter().any(|a| a == "--no-skip");
@@ -374,7 +370,6 @@ fn main() {
         no_skip,
         live,
         intervals: intervals_dir.clone().map(|dir| (dir, interval_window)),
-        resume: resume_dir.clone().map(|dir| (dir, checkpoint_interval)),
         fragments,
     };
 
@@ -414,9 +409,7 @@ fn main() {
         let rest: Vec<&str> = args[1..]
             .iter()
             .map(String::as_str)
-            .filter(|a| {
-                *a != "--quick" && *a != "--sanitize" && *a != "--no-skip" && *a != "--live"
-            })
+            .filter(|a| !SWITCHES.contains(a))
             .collect();
         let opts = match smt_experiments::tracing::parse_args(&rest) {
             Ok(o) => o,
@@ -462,18 +455,11 @@ fn main() {
         // interval series, so every one of its runs is live (the disk
         // cache stores only SimResults) and it would break the 5 s warm
         // `all` budget that CI's `bench` job gates. Run it as `-- meta`.
-        exps = vec![
-            "table2a",
-            "fig1",
-            "fig2",
-            "fig3",
-            "table4",
-            "fig4",
-            "fig5",
-            "ablation",
-            "taxonomy",
-            "extensions",
-        ];
+        exps = suite::ALL
+            .iter()
+            .map(|&(name, _)| name)
+            .filter(|&name| name != "meta")
+            .collect();
     }
 
     let params = if quick {
@@ -485,17 +471,6 @@ fn main() {
     let broken_experiments = run_experiments(&campaign, &exps);
     if let Some(summary) = campaign.failure_summary() {
         eprintln!("\n{summary}");
-    }
-    // An interrupt takes precedence over the partial-results code: the
-    // partial state here is deliberate and resumable, not a failure.
-    if interrupt::requested() {
-        if let Some((dir, _)) = &opts.resume {
-            eprintln!(
-                "interrupted: partial results flushed; resume with --resume {}",
-                dir.display()
-            );
-        }
-        Exit::Interrupted.exit();
     }
     if broken_experiments > 0 || !campaign.failures().is_empty() {
         if campaign.failures().is_empty() {

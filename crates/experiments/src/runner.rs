@@ -28,14 +28,12 @@ use std::time::Instant;
 use dwarn_core::{PolicyKind, PolicyVisitor};
 use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries, Json};
 use smt_pipeline::{
-    CheckpointOpts, ConfigError, FetchPolicy, FragmentOpts, MachineSnapshot, NullProbe,
-    NullSanitizer, Probe, RecordingSanitizer, RunOutcome, Sanitizer, SimConfig, SimError,
-    SimResult, Simulator, ThreadSpec, Watchdog,
+    ConfigError, FetchPolicy, FragmentOpts, NullProbe, NullSanitizer, Probe, RecordingSanitizer,
+    Sanitizer, SimConfig, SimError, SimResult, Simulator, ThreadSpec, Watchdog,
 };
 use smt_workloads::Workload;
 
 use crate::cache::DiskCache;
-use crate::checkpoint::{CheckpointFault, CheckpointStore, Journal};
 use crate::error::{protect, ExpError, RunFailure};
 
 /// Simulation window lengths.
@@ -116,8 +114,8 @@ impl RunKey {
         }
     }
 
-    /// `arch/workload/policy`: the run's name in failures, the journal,
-    /// progress lines and interval file names.
+    /// `arch/workload/policy`: the run's name in failures, progress lines
+    /// and interval file names.
     fn label(&self) -> String {
         format!(
             "{}/{}/{}",
@@ -305,31 +303,6 @@ pub struct Campaign {
     /// Progress of the current prefetch batch, for runs/sec and ETA:
     /// `(batch_total, started, completed_before_batch)`.
     batch: Mutex<Option<(usize, Instant, u64)>>,
-    /// Checkpoint/resume state (`--resume <dir>`): periodic machine
-    /// snapshots for every in-flight simulation, a results store for
-    /// completed runs, and the resume journal.
-    ckpt: Option<CkptState>,
-}
-
-/// Everything a checkpointing campaign keeps under its resume directory.
-struct CkptState {
-    /// In-flight run snapshots (`<dir>/checkpoints`).
-    store: CheckpointStore,
-    /// Completed results (`<dir>/results`), so a resumed invocation never
-    /// redoes finished work even when no `--cache-dir` is attached.
-    results: DiskCache,
-    /// Append-only event log (`<dir>/journal.jsonl`).
-    journal: Mutex<Journal>,
-    /// Cycles between periodic snapshots.
-    interval: u64,
-}
-
-impl CkptState {
-    /// Journal writes are best-effort: losing an audit line must never
-    /// fail the run it describes.
-    fn journal_completed(&self, what: &str, digest: u64, source: &str) {
-        let _ = crate::lock_unpoisoned(&self.journal).note_completed(what, digest, source);
-    }
 }
 
 /// Destination and window length for interval telemetry
@@ -355,9 +328,9 @@ struct Telemetry {
 
 /// One simulation request as the run driver sees it.
 struct Run<'a> {
-    /// Label for failures, the journal and interval file names.
+    /// Label for failures and interval file names.
     what: &'a str,
-    /// The canonical description: the cache and checkpoint key.
+    /// The canonical description: the cache key.
     desc: &'a str,
     cfg: &'a SimConfig,
     specs: &'a [ThreadSpec],
@@ -398,7 +371,7 @@ impl RunAccount {
 
 /// Where [`Campaign::load_or_simulate`] found a run's result.
 enum Served {
-    /// The disk cache or the resume directory's results store.
+    /// The disk cache.
     Stored(SimResult),
     /// A fresh simulation.
     Simulated(RunAccount),
@@ -500,7 +473,6 @@ impl Campaign {
             fragments: None,
             pool_width: AtomicUsize::new(1),
             batch: Mutex::new(None),
-            ckpt: None,
         })
     }
 
@@ -520,32 +492,6 @@ impl Campaign {
     /// The persistent store, if one is attached.
     pub fn disk(&self) -> Option<&DiskCache> {
         self.disk.as_ref()
-    }
-
-    /// Make this campaign crash-resumable under `dir` (`--resume <dir>`):
-    /// every plain (unsanitized, unprobed) simulation writes a machine
-    /// snapshot every `interval` cycles and on watchdog trips or interrupt
-    /// requests; completed results persist under `dir/results`; and
-    /// `dir/journal.jsonl` logs every completion and interruption. A later
-    /// campaign pointed at the same `dir` restores each in-flight run from
-    /// its checkpoint and continues it bit-identically, serves completed
-    /// runs from the results store, and redoes nothing.
-    ///
-    /// An `interval` of 0 disables periodic snapshots but keeps the
-    /// interrupt/watchdog checkpoints and the results store.
-    pub fn set_checkpointing(&mut self, dir: &Path, interval: u64) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let store = CheckpointStore::open(&dir.join("checkpoints"))?;
-        let results = DiskCache::open(&dir.join("results"))?;
-        let mut journal = Journal::open(&dir.join("journal.jsonl"))?;
-        journal.note_resume()?;
-        self.ckpt = Some(CkptState {
-            store,
-            results,
-            journal: Mutex::new(journal),
-            interval,
-        });
-        Ok(())
     }
 
     /// Run every simulation under the cycle-level µarch sanitizer. A run
@@ -588,8 +534,7 @@ impl Campaign {
     /// `cycles` cycles, then re-simulates the fragments concurrently with
     /// the real observer configuration and stitches the results —
     /// bit-identical to a sequential run (the engine proves it per run).
-    /// `0` disables. Checkpointing campaigns (`--resume`) ignore it: a
-    /// resumable run must stay a single sequential timeline.
+    /// `0` disables.
     pub fn set_fragments(&mut self, cycles: u64) {
         self.fragments = (cycles > 0).then_some(cycles);
     }
@@ -608,7 +553,7 @@ impl Campaign {
         let cycles = self.fragments?;
         let width = self.pool_width.load(Ordering::Relaxed).max(1);
         let jobs = self.parallelism / width;
-        (jobs >= 2 && self.ckpt.is_none()).then_some((jobs, cycles))
+        (jobs >= 2).then_some((jobs, cycles))
     }
 
     /// Attach the interval sampler (`--intervals <dir>`): every simulation
@@ -753,16 +698,14 @@ impl Campaign {
     }
 
     /// The campaign's run driver, behind the panic boundary and watchdog.
-    /// It picks one of three execution modes:
+    /// It picks one of two execution modes:
     ///
     /// * **fragment replay** when [`Campaign::fragment_plan`] finds spare
-    ///   cores (never under `--resume`): a null-observer scout pass
-    ///   snapshots the machine every `fragment_cycles` cycles while a pool
-    ///   of workers re-simulates the fragments with the real observers,
-    ///   and the stitched output is proven bit-identical to a sequential
-    ///   run before anything is recorded;
-    /// * **checkpointed** for observer-free runs of a campaign with a
-    ///   resume directory ([`Campaign::resume_or_run`]);
+    ///   cores: a null-observer scout pass snapshots the machine every
+    ///   `fragment_cycles` cycles while a pool of workers re-simulates the
+    ///   fragments with the real observers, and the stitched output is
+    ///   proven bit-identical to a sequential run before anything is
+    ///   recorded;
     /// * **sequential** otherwise.
     ///
     /// Afterwards every sanitizer is audited and the probes' interval
@@ -813,16 +756,7 @@ impl Campaign {
                 }
                 None => {
                     let mut sim = self.build(run, policy, probe(), sanitizer())?;
-                    let result = match &self.ckpt {
-                        // --sanitize and --intervals already force every
-                        // run to execute fully in-process (they bypass
-                        // cache loads), so a resumable snapshot would buy
-                        // nothing there.
-                        Some(ck) if !P::ENABLED && !S::ENABLED => {
-                            self.resume_or_run(&mut sim, run, ck)?
-                        }
-                        _ => sim.try_run(warmup, measure, &Watchdog::default())?,
-                    };
+                    let result = sim.try_run(warmup, measure, &Watchdog::default())?;
                     (RunAccount::new(&sim, result), vec![sim.into_observers()])
                 }
             };
@@ -846,8 +780,8 @@ impl Campaign {
         })
     }
 
-    /// The one place a campaign builds a simulator: sequential,
-    /// checkpointed, fragment scout and replay worker alike.
+    /// The one place a campaign builds a simulator: sequential, fragment
+    /// scout and replay worker alike.
     fn build<P: Probe, S: Sanitizer, G: FetchPolicy>(
         &self,
         run: &Run<'_>,
@@ -861,73 +795,9 @@ impl Campaign {
         Ok(sim)
     }
 
-    /// The checkpointed mode: restore from a prior snapshot when one
-    /// exists, write periodic snapshots while running, and turn interrupt
-    /// requests into [`ExpError::Interrupted`] with a resumable checkpoint
-    /// on disk. A watchdog trip also leaves a resumable checkpoint behind
-    /// (the engine feeds the sink before erroring out). Irregular
-    /// checkpoints surface as typed [`ExpError::Checkpoint`] failures —
-    /// the caller deletes the entry and re-simulates from scratch.
-    fn resume_or_run<P: Probe, S: Sanitizer, F: FetchPolicy>(
-        &self,
-        sim: &mut Simulator<P, S, F>,
-        run: &Run<'_>,
-        ck: &CkptState,
-    ) -> Result<SimResult, ExpError> {
-        let (what, desc) = (run.what, run.desc);
-        let ckpt_err = |fault: CheckpointFault| ExpError::Checkpoint {
-            path: ck.store.path_for(desc).display().to_string(),
-            fault,
-        };
-        let pending = match ck.store.load_checked(desc).map_err(&ckpt_err)? {
-            Some(snap) => Some(
-                sim.restore_run(&snap)
-                    .map_err(|e| ckpt_err(CheckpointFault::Snapshot(e)))?,
-            ),
-            None => None,
-        };
-        // A failed snapshot write costs resumability, never the run.
-        let mut sink = |snap: &MachineSnapshot| {
-            if let Err(e) = ck.store.store(desc, snap) {
-                eprintln!("checkpoint: storing snapshot for {what}: {e}");
-            }
-        };
-        let stop = crate::interrupt::requested;
-        let mut opts = CheckpointOpts {
-            interval: ck.interval,
-            sink: &mut sink,
-            stop: Some(&stop),
-        };
-        let outcome = match pending {
-            Some(p) => sim.resume_run(p, &Watchdog::default(), &mut opts),
-            None => sim.try_run_checkpointed(
-                self.params.warmup,
-                self.params.measure,
-                &Watchdog::default(),
-                &mut opts,
-            ),
-        }?;
-        match outcome {
-            RunOutcome::Completed(result) => {
-                // The run is done: its checkpoint is dead weight.
-                let _ = ck.store.remove(desc);
-                Ok(result)
-            }
-            RunOutcome::Interrupted(snap) => {
-                if let Err(e) = ck.store.store(desc, &snap) {
-                    eprintln!("checkpoint: storing snapshot for {what}: {e}");
-                }
-                let _ = crate::lock_unpoisoned(&ck.journal).note_interrupted(what, snap.cycle());
-                Err(ExpError::Interrupted {
-                    what: what.to_string(),
-                })
-            }
-        }
-    }
-
-    /// The canonical cache-key description of `key` (diagnostics and fault
-    /// injection).
-    pub fn describe(&self, key: &RunKey) -> Result<String, ExpError> {
+    /// The canonical cache-key description of `key`, by which a batch
+    /// collapses duplicate requests.
+    fn describe(&self, key: &RunKey) -> Result<String, ExpError> {
         let specs = specs_for(key)?;
         Ok(describe_run(
             &key.arch.config(),
@@ -1044,93 +914,45 @@ impl Campaign {
     }
 
     /// The sequence every campaign run goes through once its
-    /// configuration is valid: the disk cache, then the resume
-    /// directory's results store (so a resumed campaign redoes no finished
-    /// work even without `--cache-dir`), then `simulate` — re-run once
-    /// from scratch after an irregular checkpoint, whose typed fault is
-    /// recorded and whose entry is deleted (which is what disables
-    /// resume) — and finally the stores and the journal. Under
-    /// `--sanitize` a cache hit would dodge the audit, and under
-    /// `--intervals` it would produce no time-series, so loads are skipped
-    /// in both modes; the stores still refresh the entry (probed and
-    /// sanitized results are bit-identical to plain ones). An irregular
-    /// cache entry is recorded as a typed failure and treated as a miss;
-    /// stores retry transient I/O failures with backoff, and a final store
-    /// failure only costs future warm starts, so it is recorded, not fatal.
+    /// configuration is valid: the disk cache, then `simulate`, then the
+    /// store. Under `--sanitize` a cache hit would dodge the audit, and
+    /// under `--intervals` it would produce no time-series, so loads are
+    /// skipped in both modes; the store still refreshes the entry (probed
+    /// and sanitized results are bit-identical to plain ones). An
+    /// irregular cache entry is recorded as a typed failure and treated as
+    /// a miss; stores retry transient I/O failures with backoff, and a
+    /// final store failure only costs future warm starts, so it is
+    /// recorded, not fatal.
     fn load_or_simulate(
         &self,
         run: &Run<'_>,
-        simulate: impl Fn() -> Result<RunAccount, ExpError>,
+        simulate: impl FnOnce() -> Result<RunAccount, ExpError>,
     ) -> Result<Served, ExpError> {
         let (what, desc) = (run.what, run.desc);
-        if !self.bypass_cache_loads() {
-            if let Some(r) = self.disk.as_ref().and_then(|d| self.load_entry(d, desc)) {
-                return Ok(Served::Stored(r));
-            }
-            if let Some(ck) = &self.ckpt {
-                if let Some(r) = self.load_entry(&ck.results, desc) {
-                    ck.journal_completed(what, r.digest(), "resume-cache");
-                    return Ok(Served::Stored(r));
-                }
-                // Nothing finished: if an interrupt is already latched,
-                // don't start a fresh simulation just to stop it at its
-                // first cycle.
-                if crate::interrupt::requested() {
-                    return Err(ExpError::Interrupted {
-                        what: what.to_string(),
-                    });
+        let disk = self.disk.as_ref();
+        if let Some(disk) = disk.filter(|_| !self.bypass_cache_loads()) {
+            match disk.load_checked(desc) {
+                Ok(Some(r)) => return Ok(Served::Stored(r)),
+                Ok(None) => {}
+                Err(fault) => {
+                    let e = ExpError::Cache {
+                        path: disk.entry_path(desc).display().to_string(),
+                        fault,
+                    };
+                    self.note_failure(desc, &e);
                 }
             }
         }
-        let acc = match simulate() {
-            Err(e @ ExpError::Checkpoint { .. }) => {
-                self.note_failure(what, &e);
-                if let Some(ck) = &self.ckpt {
-                    let _ = ck.store.remove(desc);
-                }
-                simulate()?
-            }
-            other => other?,
-        };
-        let stores = [
-            (self.disk.as_ref(), "cache", "cache entry"),
-            (
-                self.ckpt.as_ref().map(|c| &c.results),
-                "checkpoint",
-                "resume result",
-            ),
-        ];
-        for (store, tag, entry) in stores {
-            let Some(store) = store else { continue };
-            if let Err(e) = store.store_retrying(desc, &acc.result, 3) {
-                let e = ExpError::Io {
-                    context: format!("storing {entry} for {what}"),
-                    detail: e.to_string(),
-                };
-                eprintln!("{tag}: {e}");
-                self.note_failure(desc, &e);
-            }
-        }
-        if let Some(ck) = &self.ckpt {
-            ck.journal_completed(what, acc.result.digest(), "sim");
+        let acc = simulate()?;
+        if let Some(Err(e)) = disk.map(|d| d.store_retrying(desc, &acc.result, 3)) {
+            let e = ExpError::Io {
+                context: format!("storing cache entry for {what}"),
+                detail: e.to_string(),
+            };
+            eprintln!("cache: {e}");
+            self.note_failure(desc, &e);
         }
         Ok(Served::Simulated(acc))
-    }
-
-    /// A result store's entry for `desc`; an irregular entry is recorded
-    /// as a typed failure and treated as a miss.
-    fn load_entry(&self, store: &DiskCache, desc: &str) -> Option<SimResult> {
-        match store.load_checked(desc) {
-            Ok(r) => r,
-            Err(fault) => {
-                let e = ExpError::Cache {
-                    path: store.entry_path(desc).display().to_string(),
-                    fault,
-                };
-                self.note_failure(desc, &e);
-                None
-            }
-        }
     }
 
     /// Run an ad-hoc (config, workload, policy) combination through both
@@ -1268,12 +1090,6 @@ impl Campaign {
                     s.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= jobs.len() {
-                            break;
-                        }
-                        // Ctrl-C on a checkpointing campaign: in-flight
-                        // runs drain to resumable checkpoints; requests not
-                        // yet started stay untouched for the resume.
-                        if self.ckpt.is_some() && crate::interrupt::requested() {
                             break;
                         }
                         // Failures are recorded and memoized on the

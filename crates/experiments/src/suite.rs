@@ -1,6 +1,7 @@
 //! The named experiment suite — the single source of truth for what
-//! `smt-experiments -- all` runs, shared by the CLI and the `pr2` bench
-//! target (which times a cold and a warm pass over the same list).
+//! `smt-experiments -- all` runs (every entry but `meta`), shared by the
+//! CLI and the benchmark, which times a cold and a warm pass over the same
+//! list.
 
 use crate::runner::Campaign;
 use crate::{ablation, extensions, figures, meta, table2a, table4, taxonomy};

@@ -158,18 +158,39 @@ fn names_code(text: &str, digit: char) -> bool {
     })
 }
 
+/// DESIGN.md's exit-code list: §9.1, from its heading to the next one.
+fn design_error_taxonomy(text: &str) -> Option<&str> {
+    let start = text.find("\n### 9.1")? + 1;
+    let len = text[start..]
+        .match_indices("\n#")
+        .next()
+        .map_or(text.len() - start, |(i, _)| i);
+    Some(&text[start..start + len])
+}
+
+/// Statuses the CLI no longer returns: 4 (the retired fault injector's)
+/// and 5 (the retired interrupted-and-resumable status).
+const RETIRED: [u32; 2] = [4, 5];
+
 #[test]
-fn usage_readme_and_experiments_name_every_exit_code() {
+fn usage_and_docs_name_the_live_exit_codes_only() {
     use smt_experiments::error::Exit;
-    let docs = [
-        ("the USAGE text", usage_text()),
-        ("README.md", read(&repo_root().join("README.md"))),
-        ("EXPERIMENTS.md", read(&repo_root().join("EXPERIMENTS.md"))),
+    type Section = fn(&str) -> Option<&str>;
+    let doc = |name: &str| read(&repo_root().join(name));
+    let docs: [(&str, String, Section); 4] = [
+        ("the USAGE text", usage_text(), exit_code_section),
+        ("README.md", doc("README.md"), exit_code_section),
+        ("EXPERIMENTS.md", doc("EXPERIMENTS.md"), exit_code_section),
+        ("DESIGN.md", doc("DESIGN.md"), design_error_taxonomy),
     ];
-    let codes: Vec<i32> = Exit::ALL.iter().map(|e| e.code()).collect();
-    for (name, text) in &docs {
-        let section =
-            exit_code_section(text).unwrap_or_else(|| panic!("{name} has no exit-code section"));
+    for retired in RETIRED {
+        assert!(
+            Exit::ALL.iter().all(|e| e.code() != retired as i32),
+            "status {retired} is live again; take it off RETIRED"
+        );
+    }
+    for (name, text, section_of) in &docs {
+        let section = section_of(text).unwrap_or_else(|| panic!("{name} has no exit-code section"));
         for exit in Exit::ALL {
             let digit = char::from_digit(exit.code() as u32, 10).expect("single-digit code");
             assert!(
@@ -178,10 +199,8 @@ fn usage_readme_and_experiments_name_every_exit_code() {
                 exit.code()
             );
         }
-        // A retired status below the highest one (4) stays undocumented.
-        let highest = codes.iter().copied().max().unwrap_or(0);
-        for retired in (0..highest).filter(|c| !codes.contains(c)) {
-            let digit = char::from_digit(retired as u32, 10).expect("single-digit code");
+        for retired in RETIRED {
+            let digit = char::from_digit(retired, 10).expect("single-digit code");
             assert!(
                 !names_code(section, digit),
                 "{name}'s exit-code section still names the retired status {retired}:\n{section}"

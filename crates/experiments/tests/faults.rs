@@ -1,19 +1,13 @@
 //! Campaign-level fault contracts. Each test injects one fault into a
-//! real campaign and pins its exact response: the typed `ExpError` it
-//! records and the digest the campaign still returns. DESIGN.md §9.4 maps
+//! real campaign, or into the real binary's command line, and pins its
+//! exact response: the typed `ExpError` the campaign records and the
+//! digest it still returns, or the CLI's exit status. DESIGN.md §9.4 maps
 //! every fault to the test that pins it.
 
-use std::cell::Cell;
+use std::process::Command;
 
-use dwarn_core::PolicyKind;
-use smt_experiments::checkpoint::CHECKPOINT_VERSION;
-use smt_experiments::{
-    Arch, Campaign, CheckpointFault, CheckpointStore, ExpError, ExpParams, RunKey,
-};
-use smt_pipeline::{
-    CheckpointOpts, FetchPolicy, MachineSnapshot, PolicyView, RunOutcome, SimConfig, Simulator,
-    ThreadSpec, Watchdog,
-};
+use smt_experiments::{Arch, Campaign, ExpError, ExpParams, RunKey};
+use smt_pipeline::{FetchPolicy, PolicyView, SimConfig};
 use smt_workloads::{workload, WorkloadClass};
 
 const QUICK: ExpParams = ExpParams {
@@ -73,79 +67,6 @@ fn a_policy_that_panics_mid_run_is_isolated() {
     campaign
         .try_result(&RunKey::solo(Arch::Baseline, "mcf"))
         .unwrap();
-}
-
-/// The key's own first periodic checkpoint, as an interrupted run leaves it.
-fn first_checkpoint(key: &RunKey, specs: &[ThreadSpec]) -> MachineSnapshot {
-    let mut sim = Simulator::new(key.arch.config(), key.policy.build(), specs);
-    let seen = Cell::new(false);
-    let mut sink = |_: &MachineSnapshot| seen.set(true);
-    let stop = || seen.get();
-    let mut opts = CheckpointOpts {
-        interval: 500,
-        sink: &mut sink,
-        stop: Some(&stop),
-    };
-    let wd = Watchdog::default();
-    match sim.try_run_checkpointed(QUICK.warmup, QUICK.measure, &wd, &mut opts) {
-        Ok(RunOutcome::Interrupted(snap)) => snap,
-        _ => panic!("the run must stop at its first checkpoint"),
-    }
-}
-
-#[test]
-fn a_damaged_checkpoint_is_a_typed_failure_and_resimulates() {
-    let mix = workload(2, WorkloadClass::Mix);
-    let key = RunKey::workload(Arch::Baseline, &mix, PolicyKind::DWarn);
-    let want = Campaign::new(QUICK).try_result(&key).unwrap().digest();
-    let snap = first_checkpoint(&key, &mix.thread_specs());
-    let skew = CheckpointFault::VersionSkew {
-        found: 0xDEAD,
-        supported: CHECKPOINT_VERSION,
-    };
-    let damages = [
-        CheckpointFault::Truncated,
-        CheckpointFault::BadChecksum,
-        skew,
-        CheckpointFault::StaleGeneration,
-    ];
-    for (i, fault) in damages.into_iter().enumerate() {
-        let dir = std::env::temp_dir().join(format!("dwarn-faults-{}-{i}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut campaign = Campaign::new(QUICK);
-        campaign.set_checkpointing(&dir, 0).unwrap();
-        let desc = campaign.describe(&key).unwrap();
-        let store = CheckpointStore::open(&dir.join("checkpoints")).unwrap();
-        let path = store.path_for(&desc);
-
-        // Plant a genuine checkpoint on the key's path (for a stale
-        // generation, one recorded under a foreign description), then
-        // damage it.
-        let planted = match fault {
-            CheckpointFault::StaleGeneration => format!("{desc} [foreign generation]"),
-            _ => desc.clone(),
-        };
-        store.store(&planted, &snap).unwrap();
-        std::fs::rename(store.path_for(&planted), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        match fault {
-            // A cut inside the envelope header.
-            CheckpointFault::Truncated => bytes.truncate(11),
-            CheckpointFault::BadChecksum => bytes[mid] ^= 0x10,
-            CheckpointFault::VersionSkew { found, .. } => {
-                bytes[8..12].copy_from_slice(&found.to_le_bytes());
-            }
-            _ => {}
-        }
-        std::fs::write(&path, &bytes).unwrap();
-
-        let got = campaign.try_result(&key).unwrap();
-        assert_eq!(got.digest(), want, "{fault}");
-        let path = path.display().to_string();
-        assert_eq!(recorded(&campaign), [ExpError::Checkpoint { path, fault }]);
-        assert_eq!(store.entries().unwrap(), 0, "the damaged entry is deleted");
-    }
 }
 
 /// A fault class the typed-error and digest checks above cannot see — a
@@ -226,4 +147,48 @@ fn sanitizer_catches_a_self_contradicting_policy_as_a_typed_error() {
             || Box::new(Contradict),
         )
         .expect("unsanitized run completes, silently wrong");
+}
+
+/// A flag the CLI does not know, a retired one included, is a usage
+/// error: the process exits 2 naming the flag, before it simulates
+/// anything or creates a directory.
+#[test]
+fn retired_and_unknown_flags_are_usage_errors() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["table2a", "--quick", "--resume=r"], "--resume"),
+        (
+            &["table2a", "--quick", "--checkpoint-interval", "100"],
+            "--checkpoint-interval",
+        ),
+        (&["table2a", "--quick", "--santize"], "--santize"),
+        (&["all", "--quick", "--resume", "r"], "--resume"),
+    ];
+    for (i, (args, flag)) in cases.into_iter().enumerate() {
+        let cwd = std::env::temp_dir().join(format!("dwarn-flags-{}-{i}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cwd);
+        std::fs::create_dir_all(&cwd).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_smt-experiments"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let created: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+        assert!(created.is_empty(), "{args:?} created {created:?}");
+        std::fs::remove_dir_all(&cwd).unwrap();
+    }
+    // A bare `--` is a separator, not a flag: what the CLI rejects here is
+    // the experiment after it.
+    let out = Command::new(env!("CARGO_BIN_EXE_smt-experiments"))
+        .args(["--", "no-such-experiment"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("unknown experiment: no-such-experiment"),
+        "{stderr}"
+    );
 }
