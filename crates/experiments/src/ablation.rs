@@ -13,6 +13,7 @@ use smt_metrics::table::TextTable;
 use smt_pipeline::{FetchPolicy, SimConfig};
 use smt_workloads::{workload, Workload, WorkloadClass};
 
+use crate::artifacts::RunRecord;
 use crate::runner::{Campaign, CustomRun, Request};
 
 /// One declared custom run and the stats record it leaves: `tag` names
@@ -57,7 +58,13 @@ impl Point {
         } = &self.run;
         let name = build().name();
         let result = campaign.run_custom(cfg, specs, policy_desc, build);
-        crate::artifacts::record_tagged(&self.tag, "baseline", &self.workload, name, &result);
+        crate::artifacts::record(RunRecord::new(
+            &self.tag,
+            "baseline",
+            &self.workload,
+            name,
+            &result,
+        ));
         result.throughput()
     }
 }

@@ -17,32 +17,47 @@ use std::sync::Mutex;
 use smt_obs::Json;
 use smt_pipeline::{SimResult, ThreadStats};
 
-use crate::runner::RunKey;
-
 /// One recorded simulation.
-struct RunRecord {
+pub struct RunRecord {
     /// Which experiment produced the run (e.g. `"campaign"`,
     /// `"ablation:dg-threshold"`).
-    tag: String,
-    arch: String,
+    pub tag: String,
+    pub arch: String,
     /// Workload name (`"4-MIX"`) or solo baseline (`"solo:mcf"`).
-    workload: String,
-    policy: String,
-    result: SimResult,
+    pub workload: String,
+    pub policy: String,
+    pub result: SimResult,
     /// `(skipped_cycles, total_cycles)` when the run executed in this
     /// process; `None` for cache-served results (the quiescence engine's
     /// skip count is observation-only and deliberately kept out of the
     /// persisted [`SimResult`]).
-    skip: Option<(u64, u64)>,
+    pub skip: Option<(u64, u64)>,
     /// Fetch-policy switch count when the run executed in this process
     /// (zero for static policies, `None` for cache-served results — like
     /// `skip`, the switch log is observational and not persisted).
-    switches: Option<u64>,
+    pub switches: Option<u64>,
     /// `(fragments, fragment_cycles)` when the run executed through the
     /// time-axis fragment-replay engine; `None` for sequential and
     /// cache-served runs. Observational, like `skip`: fragmented results
     /// are proven bit-identical, so nothing else in the record changes.
-    fragments: Option<(u64, u64)>,
+    pub fragments: Option<(u64, u64)>,
+}
+
+impl RunRecord {
+    /// A run with no in-process execution accounting: every optional
+    /// field is `None` until the caller sets it.
+    pub fn new(tag: &str, arch: &str, workload: &str, policy: &str, result: &SimResult) -> Self {
+        RunRecord {
+            tag: tag.to_string(),
+            arch: arch.to_string(),
+            workload: workload.to_string(),
+            policy: policy.to_string(),
+            result: result.clone(),
+            skip: None,
+            switches: None,
+            fragments: None,
+        }
+    }
 }
 
 /// One recorded run failure (watchdog trip, isolated panic, cache fault).
@@ -71,74 +86,10 @@ pub fn enable(dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Whether [`enable`] has been called (and [`flush`] has not yet run).
-pub fn enabled() -> bool {
-    crate::lock_unpoisoned(&SINK).is_some()
-}
-
-/// Record a campaign run. No-op unless [`enable`]d.
-pub fn record(key: &RunKey, result: &SimResult) {
-    record_with_runtime(key, result, None, None, None);
-}
-
-/// As [`record`], with the run's in-process execution accounting:
-/// quiescence-skip cycles (`skip = (skipped_cycles, total_cycles)`), the
-/// fetch-policy switch count (non-zero only for the switching
-/// meta-policies), and the fragment-replay shape
-/// (`fragments = (fragments, fragment_cycles)`, `None` for sequential
-/// runs). All are `None` for cache-served results.
-pub fn record_with_runtime(
-    key: &RunKey,
-    result: &SimResult,
-    skip: Option<(u64, u64)>,
-    switches: Option<u64>,
-    fragments: Option<(u64, u64)>,
-) {
-    let mut sink = crate::lock_unpoisoned(&SINK);
-    if let Some(sink) = sink.as_mut() {
-        sink.records.push(RunRecord {
-            tag: "campaign".to_string(),
-            arch: key.arch.as_str().to_string(),
-            workload: key.workload.clone(),
-            policy: key.policy.name().to_string(),
-            result: result.clone(),
-            skip,
-            switches,
-            fragments,
-        });
-    }
-}
-
-/// Record an arbitrary run (the ablation sweeps build their own
-/// simulators outside the campaign cache). No-op unless [`enable`]d.
-pub fn record_tagged(tag: &str, arch: &str, workload: &str, policy: &str, result: &SimResult) {
-    record_tagged_with_switches(tag, arch, workload, policy, result, None);
-}
-
-/// As [`record_tagged`], carrying the run's live policy-switch count. A
-/// tagged run is always an in-process execution, so callers that have the
-/// count (the `meta` study, the `trace` subcommand) pass `Some` — zero
-/// for a static policy is a real measurement, not a missing one.
-pub fn record_tagged_with_switches(
-    tag: &str,
-    arch: &str,
-    workload: &str,
-    policy: &str,
-    result: &SimResult,
-    switches: Option<u64>,
-) {
-    let mut sink = crate::lock_unpoisoned(&SINK);
-    if let Some(sink) = sink.as_mut() {
-        sink.records.push(RunRecord {
-            tag: tag.to_string(),
-            arch: arch.to_string(),
-            workload: workload.to_string(),
-            policy: policy.to_string(),
-            result: result.clone(),
-            skip: None,
-            switches,
-            fragments: None,
-        });
+/// Record a run. No-op unless [`enable`]d.
+pub fn record(run: RunRecord) {
+    if let Some(sink) = crate::lock_unpoisoned(&SINK).as_mut() {
+        sink.records.push(run);
     }
 }
 
@@ -198,20 +149,8 @@ pub fn flush() -> std::io::Result<Option<(usize, PathBuf)>> {
 /// The stats document for one run, outside the sink — the `trace`
 /// subcommand writes this next to its Chrome trace. Relative IPCs and the
 /// Hmean are null (no solo baselines in a single-run export).
-pub fn stats_json(tag: &str, arch: &str, workload: &str, policy: &str, result: &SimResult) -> Json {
-    run_json(
-        &RunRecord {
-            tag: tag.to_string(),
-            arch: arch.to_string(),
-            workload: workload.to_string(),
-            policy: policy.to_string(),
-            result: result.clone(),
-            skip: None,
-            switches: None,
-            fragments: None,
-        },
-        &[],
-    )
+pub fn stats_json(run: &RunRecord) -> Json {
+    run_json(run, &[])
 }
 
 /// Single-threaded ICOUNT IPCs per (arch, benchmark), from the recorded
@@ -232,21 +171,8 @@ fn benchmarks_of(workload: &str) -> Option<Vec<String>> {
     if let Some(bench) = workload.strip_prefix("solo:") {
         return Some(vec![bench.to_string()]);
     }
-    let (n, c) = workload.split_once('-')?;
-    let threads: usize = n.parse().ok()?;
-    let class = match c {
-        "ILP" => smt_workloads::WorkloadClass::Ilp,
-        "MIX" => smt_workloads::WorkloadClass::Mix,
-        "MEM" => smt_workloads::WorkloadClass::Mem,
-        _ => return None,
-    };
-    Some(
-        smt_workloads::try_workload(threads, class)?
-            .benchmarks
-            .iter()
-            .map(|b| b.to_string())
-            .collect(),
-    )
+    let wl = crate::runner::workload_by_name(workload).ok()?;
+    Some(wl.benchmarks.iter().map(|b| b.to_string()).collect())
 }
 
 pub(crate) fn sanitize(s: &str) -> String {
@@ -453,14 +379,14 @@ mod tests {
 
     #[test]
     fn skip_ratio_is_null_for_cache_served_runs() {
-        let doc = stats_json(
+        let rec = RunRecord::new(
             "trace",
             "baseline",
             "2-MIX",
             "ICOUNT",
             &fake_result(&[1.0, 1.0]),
-        )
-        .render();
+        );
+        let doc = stats_json(&rec).render();
         assert!(doc.contains("\"skip_ratio\":null"), "{doc}");
         assert!(doc.contains("\"fragments\":null"), "{doc}");
         assert!(doc.contains("\"fragment_cycles\":null"), "{doc}");

@@ -4,22 +4,34 @@
 //! cargo run --release -p smt-experiments -- all
 //! cargo run --release -p smt-experiments -- fig1 fig3 --quick
 //! cargo run --release -p smt-experiments -- table4 --stats-json out/
-//! cargo run --release -p smt-experiments -- trace --policy dwarn --workload mix4
+//! cargo run --release -p smt-experiments -- trace DWARN @4-MIX --quick
 //! ```
+//!
+//! The command line is parsed once, against [`FLAGS`]: a flag the chosen
+//! command does not read exits 2 before anything is built or created.
+//! `compare` and `trace` name their run the same way, as
+//! `[<POLICY>...] [@WORKLOAD] [@ARCH]`.
 
 // User-facing paths degrade to typed errors; a stray unwrap turns a
 // recoverable fault into an abort.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use dwarn_core::PolicyKind;
 use smt_experiments::error::{self, Exit};
-use smt_experiments::{artifacts, suite, Campaign, DiskCache, ExpParams};
+use smt_experiments::runner::{comparison_table, workload_by_name};
+use smt_experiments::suite::{self, ExperimentFn};
+use smt_experiments::tracing::{self, TraceOpts};
+use smt_experiments::{artifacts, Arch, Campaign, DiskCache, ExpParams};
+use smt_obs::IntervalConfig;
+use smt_workloads::{Workload, WorkloadClass};
 
 const USAGE: &str = "\
-usage: smt-experiments [--quick] [--stats-json <dir>] [--cache-dir <dir>]
-                       [--intervals <dir>] [--live] <experiment>...
+usage: smt-experiments <experiment>... [--quick] [--sanitize] [--no-skip] [--live]
+                       [--stats-json <dir>] [--cache-dir <dir>]
+                       [--intervals <dir>] [--fragments <n>]
 
 experiments:
   table2a    cache behaviour of isolated benchmarks (Table 2a)
@@ -38,24 +50,33 @@ experiments:
   all        the cached paper suite (everything above except `meta`,
              whose oracle runs are live by design -- run it separately)
 
-  compare <POLICY>... [@WORKLOAD] [@ARCH]
+  compare [<POLICY>...] [@WORKLOAD] [@ARCH]
              ad-hoc comparison, e.g.:  compare DWARN FLUSH @8-MEM @deep
+             (the paper's six policies, 4-MIX and the baseline unless
+             named); reads the experiments' flags
+
+  trace [<POLICY>] [@WORKLOAD] [@ARCH] [--quick] [--stats-json <dir>]
+        [--detail] [--out <dir>]
+             capture one run (DWARN, 4-MIX and the baseline unless named)
+             with the recording probe and write a Chrome trace-event JSON
+             (Perfetto / chrome://tracing: the event timeline plus 50-cycle
+             interval counter tracks) plus stats JSON under --out
+             (default target/traces); --detail adds per-instruction events
+
+             A run names policies (ICOUNT, STALL, FLUSH, DG, PDG, DC-PRED,
+             DWARN, DWARN-PRIO, META-MISS, META-IPC, META-EPS), one Table
+             2(b) workload (@2-ILP ... @8-MEM) and one machine (@baseline,
+             @small, @deep).
 
   cache <stats|clear|verify> --cache-dir <dir>
              inspect, empty, or integrity-check a persistent result cache
 
-  trace [--policy P] [--workload W] [--arch A] [--cycles N] [--warmup N]
-        [--detail] [--out DIR]
-             capture one run with the recording probe and write a Chrome
-             trace-event JSON (Perfetto / chrome://tracing: the event
-             timeline plus 50-cycle interval counter tracks) plus stats JSON
-
-  report [<dir>]
+  report <dir>
              segment the interval time-series a previous `--intervals <dir>`
              campaign wrote into phases and print per-run phase summary
-             tables (defaults to the --intervals directory when given)
+             tables
 
-flags:
+flags (a flag the command does not read is bad usage):
   --quick            short simulation windows (smoke test)
   --no-skip          disable the quiescence-skipping cycle engine and run
                      the naive per-cycle loop (results are bit-identical
@@ -64,19 +85,18 @@ flags:
                      simulation; invariant violations fail the run (and
                      disk-cache loads are bypassed so runs really execute)
   --stats-json <dir> write one structured JSON stats file per simulation run
-  --intervals <dir>  attach the interval sampler to every simulation and
-                     write per-run interval JSONL + Chrome counter-track
-                     files (plus the events.jsonl heartbeat stream) there;
-                     disk-cache loads are bypassed so runs really execute
-  --interval-window <n>
-                     interval length in cycles (default 1024)
+  --intervals <dir>  attach the interval sampler (1024-cycle windows) to
+                     every simulation and write per-run interval JSONL +
+                     Chrome counter-track files (plus the events.jsonl
+                     heartbeat stream) there; disk-cache loads are bypassed
+                     so runs really execute
   --live             per-completion campaign progress on stderr: worker
                      status, cache hit/miss/coalesce counters, runs/sec, ETA
   --cache-dir <dir>  persist simulation results across invocations; results
                      are re-simulated (never trusted) if an entry is stale,
                      corrupt, or from a different code version
   --fragments <n>    time-axis parallel fragment replay: when spare cores
-                     exist (pending grid narrower than SMT_JOBS/core count),
+                     exist (a batch narrower than SMT_JOBS/core count),
                      each simulation runs a null-observer scout pass that
                      snapshots the machine every <n> cycles, then replays
                      the fragments concurrently with the real observers and
@@ -88,126 +108,233 @@ exit codes:
   3  partial results (some runs failed)
 ";
 
-/// The CLI's flags that take no value. Every value flag is taken off the
-/// command line before anything else reads it, so any other leftover
-/// `--<name>` argument is a flag the CLI does not know.
-const SWITCHES: [&str; 4] = ["--quick", "--sanitize", "--no-skip", "--live"];
+/// Flags the experiments and `compare` read, and no other command.
+const CAMPAIGN: &[&str] = &["experiments", "compare"];
 
-fn compare(campaign: &Campaign, args: &[&str]) -> String {
-    use smt_experiments::Arch;
-    let mut policies = Vec::new();
-    let mut workload = "4-MIX".to_string();
-    let mut arch = Arch::Baseline;
-    for a in args {
-        if let Some(w) = a.strip_prefix('@') {
-            match w {
-                "small" => arch = Arch::Small,
-                "deep" => arch = Arch::Deep,
-                "baseline" => arch = Arch::Baseline,
-                other => {
-                    let known = ["2", "4", "6", "8"]
-                        .iter()
-                        .flat_map(|n| {
-                            ["ILP", "MIX", "MEM"]
-                                .iter()
-                                .map(move |c| format!("{n}-{c}"))
-                        })
-                        .any(|name| name == other);
-                    if !known {
-                        eprintln!("unknown workload: {other} (Table 2b has 2/4/6/8-ILP/MIX/MEM)");
-                        Exit::Usage.exit();
-                    }
-                    workload = other.to_string();
+/// Every flag: its name, whether it takes a value, and the commands that
+/// read it. "experiments" stands for every suite name, `all` and `meta`
+/// included.
+const FLAGS: [(&str, bool, &[&str]); 10] = [
+    ("--quick", false, &["experiments", "compare", "trace"]),
+    ("--sanitize", false, CAMPAIGN),
+    ("--no-skip", false, CAMPAIGN),
+    ("--live", false, CAMPAIGN),
+    ("--intervals", true, CAMPAIGN),
+    ("--fragments", true, CAMPAIGN),
+    ("--stats-json", true, &["experiments", "compare", "trace"]),
+    ("--cache-dir", true, &["experiments", "compare", "cache"]),
+    ("--detail", false, &["trace"]),
+    ("--out", true, &["trace"]),
+];
+
+/// The subcommands; any other first word names an experiment.
+const COMMANDS: [&str; 4] = ["compare", "trace", "cache", "report"];
+
+/// The command line, parsed against [`FLAGS`].
+struct Cli {
+    /// A subcommand, or "experiments".
+    command: &'static str,
+    /// The arguments after the subcommand (every argument, for the
+    /// experiments) that are neither flags nor flag values.
+    words: Vec<String>,
+    /// Each flag given, with its value when it takes one.
+    flags: Vec<(&'static str, Option<String>)>,
+    /// `--fragments`, a positive number; 0 when absent.
+    fragments: u64,
+}
+
+impl Cli {
+    /// Parse `args`, refusing an unknown flag, a missing or unwanted
+    /// value, and a flag the command does not read.
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+        let (mut words, mut flags) = (Vec::new(), Vec::new());
+        while let Some(arg) = args.next() {
+            // A bare `--` is the separator in `smt-experiments -- all`.
+            if arg == "--" {
+                continue;
+            }
+            if !arg.starts_with("--") {
+                words.push(arg);
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let Some(&(name, takes_value, _)) = FLAGS.iter().find(|f| f.0 == name) else {
+                return Err(format!("unknown flag: {name}"));
+            };
+            let value = match (takes_value, inline) {
+                (true, None) => Some(args.next().ok_or(format!("{name} needs a value"))?),
+                (false, Some(_)) => return Err(format!("{name} takes no value")),
+                (_, value) => value,
+            };
+            flags.push((name, value));
+        }
+        let command = COMMANDS
+            .into_iter()
+            .find(|&c| words.first().is_some_and(|w| w == c))
+            .unwrap_or("experiments");
+        if command != "experiments" {
+            words.remove(0);
+        }
+        for (name, _) in &flags {
+            if !FLAGS.iter().any(|f| f.0 == *name && f.2.contains(&command)) {
+                return Err(format!("{name} is not a flag of {command}"));
+            }
+        }
+        let mut cli = Cli {
+            command,
+            words,
+            flags,
+            fragments: 0,
+        };
+        if let Some(n) = cli.value("--fragments") {
+            cli.fragments = n
+                .parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or("--fragments needs a positive number")?;
+        }
+        Ok(cli)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+
+    /// The value of the last `name` given.
+    fn value(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().rev().find(|(flag, _)| *flag == name)?;
+        value.as_deref()
+    }
+
+    fn params(&self) -> ExpParams {
+        if self.has("--quick") {
+            ExpParams::quick()
+        } else {
+            ExpParams::standard()
+        }
+    }
+}
+
+/// Print `msg` and the usage text, and exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}\n");
+    eprint!("{USAGE}");
+    Exit::Usage.exit();
+}
+
+/// A run named as `[<POLICY>...] [@WORKLOAD] [@ARCH]`.
+struct RunName {
+    policies: Vec<PolicyKind>,
+    /// 4-MIX unless named.
+    workload: Workload,
+    /// The baseline unless named.
+    arch: Arch,
+}
+
+fn parse_run(words: &[&str]) -> Result<RunName, String> {
+    let mut run = RunName {
+        policies: Vec::new(),
+        workload: smt_workloads::workload(4, WorkloadClass::Mix),
+        arch: Arch::Baseline,
+    };
+    for &word in words {
+        if let Some(name) = word.strip_prefix('@') {
+            match Arch::parse(name) {
+                Some(arch) => run.arch = arch,
+                None => {
+                    run.workload = workload_by_name(name).map_err(|e| {
+                        format!(
+                            "{word} names no machine (baseline, small, deep) and no workload: {e}"
+                        )
+                    })?
                 }
             }
-        } else if let Some(k) = dwarn_core::PolicyKind::parse(a) {
-            policies.push(k);
         } else {
-            eprintln!("unknown policy: {a}");
-            Exit::Usage.exit();
+            let policy = PolicyKind::parse(word).ok_or(format!("unknown policy: {word}"))?;
+            run.policies.push(policy);
         }
     }
-    if policies.is_empty() {
-        policies = dwarn_core::PolicyKind::paper_set().to_vec();
-    }
-    match smt_experiments::runner::comparison_table(campaign, arch, &workload, &policies) {
-        Ok(mut t) => {
-            t.push('\n');
-            t
+    Ok(run)
+}
+
+/// The `compare` subcommand.
+fn compare(cli: &Cli, words: &[&str]) {
+    let run = parse_run(words).unwrap_or_else(|e| usage(&e));
+    let policies = if run.policies.is_empty() {
+        PolicyKind::paper_set().to_vec()
+    } else {
+        run.policies
+    };
+    let campaign = build_campaign(cli);
+    println!(
+        "{}",
+        comparison_table(&campaign, run.arch, &run.workload, &policies)
+    );
+    flush_artifacts();
+}
+
+/// The `trace` subcommand: one policy, DWARN unless named.
+fn trace(cli: &Cli, words: &[&str]) {
+    let run = parse_run(words).unwrap_or_else(|e| usage(&e));
+    let policy = match run.policies[..] {
+        [] => PolicyKind::DWarn,
+        [policy] => policy,
+        _ => {
+            let names: Vec<&str> = run.policies.iter().map(|p| p.name()).collect();
+            usage(&format!("trace takes one policy, not {}", names.join(" ")))
         }
+    };
+    let opts = TraceOpts {
+        policy,
+        workload: run.workload,
+        arch: run.arch,
+        params: cli.params(),
+        detail: cli.has("--detail"),
+        out_dir: PathBuf::from(cli.value("--out").unwrap_or("target/traces")),
+    };
+    enable_stats(cli);
+    match tracing::run(&opts) {
+        Ok(summary) => println!("{summary}"),
         Err(e) => {
-            eprintln!("compare: {e}");
+            eprintln!("trace: {e}");
+            e.exit_code().exit();
+        }
+    }
+    flush_artifacts();
+}
+
+/// The `report <dir>` subcommand.
+fn report(dir: &str) {
+    match smt_experiments::report::report_dir(Path::new(dir)) {
+        Ok(rendered) => print!("{rendered}"),
+        Err(e) => {
+            eprintln!("report: {e}");
             e.exit_code().exit();
         }
     }
 }
 
-/// Extract `--<flag> <dir>` / `--<flag>=<dir>` from `args`.
-fn take_dir_flag(args: &mut Vec<String>, flag: &str) -> Option<PathBuf> {
-    let long = format!("--{flag}");
-    let eq = format!("--{flag}=");
-    let mut dir = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == long {
-            if i + 1 >= args.len() {
-                eprintln!("--{flag} needs a directory argument\n");
-                eprint!("{USAGE}");
-                Exit::Usage.exit();
-            }
-            dir = Some(PathBuf::from(args.remove(i + 1)));
-            args.remove(i);
-        } else if let Some(v) = args[i].strip_prefix(&eq) {
-            dir = Some(PathBuf::from(v));
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    dir
-}
-
-/// Extract `--<flag> <n>` / `--<flag>=<n>` from `args` as a positive
-/// number, or `default` when absent.
-fn take_num_flag(args: &mut Vec<String>, flag: &str, default: u64) -> u64 {
-    let Some(v) = take_dir_flag(args, flag) else {
-        return default;
-    };
-    match v
-        .to_str()
-        .and_then(|s| s.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-    {
-        Some(n) => n,
-        None => {
-            eprintln!("--{flag} needs a positive numeric argument\n");
-            eprint!("{USAGE}");
-            Exit::Usage.exit();
-        }
-    }
-}
-
 /// The `cache <stats|clear|verify>` subcommand.
-fn cache_admin(action: &str, dir: Option<&PathBuf>) -> ! {
+fn cache_admin(action: &str, dir: Option<&str>) -> ! {
     let Some(dir) = dir else {
-        eprintln!("cache {action} needs --cache-dir <dir>\n");
-        eprint!("{USAGE}");
-        Exit::Usage.exit();
+        usage(&format!("cache {action} needs --cache-dir <dir>"));
     };
-    let cache = match DiskCache::open(dir) {
+    let cache = match DiskCache::open(Path::new(dir)) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("cache: {}: {e}", dir.display());
+            eprintln!("cache: {dir}: {e}");
             Exit::Runtime.exit();
         }
     };
     let outcome = match action {
         "stats" => cache.stats().map(|s| {
             println!(
-                "{} entr{} in {}, {} bytes",
+                "{} entr{} in {dir}, {} bytes",
                 s.entries,
                 if s.entries == 1 { "y" } else { "ies" },
-                dir.display(),
                 s.bytes
             );
             Exit::Ok
@@ -227,11 +354,9 @@ fn cache_admin(action: &str, dir: Option<&PathBuf>) -> ! {
                 Exit::Runtime
             }
         }),
-        other => {
-            eprintln!("unknown cache action: {other} (stats, clear, verify)\n");
-            eprint!("{USAGE}");
-            Exit::Usage.exit();
-        }
+        other => usage(&format!(
+            "unknown cache action: {other} (stats, clear, verify)"
+        )),
     };
     match outcome {
         Ok(code) => code.exit(),
@@ -242,41 +367,37 @@ fn cache_admin(action: &str, dir: Option<&PathBuf>) -> ! {
     }
 }
 
-/// Campaign-level options parsed off the command line.
-struct CampaignOpts {
-    sanitize: bool,
-    no_skip: bool,
-    live: bool,
-    intervals: Option<(PathBuf, u64)>,
-    /// Fragment length for time-axis parallel replay (0 = sequential).
-    fragments: u64,
-}
-
-/// Build the campaign, attaching the persistent cache when requested.
-fn build_campaign(params: ExpParams, cache_dir: Option<&PathBuf>, opts: &CampaignOpts) -> Campaign {
-    // A malformed SMT_JOBS is a usage error here, not a panic: the CLI is
-    // exactly the caller that can tell the user what to fix.
-    let mut campaign = match Campaign::try_new(params) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}\n");
-            eprint!("{USAGE}");
-            Exit::Usage.exit();
-        }
-    };
-    if let Some(dir) = cache_dir {
-        if let Err(e) = campaign.attach_disk_cache(dir) {
-            eprintln!("--cache-dir {}: {e}", dir.display());
+/// Start collecting `--stats-json` records, when asked.
+fn enable_stats(cli: &Cli) {
+    if let Some(dir) = cli.value("--stats-json") {
+        if let Err(e) = artifacts::enable(Path::new(dir)) {
+            eprintln!("--stats-json {dir}: {e}");
             Exit::Runtime.exit();
         }
     }
-    campaign.set_fragments(opts.fragments);
-    campaign.set_sanitize(opts.sanitize);
-    campaign.set_skip(!opts.no_skip);
-    campaign.set_live(opts.live);
-    if let Some((dir, window)) = &opts.intervals {
-        if let Err(e) = campaign.set_intervals(dir, *window) {
-            eprintln!("--intervals {}: {e}", dir.display());
+}
+
+/// Build the campaign of the experiments and `compare`, with every flag
+/// they read applied.
+fn build_campaign(cli: &Cli) -> Campaign {
+    // A malformed SMT_JOBS is a usage error here, not a panic: the CLI is
+    // exactly the caller that can tell the user what to fix.
+    let mut campaign = Campaign::try_new(cli.params()).unwrap_or_else(|e| usage(&e.to_string()));
+    enable_stats(cli);
+    if let Some(dir) = cli.value("--cache-dir") {
+        if let Err(e) = campaign.attach_disk_cache(Path::new(dir)) {
+            eprintln!("--cache-dir {dir}: {e}");
+            Exit::Runtime.exit();
+        }
+    }
+    campaign.set_fragments(cli.fragments);
+    campaign.set_sanitize(cli.has("--sanitize"));
+    campaign.set_skip(!cli.has("--no-skip"));
+    campaign.set_live(cli.has("--live"));
+    if let Some(dir) = cli.value("--intervals") {
+        let window = IntervalConfig::default().window;
+        if let Err(e) = campaign.set_intervals(Path::new(dir), window) {
+            eprintln!("--intervals {dir}: {e}");
             Exit::Runtime.exit();
         }
     }
@@ -301,17 +422,12 @@ fn flush_artifacts() {
     clippy::disallowed_methods,
     reason = "CLI elapsed-time display, printed after every simulated number is fixed"
 )]
-fn run_experiments(campaign: &Campaign, exps: &[&str]) -> u32 {
+fn run_experiments(campaign: &Campaign, exps: &[(&str, ExperimentFn)]) -> u32 {
     let t0 = Instant::now();
 
     let mut broken_experiments = 0u32;
-    for &exp in exps {
+    for &(exp, f) in exps {
         let started = Instant::now();
-        let Some(f) = suite::lookup(exp) else {
-            eprintln!("unknown experiment: {exp}\n");
-            eprint!("{USAGE}");
-            Exit::Usage.exit();
-        };
         // Per-experiment isolation: one broken report must not take down
         // the rest of the sweep (its failed runs are already recorded on
         // the campaign as typed failures).
@@ -335,139 +451,32 @@ fn run_experiments(campaign: &Campaign, exps: &[&str]) -> u32 {
     broken_experiments
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stats_dir = take_dir_flag(&mut args, "stats-json");
-    let cache_dir = take_dir_flag(&mut args, "cache-dir");
-    let intervals_dir = take_dir_flag(&mut args, "intervals");
-    let interval_window = take_num_flag(&mut args, "interval-window", 1024);
-    let fragments = take_num_flag(&mut args, "fragments", 0);
-    // `trace` parses its own flags; everywhere else an unknown flag is a
-    // usage error, caught before anything touches the disk. A bare `--`,
-    // the separator in `smt-experiments -- all`, is not a flag.
-    if args.first().map(String::as_str) != Some("trace") {
-        let unknown = args
-            .iter()
-            .find(|a| a.starts_with("--") && *a != "--" && !SWITCHES.contains(&a.as_str()));
-        if let Some(flag) = unknown {
-            eprintln!("unknown flag: {flag}\n");
-            eprint!("{USAGE}");
-            Exit::Usage.exit();
+/// Run the named experiments, every one resolved before the campaign is
+/// built.
+fn experiments(cli: &Cli, words: &[&str]) {
+    let mut exps = Vec::new();
+    for &name in words {
+        match suite::lookup(name) {
+            Some(f) => exps.push((name, f)),
+            None if name == "all" => {}
+            None => usage(&format!("unknown experiment: {name}")),
         }
     }
-    if let Some(dir) = stats_dir {
-        if let Err(e) = artifacts::enable(&dir) {
-            eprintln!("--stats-json {}: {e}", dir.display());
-            Exit::Runtime.exit();
-        }
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let sanitize = args.iter().any(|a| a == "--sanitize");
-    let no_skip = args.iter().any(|a| a == "--no-skip");
-    let live = args.iter().any(|a| a == "--live");
-    let opts = CampaignOpts {
-        sanitize,
-        no_skip,
-        live,
-        intervals: intervals_dir.clone().map(|dir| (dir, interval_window)),
-        fragments,
-    };
-
-    if args.first().map(String::as_str) == Some("report") {
-        let dir = args
-            .get(1)
-            .filter(|a| !a.starts_with("--"))
-            .map(PathBuf::from)
-            .or(intervals_dir);
-        let Some(dir) = dir else {
-            eprintln!("report needs a directory (positional or --intervals <dir>)\n");
-            eprint!("{USAGE}");
-            Exit::Usage.exit();
-        };
-        match smt_experiments::report::report_dir(&dir) {
-            Ok(rendered) => {
-                print!("{rendered}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("report: {e}");
-                e.exit_code().exit();
-            }
-        }
-    }
-
-    if args.first().map(String::as_str) == Some("cache") {
-        let Some(action) = args.get(1) else {
-            eprintln!("cache needs an action (stats, clear, verify)\n");
-            eprint!("{USAGE}");
-            Exit::Usage.exit();
-        };
-        cache_admin(action, cache_dir.as_ref());
-    }
-
-    if args.first().map(String::as_str) == Some("trace") {
-        let rest: Vec<&str> = args[1..]
-            .iter()
-            .map(String::as_str)
-            .filter(|a| !SWITCHES.contains(a))
-            .collect();
-        let opts = match smt_experiments::tracing::parse_args(&rest) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("trace: {e}\n");
-                eprint!("{USAGE}");
-                Exit::Usage.exit();
-            }
-        };
-        match smt_experiments::tracing::run(&opts) {
-            Ok(summary) => println!("{summary}"),
-            Err(e) => {
-                eprintln!("trace: {e}");
-                e.exit_code().exit();
-            }
-        }
-        flush_artifacts();
-        return;
-    }
-
-    let mut exps: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if exps.first() == Some(&"compare") {
-        let params = if quick {
-            ExpParams::quick()
-        } else {
-            ExpParams::standard()
-        };
-        let campaign = build_campaign(params, cache_dir.as_ref(), &opts);
-        print!("{}", compare(&campaign, &exps[1..]));
-        flush_artifacts();
-        return;
-    }
-    if exps.is_empty() {
-        eprint!("{USAGE}");
-        Exit::Usage.exit();
-    }
-    if exps.contains(&"all") {
+    if words.contains(&"all") {
         // `meta` is deliberately absent: its oracle math needs full
         // interval series, so every one of its runs is live (the disk
         // cache stores only SimResults) and it would break the 5 s warm
         // `all` budget that CI's `bench` job gates. Run it as `-- meta`.
         exps = suite::ALL
             .iter()
-            .map(|&(name, _)| name)
-            .filter(|&name| name != "meta")
+            .copied()
+            .filter(|&(name, _)| name != "meta")
             .collect();
     }
-
-    let params = if quick {
-        ExpParams::quick()
-    } else {
-        ExpParams::standard()
-    };
-    let campaign = build_campaign(params, cache_dir.as_ref(), &opts);
+    if exps.is_empty() {
+        usage("name an experiment or a subcommand");
+    }
+    let campaign = build_campaign(cli);
     let broken_experiments = run_experiments(&campaign, &exps);
     if let Some(summary) = campaign.failure_summary() {
         eprintln!("\n{summary}");
@@ -477,5 +486,19 @@ fn main() {
             Exit::Runtime.exit();
         }
         Exit::Partial.exit();
+    }
+}
+
+fn main() {
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
+    let words: Vec<&str> = cli.words.iter().map(String::as_str).collect();
+    match (cli.command, &words[..]) {
+        ("report", [dir]) => report(dir),
+        ("report", _) => usage("report takes one directory: report <dir>"),
+        ("cache", [action]) => cache_admin(action, cli.value("--cache-dir")),
+        ("cache", _) => usage("cache takes one action: stats, clear or verify"),
+        ("trace", run) => trace(&cli, run),
+        ("compare", run) => compare(&cli, run),
+        (_, exps) => experiments(&cli, exps),
     }
 }

@@ -35,6 +35,7 @@ use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries};
 use smt_pipeline::{RecordingSanitizer, SimConfig, SimResult, Simulator, Watchdog};
 use smt_workloads::{all_workloads, Workload};
 
+use crate::artifacts::RunRecord;
 use crate::runner::{Arch, Campaign};
 
 /// The candidate set the meta-policies switch over, in the order
@@ -115,14 +116,10 @@ fn run_probed(campaign: &Campaign, wl: &Workload, kind: PolicyKind) -> (SimResul
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         (r, sim.into_probe().into_series())
     };
-    crate::artifacts::record_tagged_with_switches(
-        "meta",
-        "baseline",
-        &wl.name,
-        kind.name(),
-        &result,
-        Some(series.total().policy_switches),
-    );
+    crate::artifacts::record(RunRecord {
+        switches: Some(series.total().policy_switches),
+        ..RunRecord::new("meta", "baseline", &wl.name, kind.name(), &result)
+    });
     (result, series)
 }
 

@@ -33,6 +33,7 @@ use smt_pipeline::{
 };
 use smt_workloads::Workload;
 
+use crate::artifacts::RunRecord;
 use crate::cache::DiskCache;
 use crate::error::{protect, ExpError, RunFailure};
 
@@ -86,6 +87,13 @@ impl Arch {
             Arch::Deep => "deep",
         }
     }
+
+    /// The inverse of [`Arch::as_str`].
+    pub fn parse(name: &str) -> Option<Arch> {
+        [Arch::Baseline, Arch::Small, Arch::Deep]
+            .into_iter()
+            .find(|a| a.as_str() == name)
+    }
 }
 
 /// A memoized simulation request.
@@ -137,16 +145,12 @@ pub(crate) fn specs_for(key: &RunKey) -> Result<Vec<ThreadSpec>, ExpError> {
             skip: 0,
         }])
     } else {
-        let (threads, class) = parse_workload_name(&key.workload)?;
-        let wl = smt_workloads::try_workload(threads, class).ok_or(ExpError::UnknownWorkload {
-            threads,
-            class: class.as_str(),
-        })?;
-        Ok(wl.thread_specs())
+        Ok(workload_by_name(&key.workload)?.thread_specs())
     }
 }
 
-fn parse_workload_name(name: &str) -> Result<(usize, smt_workloads::WorkloadClass), ExpError> {
+/// The Table 2(b) workload named `"<threads>-<CLASS>"`, like `"4-MIX"`.
+pub fn workload_by_name(name: &str) -> Result<Workload, ExpError> {
     let bad = || ExpError::BadWorkloadName {
         given: name.to_string(),
     };
@@ -162,7 +166,10 @@ fn parse_workload_name(name: &str) -> Result<(usize, smt_workloads::WorkloadClas
             })
         }
     };
-    Ok((threads, class))
+    smt_workloads::try_workload(threads, class).ok_or(ExpError::UnknownWorkload {
+        threads,
+        class: class.as_str(),
+    })
 }
 
 /// An ad-hoc simulation outside the paper's grid: a perturbed
@@ -888,21 +895,29 @@ impl Campaign {
                 kind: key.policy,
             })
         })?;
+        let record = |result: &SimResult| {
+            RunRecord::new(
+                "campaign",
+                key.arch.as_str(),
+                &key.workload,
+                key.policy.name(),
+                result,
+            )
+        };
         let result = match served {
             Served::Stored(result) => {
-                crate::artifacts::record(key, &result);
+                crate::artifacts::record(record(&result));
                 self.note_done(&what, "disk");
                 result
             }
             Served::Simulated(acc) => {
                 let total = self.params.warmup + self.params.measure;
-                crate::artifacts::record_with_runtime(
-                    key,
-                    &acc.result,
-                    Some((acc.skipped, total)),
-                    Some(acc.switches),
-                    acc.fragments,
-                );
+                crate::artifacts::record(RunRecord {
+                    skip: Some((acc.skipped, total)),
+                    switches: Some(acc.switches),
+                    fragments: acc.fragments,
+                    ..record(&acc.result)
+                });
                 if let Some(series) = &acc.series {
                     self.write_intervals(&what, &specs, series);
                 }
@@ -1054,7 +1069,7 @@ impl Campaign {
         reason = "live telemetry (runs/s, ETA, heartbeat) needs wall time; every simulated number is fixed before the clock is read"
     )]
     pub fn prefetch<'a, R: Into<Request<'a>>>(&self, requests: impl IntoIterator<Item = R>) {
-        let (jobs, pending) = self.pending_jobs(requests.into_iter().map(Into::into).collect());
+        let jobs = self.pending_jobs(requests.into_iter().map(Into::into).collect());
         if jobs.is_empty() {
             return;
         }
@@ -1063,23 +1078,18 @@ impl Campaign {
         // Custom runs' interval series, by job index, written after the
         // batch.
         let deferred: Mutex<Vec<(usize, IntervalSeries)>> = Mutex::new(Vec::new());
-        // Clamp the worker pool to the runs that will actually simulate: on
-        // a warm batch most requests resolve from the disk cache (cheap
-        // loads), and spawning a thread per request would mostly spawn idle
-        // threads.
-        let workers = self.parallelism.min(pending.max(1));
+        let workers = self.parallelism.min(jobs.len());
         // Tell the fragment planner how many cores the batch pool holds:
-        // a narrow batch (fewer pending runs than cores) leaves the
-        // remainder free for intra-run fragment replay, while a full
-        // batch disables it (run-level parallelism already saturates).
+        // a narrow batch (fewer requests than cores) leaves the remainder
+        // free for intra-run fragment replay, while a full batch disables
+        // it (run-level parallelism already saturates).
         self.pool_width.store(workers, Ordering::Relaxed);
         if self.live {
             let (hits, sims, _) = self.telemetry_counters();
             *crate::lock_unpoisoned(&self.batch) = Some((jobs.len(), Instant::now(), hits + sims));
             eprintln!(
-                "[campaign] prefetch: {} requests ({} pending simulation), {} worker(s)",
+                "[campaign] prefetch: {} requests, {} worker(s)",
                 jobs.len(),
-                pending,
                 workers
             );
         }
@@ -1105,7 +1115,7 @@ impl Campaign {
                                         jobs.len()
                                     );
                                 }
-                                let _ = self.try_result_owned((*k).clone());
+                                let _ = self.try_result(k);
                             }
                             Job::Custom(custom, desc) => {
                                 if self.live {
@@ -1171,13 +1181,12 @@ impl Campaign {
         }
     }
 
-    /// The requests of a batch that still have to run, in declared order,
-    /// and how many of them will simulate rather than load from disk.
+    /// The requests of a batch that still have to run, in declared order.
     /// Dropped: grid keys already memoized or repeated, and custom runs
     /// whose description is memoized, repeated, or that of a grid key in
     /// the batch (the grid run answers it and keeps its telemetry and
     /// stats record).
-    fn pending_jobs<'a>(&self, requests: Vec<Request<'a>>) -> (Vec<Job<'a>>, usize) {
+    fn pending_jobs<'a>(&self, requests: Vec<Request<'a>>) -> Vec<Job<'a>> {
         let mut keys = std::collections::HashSet::new();
         let mut jobs: Vec<Job<'a>> = {
             let cache = crate::lock_unpoisoned(&self.cache);
@@ -1202,24 +1211,12 @@ impl Campaign {
                 Job::Custom(..) => None,
             })
             .collect();
-        {
-            let memo = crate::lock_unpoisoned(&self.by_desc);
-            jobs.retain(|job| match job {
-                Job::Grid(..) => true,
-                Job::Custom(_, desc) => !memo.contains_key(desc) && descs.insert(desc.clone()),
-            });
-        }
-        let disk = self.disk.as_ref().filter(|_| !self.bypass_cache_loads());
-        let on_disk = jobs
-            .iter()
-            .filter_map(|job| match job {
-                Job::Grid(_, desc) => desc.as_deref(),
-                Job::Custom(_, desc) => Some(desc),
-            })
-            .filter(|desc| disk.is_some_and(|d| d.entry_path(desc).exists()))
-            .count();
-        let pending = jobs.len() - on_disk;
-        (jobs, pending)
+        let memo = crate::lock_unpoisoned(&self.by_desc);
+        jobs.retain(|job| match job {
+            Job::Grid(..) => true,
+            Job::Custom(_, desc) => !memo.contains_key(desc) && descs.insert(desc.clone()),
+        });
+        jobs
     }
 
     /// Get (running on demand if not cached) a simulation result.
@@ -1239,36 +1236,17 @@ impl Campaign {
     /// Fallible [`Campaign::result`]: a failed run is recorded as a
     /// [`RunFailure`] and returned as the error, leaving the rest of the
     /// campaign untouched. Asking again returns the same error.
+    ///
+    /// The memo is filled through the entry API under a single lock
+    /// acquisition; if another thread raced us to the same key, its
+    /// (identical — simulation is deterministic) outcome wins and ours is
+    /// dropped. A result is also filed under its description, where custom
+    /// requests find it; a failure is recorded under the key's label.
     pub fn try_result(&self, key: &RunKey) -> Result<SimResult, ExpError> {
         if let Some(r) = crate::lock_unpoisoned(&self.cache).get(key) {
             return r.clone();
         }
-        self.try_result_owned(key.clone())
-    }
-
-    /// [`Campaign::result`] for callers that already own the key, sparing
-    /// the clone on the miss path. Panics on failure like
-    /// [`Campaign::result`].
-    #[expect(
-        clippy::panic,
-        reason = "documented fail-fast wrapper: the failure is recorded on the campaign before the panic, and the try_* form exists for graceful paths"
-    )]
-    pub fn result_owned(&self, key: RunKey) -> SimResult {
-        self.try_result_owned(key)
-            .unwrap_or_else(|e| panic!("run failed: {e}"))
-    }
-
-    /// Fallible [`Campaign::result_owned`]. The memo is re-checked and
-    /// filled through the entry API under a single lock acquisition; if
-    /// another thread raced us to the same key, its (identical —
-    /// simulation is deterministic) outcome wins and ours is dropped. A
-    /// result is also filed under its description, where custom requests
-    /// find it; a failure is recorded under the key's label.
-    pub fn try_result_owned(&self, key: RunKey) -> Result<SimResult, ExpError> {
-        if let Some(r) = crate::lock_unpoisoned(&self.cache).get(&key) {
-            return r.clone();
-        }
-        let outcome = match self.run_protected(&key) {
+        let outcome = match self.run_protected(key) {
             Ok((desc, r)) => {
                 crate::lock_unpoisoned(&self.by_desc)
                     .entry(desc)
@@ -1281,7 +1259,7 @@ impl Campaign {
             }
         };
         let mut cache = crate::lock_unpoisoned(&self.cache);
-        match cache.entry(key) {
+        match cache.entry(key.clone()) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 // Another worker raced the same key to completion; its
                 // (identical — simulation is deterministic) outcome wins
@@ -1295,13 +1273,13 @@ impl Campaign {
 
     /// Result for a (workload, policy) pair on an architecture.
     pub fn workload_result(&self, arch: Arch, wl: &Workload, policy: PolicyKind) -> SimResult {
-        self.result_owned(RunKey::workload(arch, wl, policy))
+        self.result(&RunKey::workload(arch, wl, policy))
     }
 
     /// Single-threaded IPC of a benchmark under ICOUNT (the relative-IPC
     /// denominator).
     pub fn solo_ipc(&self, arch: Arch, bench: &str) -> f64 {
-        self.result_owned(RunKey::solo(arch, bench)).ipcs()[0]
+        self.result(&RunKey::solo(arch, bench)).ipcs()[0]
     }
 
     /// Per-thread relative IPCs for a (workload, policy) run.
@@ -1355,25 +1333,18 @@ impl Campaign {
 }
 
 /// Render an ad-hoc comparison of `policies` on one workload: throughput,
-/// Hmean, per-thread IPCs, gating and flush statistics. A `workload_name`
-/// outside Table 2(b)'s `"<2|4|6|8>-<ILP|MIX|MEM>"` grammar is a typed
-/// error (the CLI maps it to a usage exit code).
+/// Hmean, per-thread IPCs, gating and flush statistics.
 pub fn comparison_table(
     campaign: &Campaign,
     arch: Arch,
-    workload_name: &str,
+    wl: &Workload,
     policies: &[PolicyKind],
-) -> Result<String, ExpError> {
-    let (threads, class) = parse_workload_name(workload_name)?;
-    let wl = smt_workloads::try_workload(threads, class).ok_or(ExpError::UnknownWorkload {
-        threads,
-        class: class.as_str(),
-    })?;
+) -> String {
     let mut keys: Vec<RunKey> = policies
         .iter()
-        .map(|&p| RunKey::workload(arch, &wl, p))
+        .map(|&p| RunKey::workload(arch, wl, p))
         .collect();
-    keys.extend(Campaign::solo_grid(arch, std::slice::from_ref(&wl)));
+    keys.extend(Campaign::solo_grid(arch, std::slice::from_ref(wl)));
     campaign.prefetch(&keys);
 
     let mut t = smt_metrics::table::TextTable::new(vec![
@@ -1385,25 +1356,25 @@ pub fn comparison_table(
         "per-thread IPCs",
     ]);
     for &p in policies {
-        let r = campaign.workload_result(arch, &wl, p);
+        let r = campaign.workload_result(arch, wl, p);
         let gated: u64 = r.threads.iter().map(|s| s.gated_cycles).sum();
         let ipcs: Vec<String> = r.ipcs().iter().map(|i| format!("{i:.2}")).collect();
         t.row(vec![
             p.name().to_string(),
             format!("{:.2}", r.throughput()),
-            format!("{:.2}", campaign.hmean(arch, &wl, p)),
+            format!("{:.2}", campaign.hmean(arch, wl, p)),
             format!("{gated}"),
             format!("{:.1}", 100.0 * r.flushed_fraction()),
             ipcs.join(" / "),
         ]);
     }
-    Ok(format!(
+    format!(
         "{} on the {} architecture ({})\n\n{}",
         wl.name,
         arch.as_str(),
         wl.benchmarks.join(", "),
         t.render()
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -1484,25 +1455,32 @@ mod tests {
 
     #[test]
     fn workload_name_round_trip() {
-        let (t, c) = parse_workload_name("6-MEM").unwrap();
-        assert_eq!(t, 6);
-        assert_eq!(c, WorkloadClass::Mem);
+        let wl = workload_by_name("6-MEM").unwrap();
+        assert_eq!(wl.name, "6-MEM");
+        assert_eq!(wl.benchmarks, workload(6, WorkloadClass::Mem).benchmarks);
     }
 
     #[test]
     fn workload_name_errors_are_typed() {
         use crate::error::ExpError;
         assert!(matches!(
-            parse_workload_name("nonsense"),
+            workload_by_name("nonsense"),
             Err(ExpError::BadWorkloadName { .. })
         ));
         assert!(matches!(
-            parse_workload_name("x-MIX"),
+            workload_by_name("x-MIX"),
             Err(ExpError::BadWorkloadName { .. })
+        ));
+        assert!(matches!(
+            workload_by_name("3-MIX"),
+            Err(ExpError::UnknownWorkload {
+                threads: 3,
+                class: "MIX"
+            })
         ));
         // The satellite case: a well-formed name with an invented class
         // must name the valid classes instead of panicking.
-        match parse_workload_name("4-QUX") {
+        match workload_by_name("4-QUX") {
             Err(e @ ExpError::UnknownWorkloadClass { .. }) => {
                 assert!(e.to_string().contains("ILP, MIX, MEM"));
             }

@@ -2,12 +2,13 @@
 //! simulation under a [`RecordingProbe`] and export the capture (the event
 //! timeline plus the interval series' counter tracks) as a Chrome
 //! trace-event file (loadable in Perfetto / `chrome://tracing`) plus a
-//! structured stats JSON.
+//! structured stats JSON. The run is named as `compare` names one, and
+//! simulates the campaign's windows:
 //!
 //! ```text
-//! cargo run -p smt-experiments -- trace --policy dwarn --workload mix4
-//! cargo run -p smt-experiments -- trace --policy flush --workload 4-MEM \
-//!     --arch deep --cycles 50000 --detail --out traces/
+//! cargo run -p smt-experiments -- trace DWARN @4-MIX
+//! cargo run -p smt-experiments -- trace FLUSH @4-MEM @deep --quick \
+//!     --detail --out traces/
 //! ```
 
 use std::path::PathBuf;
@@ -15,112 +16,35 @@ use std::path::PathBuf;
 use dwarn_core::PolicyKind;
 use smt_obs::{chrome_trace, IntervalConfig, Json, RecordingProbe};
 use smt_pipeline::{Simulator, Watchdog};
-use smt_workloads::WorkloadClass;
+use smt_workloads::Workload;
 
-use crate::runner::Arch;
+use crate::artifacts::RunRecord;
+use crate::runner::{Arch, ExpParams};
 
 /// Window, in cycles, of the interval series a trace records: its counter
 /// tracks and the stats file's `occupancy` means come from that series.
 pub const TRACE_WINDOW: u64 = 50;
 
-/// Parsed `trace` subcommand options.
+/// Capacity of the event ring: beyond it the oldest events drop, and the
+/// stats file's `capture.events_dropped` counts them.
+const RING_EVENTS: usize = 1 << 20;
+
+/// One `trace` run.
 pub struct TraceOpts {
     pub policy: PolicyKind,
-    pub threads: usize,
-    pub class: WorkloadClass,
+    pub workload: Workload,
     pub arch: Arch,
-    pub warmup: u64,
-    pub measure: u64,
+    pub params: ExpParams,
     /// Also capture per-instruction fetch/dispatch/issue/commit instants.
     pub detail: bool,
-    /// Event-ring capacity (oldest events drop beyond this).
-    pub ring: usize,
     pub out_dir: PathBuf,
-}
-
-impl Default for TraceOpts {
-    fn default() -> TraceOpts {
-        TraceOpts {
-            policy: PolicyKind::DWarn,
-            threads: 4,
-            class: WorkloadClass::Mix,
-            arch: Arch::Baseline,
-            warmup: 2_000,
-            measure: 20_000,
-            detail: false,
-            ring: 1 << 20,
-            out_dir: PathBuf::from("target/traces"),
-        }
-    }
-}
-
-/// Parse a workload spelling leniently: `mix4`, `4-MIX`, `4mem`, `MEM`
-/// (thread count defaults to 4) all work.
-fn parse_workload(s: &str) -> Result<(usize, WorkloadClass), String> {
-    let lower = s.to_ascii_lowercase();
-    let digits: String = lower.chars().filter(|c| c.is_ascii_digit()).collect();
-    let letters: String = lower.chars().filter(|c| c.is_ascii_alphabetic()).collect();
-    let class = match letters.as_str() {
-        "ilp" => WorkloadClass::Ilp,
-        "mix" => WorkloadClass::Mix,
-        "mem" => WorkloadClass::Mem,
-        other => return Err(format!("unknown workload class '{other}' in '{s}'")),
-    };
-    let threads = if digits.is_empty() {
-        4
-    } else {
-        digits
-            .parse::<usize>()
-            .map_err(|_| format!("bad thread count in '{s}'"))?
-    };
-    if !(1..=8).contains(&threads) {
-        return Err(format!("thread count {threads} out of range 1..=8"));
-    }
-    Ok((threads, class))
-}
-
-fn parse_arch(s: &str) -> Result<Arch, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "baseline" => Ok(Arch::Baseline),
-        "small" => Ok(Arch::Small),
-        "deep" => Ok(Arch::Deep),
-        other => Err(format!("unknown arch '{other}' (baseline|small|deep)")),
-    }
-}
-
-/// Parse the arguments after `trace`.
-pub fn parse_args(args: &[&str]) -> Result<TraceOpts, String> {
-    let mut o = TraceOpts::default();
-    let mut it = args.iter();
-    while let Some(&a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a {
-            "--policy" => {
-                let v = value(a)?;
-                o.policy = PolicyKind::parse(&v).ok_or_else(|| format!("unknown policy '{v}'"))?;
-            }
-            "--workload" => (o.threads, o.class) = parse_workload(&value(a)?)?,
-            "--arch" => o.arch = parse_arch(&value(a)?)?,
-            "--warmup" => o.warmup = value(a)?.parse().map_err(|e| format!("--warmup: {e}"))?,
-            "--cycles" => o.measure = value(a)?.parse().map_err(|e| format!("--cycles: {e}"))?,
-            "--detail" => o.detail = true,
-            "--out" => o.out_dir = PathBuf::from(value(a)?),
-            other => return Err(format!("unknown trace argument '{other}'")),
-        }
-    }
-    Ok(o)
 }
 
 /// Run the traced simulation and write `<arch>-<workload>-<policy>.trace.json`
 /// and `...stats.json` under `out_dir`. Returns a human-readable summary.
 ///
-/// Like every other CLI entry path, the workload and configuration are
-/// validated up front with typed errors rather than trusted to downstream
-/// panics.
+/// Like every other CLI entry path, the configuration is validated up
+/// front with a typed error rather than trusted to downstream panics.
 pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
     use crate::error::ExpError;
     let io = |path: &std::path::Path| {
@@ -130,19 +54,16 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
             detail: e.to_string(),
         }
     };
-    let wl = smt_workloads::try_workload(o.threads, o.class).ok_or(ExpError::UnknownWorkload {
-        threads: o.threads,
-        class: o.class.as_str(),
-    })?;
+    let wl = &o.workload;
     let specs = wl.thread_specs();
     let cfg = o.arch.config();
     cfg.validate(specs.len())?;
     let window = IntervalConfig {
         window: TRACE_WINDOW,
     };
-    let probe = RecordingProbe::new(o.ring, window).with_detail(o.detail);
+    let probe = RecordingProbe::new(RING_EVENTS, window).with_detail(o.detail);
     let mut sim = Simulator::with_probe(cfg, o.policy.build(), &specs, probe);
-    let result = sim.try_run(o.warmup, o.measure, &Watchdog::default())?;
+    let result = sim.try_run(o.params.warmup, o.params.measure, &Watchdog::default())?;
     // A trace is always a live execution, so the switch count exists (the
     // generic stats path leaves it null for cache-served runs).
     let switches = sim.policy().switch_log().len() as u64;
@@ -156,12 +77,12 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
     // Exact means over every cycle of the run, warmup included.
     let total = series.total();
     let mean = |acc: u64| Json::F64(acc as f64 / total.cycles.max(1) as f64);
-    let mut stats =
-        crate::artifacts::stats_json("trace", o.arch.as_str(), &wl.name, o.policy.name(), &result);
+    let record = RunRecord {
+        switches: Some(switches),
+        ..RunRecord::new("trace", o.arch.as_str(), &wl.name, o.policy.name(), &result)
+    };
+    let mut stats = crate::artifacts::stats_json(&record);
     if let Json::Obj(pairs) = &mut stats {
-        if let Some(p) = pairs.iter_mut().find(|(k, _)| k == "policy_switches") {
-            p.1 = Json::U64(switches);
-        }
         pairs.push((
             "capture".to_string(),
             Json::obj(vec![
@@ -192,14 +113,7 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
         ));
     }
     // Also feed the global --stats-json sink, when active.
-    crate::artifacts::record_tagged_with_switches(
-        "trace",
-        o.arch.as_str(),
-        &wl.name,
-        o.policy.name(),
-        &result,
-        Some(switches),
-    );
+    crate::artifacts::record(record);
 
     std::fs::create_dir_all(&o.out_dir).map_err(io(&o.out_dir))?;
     let stem = format!(
@@ -221,8 +135,8 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
         o.arch.as_str(),
         wl.name,
         o.policy.name(),
-        o.measure,
-        o.warmup,
+        o.params.measure,
+        o.params.warmup,
         result.throughput(),
         ring.len(),
         ring.dropped(),
@@ -238,47 +152,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn workload_spellings_parse() {
-        assert_eq!(parse_workload("mix4").unwrap(), (4, WorkloadClass::Mix));
-        assert_eq!(parse_workload("4-MIX").unwrap(), (4, WorkloadClass::Mix));
-        assert_eq!(parse_workload("2mem").unwrap(), (2, WorkloadClass::Mem));
-        assert_eq!(parse_workload("ILP").unwrap(), (4, WorkloadClass::Ilp));
-        assert!(parse_workload("9-MIX").is_err());
-        assert!(parse_workload("fft4").is_err());
-    }
-
-    #[test]
-    fn args_parse_into_options() {
-        let o = parse_args(&[
-            "--policy",
-            "flush",
-            "--workload",
-            "mem2",
-            "--arch",
-            "deep",
-            "--cycles",
-            "123",
-            "--detail",
-        ])
-        .unwrap();
-        assert_eq!(o.policy, PolicyKind::Flush);
-        assert_eq!((o.threads, o.class), (2, WorkloadClass::Mem));
-        assert_eq!(o.arch, Arch::Deep);
-        assert_eq!(o.measure, 123);
-        assert!(o.detail);
-        assert!(parse_args(&["--policy"]).is_err());
-        assert!(parse_args(&["--frobnicate"]).is_err());
-    }
-
-    #[test]
     fn trace_runs_and_writes_files() {
         let dir = std::env::temp_dir().join("smt-trace-test");
         let _ = std::fs::remove_dir_all(&dir);
         let o = TraceOpts {
-            warmup: 200,
-            measure: 2_000,
+            policy: PolicyKind::DWarn,
+            workload: smt_workloads::workload(4, smt_workloads::WorkloadClass::Mix),
+            arch: Arch::Baseline,
+            params: ExpParams {
+                warmup: 200,
+                measure: 2_000,
+            },
+            detail: false,
             out_dir: dir.clone(),
-            ..TraceOpts::default()
         };
         let summary = run(&o).unwrap();
         assert!(summary.contains("trace:"));

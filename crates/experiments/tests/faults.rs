@@ -149,12 +149,27 @@ fn sanitizer_catches_a_self_contradicting_policy_as_a_typed_error() {
         .expect("unsanitized run completes, silently wrong");
 }
 
-/// A flag the CLI does not know, a retired one included, is a usage
-/// error: the process exits 2 naming the flag, before it simulates
-/// anything or creates a directory.
+/// Run the CLI in a fresh working directory named after `tag`, which the
+/// caller removes.
+fn cli_in(tag: &str, args: &[&str]) -> (std::process::Output, std::path::PathBuf) {
+    let cwd = std::env::temp_dir().join(format!("dwarn-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_smt-experiments"))
+        .args(args)
+        .current_dir(&cwd)
+        .output()
+        .unwrap();
+    (out, cwd)
+}
+
+/// A flag the CLI does not know, a retired one included, a flag the
+/// chosen command does not read, and a run `trace` cannot name are each a
+/// usage error: the process exits 2 naming what it refuses, before it
+/// simulates anything or creates a file or directory.
 #[test]
-fn retired_and_unknown_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 4] = [
+fn unknown_retired_and_misplaced_flags_are_usage_errors() {
+    let cases: [(&[&str], &str); 12] = [
         (&["table2a", "--quick", "--resume=r"], "--resume"),
         (
             &["table2a", "--quick", "--checkpoint-interval", "100"],
@@ -162,19 +177,32 @@ fn retired_and_unknown_flags_are_usage_errors() {
         ),
         (&["table2a", "--quick", "--santize"], "--santize"),
         (&["all", "--quick", "--resume", "r"], "--resume"),
+        (
+            &["table2a", "--quick", "--interval-window", "50"],
+            "--interval-window",
+        ),
+        (
+            &["cache", "stats", "--cache-dir", "d", "--stats-json", "sj"],
+            "--stats-json",
+        ),
+        (&["trace", "--quick", "--sanitize"], "--sanitize"),
+        (
+            &["trace", "--fragments", "100", "--cache-dir", "c"],
+            "--fragments",
+        ),
+        (&["report", "r", "--quick"], "--quick"),
+        (&["trace", "--policy", "dwarn"], "--policy"),
+        (&["trace", "DWARN", "FLUSH"], "FLUSH"),
+        (&["trace", "DWARN", "@mix4"], "@mix4"),
     ];
-    for (i, (args, flag)) in cases.into_iter().enumerate() {
-        let cwd = std::env::temp_dir().join(format!("dwarn-flags-{}-{i}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&cwd);
-        std::fs::create_dir_all(&cwd).unwrap();
-        let out = Command::new(env!("CARGO_BIN_EXE_smt-experiments"))
-            .args(args)
-            .current_dir(&cwd)
-            .output()
-            .unwrap();
+    for (i, (args, refused)) in cases.into_iter().enumerate() {
+        let (out, cwd) = cli_in(&format!("flags-{i}"), args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(
+            stderr.contains(refused),
+            "{args:?} must name {refused}: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
         let created: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
         assert!(created.is_empty(), "{args:?} created {created:?}");
@@ -191,4 +219,21 @@ fn retired_and_unknown_flags_are_usage_errors() {
         stderr.starts_with("unknown experiment: no-such-experiment"),
         "{stderr}"
     );
+}
+
+/// `trace` names its run as `compare` does, `[<POLICY>] [@WORKLOAD]
+/// [@ARCH]`, and writes its two files under `--out` by that name.
+#[test]
+fn trace_names_a_run_as_compare_does() {
+    let args = [
+        "trace", "FLUSH", "@2-MEM", "@deep", "--quick", "--out", "traces",
+    ];
+    let (out, cwd) = cli_in("trace", &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    for file in ["deep-2-mem-flush.trace.json", "deep-2-mem-flush.stats.json"] {
+        let path = cwd.join("traces").join(file);
+        assert!(path.is_file(), "{args:?} wrote no {file}: {stderr}");
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
 }
