@@ -127,7 +127,9 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiate the policy.
+    /// Instantiate the policy, boxed as the simulator holds it. This is
+    /// the only way to get a policy from a kind: grid runs, custom runs
+    /// and tests all call it.
     #[deny(clippy::wildcard_enum_match_arm)]
     pub fn build(self) -> Box<dyn FetchPolicy> {
         match self {
@@ -142,43 +144,6 @@ impl PolicyKind {
             PolicyKind::Meta(s) => Box::new(MetaPolicy::new(s)),
         }
     }
-
-    /// Instantiate the policy at its concrete type and hand it to `v`.
-    ///
-    /// Where [`PolicyKind::build`] erases the policy behind
-    /// `Box<dyn FetchPolicy>` (one virtual call per simulated cycle on the
-    /// hottest path), this routes the concrete type through a generic
-    /// visitor, so a `Simulator<_, _, F>` built inside
-    /// [`PolicyVisitor::visit`] monomorphizes the per-cycle
-    /// `fetch_order_into` into a direct, inlinable call. Custom (non-enum)
-    /// policies keep using the dyn path.
-    #[deny(clippy::wildcard_enum_match_arm)]
-    pub fn dispatch<V: PolicyVisitor>(self, v: V) -> V::Out {
-        match self {
-            PolicyKind::Icount => v.visit(Icount::new()),
-            PolicyKind::Stall => v.visit(Stall::new()),
-            PolicyKind::Flush => v.visit(Flush::new()),
-            PolicyKind::Dg => v.visit(DataGating::new()),
-            PolicyKind::Pdg => v.visit(PredictiveDataGating::new()),
-            PolicyKind::DWarn => v.visit(DWarn::new()),
-            PolicyKind::DWarnPriorityOnly => v.visit(DWarn::priority_only()),
-            PolicyKind::DcPred => v.visit(crate::dcpred::DcPred::new()),
-            // The composite switching arm: the visitor receives the
-            // concrete MetaPolicy, so a switching campaign run gets the
-            // same monomorphized fetch path as the static policies (the
-            // remaining dynamism — one boxed candidate call per cycle —
-            // is the composite's own).
-            PolicyKind::Meta(s) => v.visit(MetaPolicy::new(s)),
-        }
-    }
-}
-
-/// A computation generic over the concrete policy type, for
-/// [`PolicyKind::dispatch`]: implement `visit` once and the dispatcher
-/// instantiates it per policy with static (monomorphized) dispatch.
-pub trait PolicyVisitor {
-    type Out;
-    fn visit<F: FetchPolicy + 'static>(self, policy: F) -> Self::Out;
 }
 
 #[cfg(test)]

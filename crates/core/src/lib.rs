@@ -72,7 +72,7 @@ pub mod taxonomy;
 pub use dcpred::DcPred;
 pub use dwarn::DWarn;
 pub use extensions::{DWarnFlush, DWarnThreshold};
-pub use factory::{PolicyKind, PolicyVisitor};
+pub use factory::PolicyKind;
 pub use gating::{DataGating, PredictiveDataGating};
 pub use icount::Icount;
 pub use meta::{MetaPolicy, SelectorKind};

@@ -125,11 +125,6 @@ impl DiskCache {
         Ok(cache)
     }
 
-    /// The directory this cache stores entries in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The file an entry for `key_desc` lives in (diagnostics and fault
     /// injection; the file may not exist).
     pub fn entry_path(&self, key_desc: &str) -> PathBuf {
@@ -137,16 +132,10 @@ impl DiskCache {
             .join(format!("{:016x}.{EXT}", fnv1a(key_desc.as_bytes())))
     }
 
-    /// Look up a result. Any irregularity in the stored file — missing,
-    /// corrupt, truncated, or a hash collision with a different key — is a
-    /// miss.
-    pub fn load(&self, key_desc: &str) -> Option<SimResult> {
-        self.load_checked(key_desc).ok().flatten()
-    }
-
-    /// As [`DiskCache::load`], but an irregular entry is returned as a
-    /// typed [`CacheFault`] instead of being folded into the miss.
-    /// `Ok(None)` means the entry simply is not there.
+    /// Look up a result. `Ok(None)` means the entry simply is not there;
+    /// any irregularity in the stored file — corrupt, truncated, or a hash
+    /// collision with a different key — is a typed [`CacheFault`], which
+    /// callers treat as a miss.
     pub fn load_checked(&self, key_desc: &str) -> Result<Option<SimResult>, CacheFault> {
         let text = match std::fs::read_to_string(self.entry_path(key_desc)) {
             Ok(t) => t,
@@ -416,8 +405,7 @@ fn push_counter_line(
 
 /// Strict parse of one entry; `expect_key` additionally guards against a
 /// hash collision mapping a different run onto this file. Any deviation
-/// from the format is a typed [`CacheFault`] (and, for callers going
-/// through [`DiskCache::load`], a miss).
+/// from the format is a typed [`CacheFault`].
 fn parse_entry(text: &str, expect_key: Option<&str>) -> Result<SimResult, CacheFault> {
     let rest = text
         .strip_prefix(MAGIC)
@@ -522,6 +510,7 @@ fn parse_u64_fields(line: &str) -> Option<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
 
     fn sample_result() -> SimResult {
         SimResult {
@@ -554,11 +543,11 @@ mod tests {
         }
     }
 
-    fn temp_cache(tag: &str) -> DiskCache {
-        let dir =
-            std::env::temp_dir().join(format!("dwarn-cache-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        DiskCache::open(&dir).unwrap()
+    /// A cache in a fresh scratch directory, and the guard that removes it.
+    fn temp_cache(tag: &str) -> (TempDir, DiskCache) {
+        let dir = TempDir::new("dwarn-cache-test", tag);
+        let cache = DiskCache::open(&dir).unwrap();
+        (dir, cache)
     }
 
     /// Entries already on disk must keep parsing into the same fields, so
@@ -575,11 +564,11 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_exact() {
-        let c = temp_cache("roundtrip");
+        let (_dir, c) = temp_cache("roundtrip");
         let r = sample_result();
-        assert!(c.load("k1").is_none());
+        assert!(c.load_checked("k1").unwrap().is_none());
         c.store("k1", &r).unwrap();
-        let back = c.load("k1").unwrap();
+        let back = c.load_checked("k1").unwrap().unwrap();
         assert_eq!(back.digest(), r.digest());
         assert_eq!(back.threads, r.threads);
         assert_eq!(back.mem, r.mem);
@@ -593,7 +582,7 @@ mod tests {
     fn entry_file_names_are_pinned() {
         // The file name is the FNV-1a hash of the key: changing the hash
         // would orphan every existing cache directory.
-        let c = temp_cache("pinned");
+        let (_dir, c) = temp_cache("pinned");
         let path = c.entry_path("v1 warmup=5000 measure=15000 policy=DWARN");
         let name = path.file_name().and_then(|n| n.to_str());
         assert_eq!(name, Some("c0485437f1e75750.dwc"));
@@ -601,63 +590,69 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_alias() {
-        let c = temp_cache("keys");
+        let (_dir, c) = temp_cache("keys");
         let mut a = sample_result();
         c.store("key-a", &a).unwrap();
         a.cycles += 1;
         c.store("key-b", &a).unwrap();
-        assert_ne!(
-            c.load("key-a").unwrap().cycles,
-            c.load("key-b").unwrap().cycles
-        );
-        assert!(c.load("key-c").is_none());
+        let cycles = |k| c.load_checked(k).unwrap().unwrap().cycles;
+        assert_ne!(cycles("key-a"), cycles("key-b"));
+        assert!(c.load_checked("key-c").unwrap().is_none());
     }
 
     #[test]
     fn truncated_entry_is_a_miss() {
-        let c = temp_cache("trunc");
+        let (_dir, c) = temp_cache("trunc");
         c.store("k", &sample_result()).unwrap();
         let path = c.entry_path("k");
         let full = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(c.load("k").is_none(), "truncation must not be trusted");
+        assert_eq!(
+            c.load_checked("k").unwrap_err(),
+            CacheFault::BadChecksum,
+            "truncation must not be trusted"
+        );
     }
 
     #[test]
     fn garbage_entry_is_a_miss() {
-        let c = temp_cache("garbage");
+        let (_dir, c) = temp_cache("garbage");
         c.store("k", &sample_result()).unwrap();
         std::fs::write(c.entry_path("k"), "not a cache entry at all\n").unwrap();
-        assert!(c.load("k").is_none());
+        assert_eq!(c.load_checked("k").unwrap_err(), CacheFault::BadMagic);
     }
 
     #[test]
     fn flipped_counter_fails_the_checksum() {
-        let c = temp_cache("bitflip");
+        let (_dir, c) = temp_cache("bitflip");
         c.store("k", &sample_result()).unwrap();
         let path = c.entry_path("k");
         let tampered = std::fs::read_to_string(&path)
             .unwrap()
             .replace("cycles 60000", "cycles 60001");
         std::fs::write(&path, tampered).unwrap();
-        assert!(c.load("k").is_none(), "tampered body must fail checksum");
+        assert_eq!(
+            c.load_checked("k").unwrap_err(),
+            CacheFault::BadChecksum,
+            "tampered body must fail checksum"
+        );
     }
 
     #[test]
     fn wrong_key_in_file_is_a_collision_miss() {
-        let c = temp_cache("collision");
+        let (_dir, c) = temp_cache("collision");
         c.store("k", &sample_result()).unwrap();
         // Simulate a hash collision: the file exists under k's hash but
         // records a different key (rewrite with a fresh checksum so only
         // the key comparison can reject it).
         let other = render_entry("other-key", &sample_result());
         std::fs::write(c.entry_path("k"), other).unwrap();
-        assert!(c.load("k").is_none());
+        assert_eq!(c.load_checked("k").unwrap_err(), CacheFault::KeyCollision);
     }
 
     #[test]
     fn load_checked_classifies_faults() {
-        let c = temp_cache("faults");
+        let (_dir, c) = temp_cache("faults");
         assert!(matches!(c.load_checked("absent"), Ok(None)));
 
         c.store("k", &sample_result()).unwrap();
@@ -686,7 +681,7 @@ mod tests {
         // rename: the final name holds the old (or no) entry and a torn
         // temp file sits in the directory. Reopening must treat the key as
         // a miss — never an error, never a hang — and sweep the orphan.
-        let c = temp_cache("crash");
+        let (dir, c) = temp_cache("crash");
         let entry = render_entry("k", &sample_result());
 
         // Torn temp file from a dead pid (u32::MAX exceeds pid_max, so it
@@ -696,11 +691,11 @@ mod tests {
         // And a torn *final* file, as if a non-atomic writer had crashed.
         std::fs::write(c.entry_path("k"), &entry[..entry.len() / 2]).unwrap();
 
-        let reopened = DiskCache::open(c.dir()).unwrap();
-        assert!(reopened.load("k").is_none(), "torn entry must be a miss");
-        assert!(
-            matches!(reopened.load_checked("k"), Err(CacheFault::BadChecksum)),
-            "the tear is attributable"
+        let reopened = DiskCache::open(&dir).unwrap();
+        assert_eq!(
+            reopened.load_checked("k").unwrap_err(),
+            CacheFault::BadChecksum,
+            "torn entry must be an attributable miss"
         );
         assert!(!tmp.exists(), "stale temp file swept on open");
 
@@ -709,33 +704,33 @@ mod tests {
             .entry_path("k")
             .with_extension(format!("tmp{}-7", std::process::id()));
         std::fs::write(&mine, "in flight").unwrap();
-        let _ = DiskCache::open(c.dir()).unwrap();
+        let _ = DiskCache::open(&dir).unwrap();
         assert!(mine.exists(), "live writer's temp file must survive");
 
         // Re-storing heals the entry.
         reopened.store("k", &sample_result()).unwrap();
         assert_eq!(
-            reopened.load("k").unwrap().digest(),
+            reopened.load_checked("k").unwrap().unwrap().digest(),
             sample_result().digest()
         );
     }
 
     #[test]
     fn store_retrying_succeeds_and_reports_final_failure() {
-        let c = temp_cache("retry");
+        let (dir, c) = temp_cache("retry");
         c.store_retrying("k", &sample_result(), 3).unwrap();
-        assert!(c.load("k").is_some());
+        assert!(c.load_checked("k").unwrap().is_some());
 
         // A cache whose directory vanished fails every attempt and reports
         // the last error instead of panicking or spinning.
-        std::fs::remove_dir_all(c.dir()).unwrap();
+        std::fs::remove_dir_all(&*dir).unwrap();
         let err = c.store_retrying("k2", &sample_result(), 2).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     }
 
     #[test]
     fn exclusive_lock_blocks_and_releases() {
-        let c = temp_cache("lock");
+        let (_dir, c) = temp_cache("lock");
         let lock = c.lock_exclusive(Duration::from_millis(50)).unwrap();
         // Second acquisition from the same (live) process times out.
         let err = c.lock_exclusive(Duration::from_millis(50)).unwrap_err();
@@ -750,8 +745,8 @@ mod tests {
 
     #[test]
     fn stale_lock_from_a_dead_process_is_stolen() {
-        let c = temp_cache("stale-lock");
-        std::fs::write(c.dir().join("lock"), "4294967295").unwrap();
+        let (dir, c) = temp_cache("stale-lock");
+        std::fs::write(dir.join("lock"), "4294967295").unwrap();
         let _lock = c
             .lock_exclusive(Duration::from_millis(200))
             .expect("dead owner's lock must be stolen");
@@ -759,7 +754,7 @@ mod tests {
 
     #[test]
     fn stats_clear_verify() {
-        let c = temp_cache("admin");
+        let (_dir, c) = temp_cache("admin");
         c.store("a", &sample_result()).unwrap();
         c.store("b", &sample_result()).unwrap();
         let s = c.stats().unwrap();

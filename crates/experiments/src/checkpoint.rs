@@ -260,14 +260,13 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempDir;
     use dwarn_core::PolicyKind;
     use smt_pipeline::{SimConfig, Simulator};
     use smt_workloads::{workload, WorkloadClass};
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dwarn-ckpt-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn temp_dir(tag: &str) -> TempDir {
+        TempDir::new("dwarn-ckpt", tag)
     }
 
     fn sample_snapshot() -> MachineSnapshot {
@@ -279,7 +278,8 @@ mod tests {
 
     #[test]
     fn store_load_round_trip_is_exact() {
-        let s = CheckpointStore::open(&temp_dir("roundtrip")).unwrap();
+        let dir = temp_dir("roundtrip");
+        let s = CheckpointStore::open(&dir).unwrap();
         let snap = sample_snapshot();
         assert!(s.load_checked("k").unwrap().is_none());
         s.store("k", &snap).unwrap();
@@ -290,7 +290,8 @@ mod tests {
 
     #[test]
     fn corruption_modes_are_typed() {
-        let s = CheckpointStore::open(&temp_dir("faults")).unwrap();
+        let dir = temp_dir("faults");
+        let s = CheckpointStore::open(&dir).unwrap();
         let snap = sample_snapshot();
         s.store("k", &snap).unwrap();
         let path = s.path_for("k");
@@ -362,7 +363,8 @@ mod tests {
 
     #[test]
     fn foreign_key_is_a_stale_generation() {
-        let s = CheckpointStore::open(&temp_dir("stale")).unwrap();
+        let dir = temp_dir("stale");
+        let s = CheckpointStore::open(&dir).unwrap();
         let snap = sample_snapshot();
         // A checkpoint written under another description (different code
         // version, different parameters, or a hash collision) lands on this
@@ -399,7 +401,7 @@ mod tests {
     #[test]
     fn journal_round_trips_and_drops_torn_tail() {
         let dir = temp_dir("journal");
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&*dir).unwrap();
         let path = dir.join("journal.jsonl");
         let mut j = Journal::open(&path).unwrap();
         j.note_completed("baseline/2-MIX/DWARN", 0xABCD, "sim")

@@ -73,3 +73,37 @@ pub use runner::{Arch, Campaign, CustomRun, ExpParams, Request, RunKey};
 pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
+/// Scratch directories for this crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use std::path::{Path, PathBuf};
+
+    /// `<temp>/<prefix>-<pid>-<tag>`, empty at creation and removed when
+    /// the guard drops, whether the test passed or failed.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(prefix: &str, tag: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!("{prefix}-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            // The error is ignored: the test may never have created the
+            // directory, and `drop` also runs while a failed test unwinds,
+            // where a panic would abort.
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

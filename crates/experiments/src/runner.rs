@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use dwarn_core::{PolicyKind, PolicyVisitor};
+use dwarn_core::PolicyKind;
 use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries, Json};
 use smt_pipeline::{
     ConfigError, FetchPolicy, FragmentOpts, NullProbe, NullSanitizer, Probe, RecordingSanitizer,
@@ -362,10 +362,7 @@ struct RunAccount {
 
 impl RunAccount {
     /// The accounting of a simulator that ran `result` in one timeline.
-    fn new<P: Probe, S: Sanitizer, F: FetchPolicy>(
-        sim: &Simulator<P, S, F>,
-        result: SimResult,
-    ) -> RunAccount {
+    fn new<P: Probe, S: Sanitizer>(sim: &Simulator<P, S>, result: SimResult) -> RunAccount {
         RunAccount {
             result,
             skipped: sim.skipped_cycles(),
@@ -684,23 +681,20 @@ impl Campaign {
     /// One simulation with this campaign's observers attached. The
     /// sanitizer and the interval probe each compile in or out
     /// (`const ENABLED`), so the plain arm runs the zero-cost
-    /// NullProbe/NullSanitizer code. Generic over the concrete policy
-    /// type: grid runs arrive here through [`PolicyKind::dispatch`], so the
-    /// paper's policies run with monomorphized (static) per-cycle dispatch,
-    /// while custom policies pass `Box<dyn FetchPolicy>`. `rebuild` makes
-    /// fresh copies of the policy for fragment-replay workers.
-    fn simulate<F: FetchPolicy + 'static>(
+    /// NullProbe/NullSanitizer code. `build` makes the run's policy: grid
+    /// runs pass their kind's [`PolicyKind::build`], custom runs their own
+    /// builder.
+    fn simulate(
         &self,
         run: &Run<'_>,
-        policy: F,
-        rebuild: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
+        build: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
     ) -> Result<RunAccount, ExpError> {
         let probe = |window| move || IntervalProbe::new(IntervalConfig { window });
         match (self.sanitize, self.intervals.as_ref().map(|o| o.window)) {
-            (true, Some(w)) => self.drive(run, policy, rebuild, probe(w), RecordingSanitizer::new),
-            (true, None) => self.drive(run, policy, rebuild, || NullProbe, RecordingSanitizer::new),
-            (false, Some(w)) => self.drive(run, policy, rebuild, probe(w), || NullSanitizer),
-            (false, None) => self.drive(run, policy, rebuild, || NullProbe, || NullSanitizer),
+            (true, Some(w)) => self.drive(run, build, probe(w), RecordingSanitizer::new),
+            (true, None) => self.drive(run, build, || NullProbe, RecordingSanitizer::new),
+            (false, Some(w)) => self.drive(run, build, probe(w), || NullSanitizer),
+            (false, None) => self.drive(run, build, || NullProbe, || NullSanitizer),
         }
     }
 
@@ -715,18 +709,18 @@ impl Campaign {
     ///   recorded;
     /// * **sequential** otherwise.
     ///
-    /// Afterwards every sanitizer is audited and the probes' interval
-    /// series are stitched into the account; the caller writes them.
-    fn drive<F, P, S>(
+    /// `build` makes a fresh policy for each simulator: the sequential
+    /// run, or the scout and every fragment worker. Afterwards every
+    /// sanitizer is audited and the probes' interval series are stitched
+    /// into the account; the caller writes them.
+    fn drive<P, S>(
         &self,
         run: &Run<'_>,
-        policy: F,
-        rebuild: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
+        build: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
         probe: impl Fn() -> P + Sync,
         sanitizer: impl Fn() -> S + Sync,
     ) -> Result<RunAccount, ExpError>
     where
-        F: FetchPolicy + 'static,
         P: RunProbe,
         S: RunSanitizer,
     {
@@ -734,8 +728,8 @@ impl Campaign {
         protect(run.what, move || {
             let (mut account, observers) = match self.fragment_plan() {
                 Some((jobs, fragment_cycles)) => {
-                    let mut scout = self.build(run, policy, NullProbe, NullSanitizer)?;
-                    let factory = || Ok(self.build(run, rebuild(), probe(), sanitizer())?);
+                    let mut scout = self.build(run, build, NullProbe, NullSanitizer)?;
+                    let factory = || Ok(self.build(run, build, probe(), sanitizer())?);
                     let opts = FragmentOpts {
                         jobs,
                         fragment_cycles,
@@ -762,7 +756,7 @@ impl Campaign {
                     (account, observers)
                 }
                 None => {
-                    let mut sim = self.build(run, policy, probe(), sanitizer())?;
+                    let mut sim = self.build(run, build, probe(), sanitizer())?;
                     let result = sim.try_run(warmup, measure, &Watchdog::default())?;
                     (RunAccount::new(&sim, result), vec![sim.into_observers()])
                 }
@@ -788,16 +782,17 @@ impl Campaign {
     }
 
     /// The one place a campaign builds a simulator: sequential, fragment
-    /// scout and replay worker alike.
-    fn build<P: Probe, S: Sanitizer, G: FetchPolicy>(
+    /// scout and replay worker alike, each with a fresh policy from
+    /// `build`.
+    fn build<P: Probe, S: Sanitizer>(
         &self,
         run: &Run<'_>,
-        policy: G,
+        build: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
         probe: P,
         sanitizer: S,
-    ) -> Result<Simulator<P, S, G>, ConfigError> {
+    ) -> Result<Simulator<P, S>, ConfigError> {
         let mut sim =
-            Simulator::try_with_specs(run.cfg.clone(), policy, run.specs, probe, sanitizer)?;
+            Simulator::try_with_specs(run.cfg.clone(), build(), run.specs, probe, sanitizer)?;
         sim.set_skip_enabled(self.skip);
         Ok(sim)
     }
@@ -871,30 +866,8 @@ impl Campaign {
             cfg: &cfg,
             specs: &specs,
         };
-        // Dispatch the policy at its concrete type: the simulator below is
-        // monomorphized per policy, removing the per-cycle virtual call.
-        struct GridRun<'a> {
-            campaign: &'a Campaign,
-            run: &'a Run<'a>,
-            /// The kind dispatching us, so the fragment-replay workers
-            /// can rebuild fresh copies of the same policy.
-            kind: PolicyKind,
-        }
-        impl PolicyVisitor for GridRun<'_> {
-            type Out = Result<RunAccount, ExpError>;
-            fn visit<F: FetchPolicy + 'static>(self, policy: F) -> Self::Out {
-                let kind = self.kind;
-                self.campaign
-                    .simulate(self.run, policy, &move || kind.build())
-            }
-        }
-        let served = self.load_or_simulate(&run, || {
-            key.policy.dispatch(GridRun {
-                campaign: self,
-                run: &run,
-                kind: key.policy,
-            })
-        })?;
+        let served =
+            self.load_or_simulate(&run, || self.simulate(&run, &move || key.policy.build()))?;
         let record = |result: &SimResult| {
             RunRecord::new(
                 "campaign",
@@ -1032,7 +1005,7 @@ impl Campaign {
         build: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
     ) -> Result<(SimResult, Option<IntervalSeries>), ExpError> {
         let served = match run.cfg.validate(run.specs.len()) {
-            Ok(()) => self.load_or_simulate(run, || self.simulate(run, build(), build)),
+            Ok(()) => self.load_or_simulate(run, || self.simulate(run, build)),
             Err(e) => Err(ExpError::Config(e)),
         };
         let (outcome, series) = match served {

@@ -6,7 +6,8 @@
 //! exactly. `SimResult::digest()` condenses a run to one order- and
 //! content-exact value, so every promise here is one `assert_eq!`.
 
-use std::path::PathBuf;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -22,11 +23,29 @@ fn quick() -> ExpParams {
     }
 }
 
-/// A fresh, empty temp directory for one test's cache.
-fn temp_dir(tag: &str) -> PathBuf {
+/// A fresh, empty temp directory for one test's cache, removed when the
+/// guard drops, whether the test passed or failed.
+struct TempDir(PathBuf);
+
+impl Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        // The error is ignored: `drop` also runs while a failed test
+        // unwinds, where a panic would abort.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("dwarn-determinism-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TempDir(dir)
 }
 
 /// A small cross-section of the grid: each thread-count regime and
@@ -216,7 +235,7 @@ fn corrupt_cache_entries_are_resimulated_not_trusted() {
 
     // Vandalize every stored entry three ways: truncate a third of them,
     // fill a third with garbage, and flip one bit in the rest.
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(&*dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .collect();
@@ -587,7 +606,7 @@ fn sanitize_bypasses_disk_cache_loads_but_still_stores() {
     // ...but never *loads*: vandalize every stored entry — an unsanitized
     // campaign would surface a cache fault; the sanitized one must not
     // even notice, because each run really executes under audit.
-    for e in std::fs::read_dir(&dir).unwrap() {
+    for e in std::fs::read_dir(&*dir).unwrap() {
         let p = e.unwrap().path();
         if p.extension().and_then(|x| x.to_str()) == Some("dwc") {
             std::fs::write(&p, "vandalized\n").unwrap();

@@ -9,67 +9,43 @@
 //! skipped`) is meta-telemetry and excluded from the digest, exactly as
 //! `SimResult::digest()` excludes skip statistics.
 
-use dwarn_core::{PolicyKind, PolicyVisitor};
+use dwarn_core::PolicyKind;
 use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries};
-use smt_pipeline::{FetchPolicy, RecordingSanitizer, SimConfig, Simulator, ThreadSpec, Watchdog};
+use smt_pipeline::{RecordingSanitizer, SimConfig, Simulator, ThreadSpec, Watchdog};
 use smt_workloads::{workload, WorkloadClass};
 
 const WARMUP: u64 = 1_000;
 const MEASURE: u64 = 3_000;
 const WINDOW: u64 = 256;
 
-/// One probed run at a concrete policy type (monomorphized through
-/// `PolicyKind::dispatch`, the same path campaign runs take).
-struct ProbedRun<'a> {
-    specs: &'a [ThreadSpec],
-    skip: bool,
-    sanitize: bool,
-}
-
-impl PolicyVisitor for ProbedRun<'_> {
-    type Out = (u64, IntervalSeries);
-
-    fn visit<F: FetchPolicy + 'static>(self, policy: F) -> Self::Out {
-        let probe = IntervalProbe::new(IntervalConfig { window: WINDOW });
-        let cfg = SimConfig::baseline();
-        if self.sanitize {
-            let mut sim = Simulator::try_with_specs(
-                cfg,
-                policy,
-                self.specs,
-                probe,
-                RecordingSanitizer::new(),
-            )
-            .expect("valid configuration");
-            sim.set_skip_enabled(self.skip);
-            let r = sim
-                .try_run(WARMUP, MEASURE, &Watchdog::default())
-                .expect("run completes");
-            assert!(sim.sanitizer().is_clean(), "sanitizer found violations");
-            (r.digest(), sim.into_probe().into_series())
-        } else {
-            let mut sim = Simulator::try_with_probe(cfg, policy, self.specs, probe)
-                .expect("valid configuration");
-            sim.set_skip_enabled(self.skip);
-            let r = sim
-                .try_run(WARMUP, MEASURE, &Watchdog::default())
-                .expect("run completes");
-            (r.digest(), sim.into_probe().into_series())
-        }
-    }
-}
-
+/// One probed run of `policy` on `specs`.
 fn run(
     policy: PolicyKind,
     specs: &[ThreadSpec],
     skip: bool,
     sanitize: bool,
 ) -> (u64, IntervalSeries) {
-    policy.dispatch(ProbedRun {
-        specs,
-        skip,
-        sanitize,
-    })
+    let probe = IntervalProbe::new(IntervalConfig { window: WINDOW });
+    let cfg = SimConfig::baseline();
+    if sanitize {
+        let mut sim =
+            Simulator::try_with_specs(cfg, policy.build(), specs, probe, RecordingSanitizer::new())
+                .expect("valid configuration");
+        sim.set_skip_enabled(skip);
+        let r = sim
+            .try_run(WARMUP, MEASURE, &Watchdog::default())
+            .expect("run completes");
+        assert!(sim.sanitizer().is_clean(), "sanitizer found violations");
+        (r.digest(), sim.into_probe().into_series())
+    } else {
+        let mut sim = Simulator::try_with_probe(cfg, policy.build(), specs, probe)
+            .expect("valid configuration");
+        sim.set_skip_enabled(skip);
+        let r = sim
+            .try_run(WARMUP, MEASURE, &Watchdog::default())
+            .expect("run completes");
+        (r.digest(), sim.into_probe().into_series())
+    }
 }
 
 fn grid() -> Vec<(usize, WorkloadClass)> {

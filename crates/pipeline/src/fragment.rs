@@ -24,7 +24,7 @@ use std::sync::{Condvar, Mutex};
 use smt_obs::Probe;
 
 use crate::error::{SimError, Watchdog};
-use crate::policy::{FetchPolicy, PolicySwitch};
+use crate::policy::PolicySwitch;
 use crate::sanitizer::Sanitizer;
 use crate::sim::{CheckpointOpts, RunOutcome, Simulator};
 use crate::snapshot::MachineSnapshot;
@@ -129,10 +129,10 @@ struct ScoutFeed {
     clippy::too_many_arguments,
     reason = "a fragment worker takes its seam, window, observers and run options by value"
 )]
-fn replay_fragment<P2, S2, F2>(
+fn replay_fragment<P2, S2>(
     index: usize,
     is_last: bool,
-    factory: &(dyn Fn() -> Result<Simulator<P2, S2, F2>, SimError> + Sync),
+    factory: &(dyn Fn() -> Result<Simulator<P2, S2>, SimError> + Sync),
     snap: Option<&MachineSnapshot>,
     warmup: u64,
     measure: u64,
@@ -142,7 +142,6 @@ fn replay_fragment<P2, S2, F2>(
 where
     P2: Probe,
     S2: Sanitizer,
-    F2: FetchPolicy,
 {
     let mut sim = factory().map_err(|e| {
         frag_err(
@@ -218,11 +217,10 @@ where
     })
 }
 
-impl<P, S, F> Simulator<P, S, F>
+impl<P, S> Simulator<P, S>
 where
     P: Probe,
     S: Sanitizer,
-    F: FetchPolicy,
 {
     /// Run this simulator as the **scout**, then replay every fragment
     /// concurrently on simulators produced by `factory` and stitch the
@@ -243,18 +241,17 @@ where
     /// scout's own totals. Any violation returns
     /// [`SimError::Fragment`] — always a defect report, never a
     /// tolerable outcome.
-    pub fn try_run_fragmented<P2, S2, F2>(
+    pub fn try_run_fragmented<P2, S2>(
         &mut self,
         warmup: u64,
         measure: u64,
         wd: &Watchdog,
         opts: &FragmentOpts,
-        factory: &(dyn Fn() -> Result<Simulator<P2, S2, F2>, SimError> + Sync),
+        factory: &(dyn Fn() -> Result<Simulator<P2, S2>, SimError> + Sync),
     ) -> Result<FragmentReport<P2, S2>, SimError>
     where
         P2: Probe + Send,
         S2: Sanitizer + Send,
-        F2: FetchPolicy,
     {
         if opts.jobs == 0 {
             return Err(frag_err(None, "jobs must be at least 1"));

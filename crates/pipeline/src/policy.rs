@@ -317,60 +317,6 @@ pub trait FetchPolicy {
     }
 }
 
-/// Boxed policies forward everything, so `Box<dyn FetchPolicy>` is itself
-/// a `FetchPolicy` and the simulator can be generic over `F: FetchPolicy`
-/// with the dyn path as just another instantiation.
-impl<T: FetchPolicy + ?Sized> FetchPolicy for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn fetch_order_into(&mut self, view: &PolicyView, out: &mut Vec<usize>) {
-        (**self).fetch_order_into(view, out)
-    }
-    fn fetch_order(&mut self, view: &PolicyView) -> Vec<usize> {
-        (**self).fetch_order(view)
-    }
-    fn on_event(&mut self, ev: &PolicyEvent) {
-        (**self).on_event(ev)
-    }
-    fn audit_order(&self, view: &PolicyView, order: &[usize]) -> Result<(), String> {
-        (**self).audit_order(view, order)
-    }
-    fn declare_action(&self) -> DeclareAction {
-        (**self).declare_action()
-    }
-    fn uses_resource_caps(&self) -> bool {
-        (**self).uses_resource_caps()
-    }
-    fn resource_caps(&mut self, view: &PolicyView) -> Vec<Option<f32>> {
-        (**self).resource_caps(view)
-    }
-    fn warn_level(&self, view: &PolicyView, thread: usize) -> u8 {
-        (**self).warn_level(view, thread)
-    }
-    fn quiescence_safe(&self) -> bool {
-        (**self).quiescence_safe()
-    }
-    fn skip_horizon(&self, now: u64) -> Option<u64> {
-        (**self).skip_horizon(now)
-    }
-    fn active_policy(&self) -> &'static str {
-        (**self).active_policy()
-    }
-    fn wants_commit_events(&self) -> bool {
-        (**self).wants_commit_events()
-    }
-    fn switch_log(&self) -> &[PolicySwitch] {
-        (**self).switch_log()
-    }
-    fn save_state(&self, out: &mut Vec<u8>) {
-        (**self).save_state(out)
-    }
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        (**self).load_state(bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

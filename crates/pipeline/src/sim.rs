@@ -131,20 +131,12 @@ pub enum Mutation {
 /// attached via [`Simulator::try_with_specs`]. The audit is
 /// observation-only: sanitized and unsanitized runs are bit-identical.
 ///
-/// Finally, generic over the fetch policy itself. The default
-/// `Box<dyn FetchPolicy>` keeps the flexible runtime path (custom and
-/// test policies); passing a concrete policy type instead monomorphizes
-/// the per-cycle `fetch_order_into` call — the hottest virtual dispatch in
-/// the simulator — into a direct, inlinable call
-/// (`PolicyKind::dispatch` in `dwarn-core` routes the paper's policies
-/// through this statically).
-pub struct Simulator<
-    P: Probe = NullProbe,
-    S: Sanitizer = NullSanitizer,
-    F: FetchPolicy = Box<dyn FetchPolicy>,
-> {
+/// The fetch policy is held as `Box<dyn FetchPolicy>`: the paper's
+/// policies, the ablation variants, custom policies and test doubles all
+/// run through the same per-cycle virtual call.
+pub struct Simulator<P: Probe = NullProbe, S: Sanitizer = NullSanitizer> {
     cfg: SimConfig,
-    policy: F,
+    policy: Box<dyn FetchPolicy>,
     probe: P,
     sanitizer: S,
     /// Probe-only: the gate reason currently reported for each thread
@@ -259,7 +251,7 @@ impl WatchState {
         clippy::disallowed_methods,
         reason = "watchdog wall-clock budget; sampled off the hot path and never feeds simulated state"
     )]
-    fn new<P: Probe, S: Sanitizer, F: FetchPolicy>(sim: &Simulator<P, S, F>) -> WatchState {
+    fn new<P: Probe, S: Sanitizer>(sim: &Simulator<P, S>) -> WatchState {
         WatchState {
             cycles: 0,
             last_commit_total: sim.total_committed,
@@ -275,11 +267,7 @@ impl WatchState {
     /// by a naive step so the error (and its snapshot) comes out exactly as
     /// the unskipped loop would produce it. Quiescent spans commit nothing,
     /// so the no-commit trip cycle is fully determined up front.
-    fn skip_cap<P: Probe, S: Sanitizer, F: FetchPolicy>(
-        &self,
-        sim: &Simulator<P, S, F>,
-        wd: &Watchdog,
-    ) -> u64 {
+    fn skip_cap<P: Probe, S: Sanitizer>(&self, sim: &Simulator<P, S>, wd: &Watchdog) -> u64 {
         let mut cap = u64::MAX;
         if wd.no_commit_cycles > 0 {
             let trip = self.last_commit_cycle + wd.no_commit_cycles - 1;
@@ -308,9 +296,9 @@ impl WatchState {
     /// Called once per stepped cycle: two compares on the happy path, the
     /// wall clock only every [`Watchdog::WALL_CHECK_INTERVAL`] cycles.
     #[inline]
-    fn check<P: Probe, S: Sanitizer, F: FetchPolicy>(
+    fn check<P: Probe, S: Sanitizer>(
         &mut self,
-        sim: &Simulator<P, S, F>,
+        sim: &Simulator<P, S>,
         wd: &Watchdog,
     ) -> Result<(), SimError> {
         self.cycles += 1;
@@ -345,10 +333,7 @@ impl WatchState {
         Ok(())
     }
 
-    fn snapshot<P: Probe, S: Sanitizer, F: FetchPolicy>(
-        &self,
-        sim: &Simulator<P, S, F>,
-    ) -> Box<ProgressSnapshot> {
+    fn snapshot<P: Probe, S: Sanitizer>(&self, sim: &Simulator<P, S>) -> Box<ProgressSnapshot> {
         let mut s = sim.progress_snapshot();
         s.last_commit_cycle = self.last_commit_cycle;
         Box::new(s)
@@ -389,16 +374,16 @@ mod clock {
         }
     }
 
-    impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
+    impl<P: Probe, S: Sanitizer> Simulator<P, S> {
         /// The full constructor: thread specs, probe *and* sanitizer. Every
         /// other constructor delegates here.
         pub fn try_with_specs(
             cfg: SimConfig,
-            policy: F,
+            policy: Box<dyn FetchPolicy>,
             specs: &[ThreadSpec],
             probe: P,
             sanitizer: S,
-        ) -> Result<Simulator<P, S, F>, ConfigError> {
+        ) -> Result<Simulator<P, S>, ConfigError> {
             cfg.validate(specs.len())?;
             // Skipping requires the policy's idempotence contract and is
             // incompatible with per-cycle resource caps (they feed dispatch
@@ -493,19 +478,23 @@ mod clock {
     }
 }
 
-impl<F: FetchPolicy> Simulator<NullProbe, NullSanitizer, F> {
+impl Simulator<NullProbe, NullSanitizer> {
     /// Build a simulator for `specs` (one entry per hardware context) under
     /// `policy`. Each context gets a disjoint address-space base.
     ///
     /// Panics on an invalid configuration; [`Simulator::try_new`] is the
     /// fallible form.
-    pub fn new(cfg: SimConfig, policy: F, specs: &[ThreadSpec]) -> Self {
+    pub fn new(cfg: SimConfig, policy: Box<dyn FetchPolicy>, specs: &[ThreadSpec]) -> Self {
         Simulator::try_new(cfg, policy, specs).expect("invalid configuration")
     }
 
     /// As [`Simulator::new`], but an invalid configuration is returned as a
     /// typed [`ConfigError`] instead of panicking.
-    pub fn try_new(cfg: SimConfig, policy: F, specs: &[ThreadSpec]) -> Result<Self, ConfigError> {
+    pub fn try_new(
+        cfg: SimConfig,
+        policy: Box<dyn FetchPolicy>,
+        specs: &[ThreadSpec],
+    ) -> Result<Self, ConfigError> {
         Simulator::try_with_specs(cfg, policy, specs, NullProbe, NullSanitizer)
     }
 }
@@ -520,12 +509,12 @@ impl Simulator {
     }
 }
 
-impl<S: Sanitizer, F: FetchPolicy> Simulator<NullProbe, S, F> {
+impl<S: Sanitizer> Simulator<NullProbe, S> {
     /// As [`Simulator::try_new`] with an explicit sanitizer — the
     /// convenience entry point for sanitized (invariant-checked) runs.
     pub fn try_sanitized(
         cfg: SimConfig,
-        policy: F,
+        policy: Box<dyn FetchPolicy>,
         specs: &[ThreadSpec],
         sanitizer: S,
     ) -> Result<Self, ConfigError> {
@@ -533,9 +522,14 @@ impl<S: Sanitizer, F: FetchPolicy> Simulator<NullProbe, S, F> {
     }
 }
 
-impl<P: Probe, F: FetchPolicy> Simulator<P, NullSanitizer, F> {
+impl<P: Probe> Simulator<P, NullSanitizer> {
     /// As [`Simulator::new`], with an explicit observability probe.
-    pub fn with_probe(cfg: SimConfig, policy: F, specs: &[ThreadSpec], probe: P) -> Self {
+    pub fn with_probe(
+        cfg: SimConfig,
+        policy: Box<dyn FetchPolicy>,
+        specs: &[ThreadSpec],
+        probe: P,
+    ) -> Self {
         Self::try_with_probe(cfg, policy, specs, probe).expect("invalid configuration")
     }
 
@@ -543,7 +537,7 @@ impl<P: Probe, F: FetchPolicy> Simulator<P, NullSanitizer, F> {
     /// invalid configuration.
     pub fn try_with_probe(
         cfg: SimConfig,
-        policy: F,
+        policy: Box<dyn FetchPolicy>,
         specs: &[ThreadSpec],
         probe: P,
     ) -> Result<Self, ConfigError> {
@@ -551,7 +545,7 @@ impl<P: Probe, F: FetchPolicy> Simulator<P, NullSanitizer, F> {
     }
 }
 
-impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
+impl<P: Probe, S: Sanitizer> Simulator<P, S> {
     /// The attached sanitizer (e.g. to read recorded violations).
     pub fn sanitizer(&self) -> &S {
         &self.sanitizer
@@ -587,14 +581,10 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         self.now.get()
     }
 
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The attached fetch policy (e.g. to read a switching policy's
     /// [`FetchPolicy::switch_log`] after a run).
-    pub fn policy(&self) -> &F {
-        &self.policy
+    pub fn policy(&self) -> &dyn FetchPolicy {
+        &*self.policy
     }
 
     pub fn total_committed(&self) -> u64 {
@@ -2330,7 +2320,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     }
 }
 
-impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
+impl<P: Probe, S: Sanitizer> Simulator<P, S> {
     /// Physical registers currently held (int, fp) — diagnostics.
     pub fn regs_in_use(&self) -> (u32, u32) {
         (self.regs_int.in_use(), self.regs_fp.in_use())
@@ -2424,7 +2414,7 @@ pub struct CheckpointOpts<'a> {
     pub stop: Option<&'a dyn Fn() -> bool>,
 }
 
-impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
+impl<P: Probe, S: Sanitizer> Simulator<P, S> {
     /// Serialize the complete evolving machine state (everything
     /// [`Simulator::step`] can change). Scratch buffers, configuration,
     /// construction-time caches, the attached observers, and the cached

@@ -4,11 +4,16 @@
 //! machine does under any policy moves at least one digest here, so
 //! Tier-1 catches it without running the full experiment suite.
 //!
+//! Each row runs twice: on a bare `Simulator`, and through the campaign's
+//! grid path (`Campaign::try_result`), which builds the policy and the
+//! simulator its own way. Both must give the pinned digest.
+//!
 //! At four threads DWARN-PRIO matches DWARN (the hybrid gate only acts
 //! below three threads), and on this window META-MISS never leaves its
 //! DWarn candidate on MIX and MEM, so some digests repeat by design.
 
 use dwarn_smt::core::PolicyKind;
+use dwarn_smt::experiments::{Arch, Campaign, ExpParams, RunKey};
 use dwarn_smt::pipeline::{SimConfig, Simulator};
 use dwarn_smt::workloads::{workload, WorkloadClass};
 use WorkloadClass::{Ilp, Mem, Mix};
@@ -64,17 +69,27 @@ fn every_policy_reproduces_its_pinned_digests() {
         assert_eq!(rows, 3, "{} needs one pinned digest per class", kind.name());
     }
 
+    let campaign = Campaign::new(ExpParams {
+        warmup: WARMUP,
+        measure: MEASURE,
+    });
     let mut drift = Vec::new();
     for (name, class, want) in GOLDEN {
         let kind = PolicyKind::parse(name).expect("known policy");
         let wl = workload(4, class);
         let mut sim = Simulator::new(SimConfig::baseline(), kind.build(), &wl.thread_specs());
-        let got = sim.run(WARMUP, MEASURE).digest();
-        if got != want {
-            drift.push(format!(
-                "{name} @{}: {got:#018x} (pinned {want:#018x})",
-                wl.name
-            ));
+        let bare = sim.run(WARMUP, MEASURE).digest();
+        let grid = campaign
+            .try_result(&RunKey::workload(Arch::Baseline, &wl, kind))
+            .expect("grid run completes")
+            .digest();
+        for (path, got) in [("simulator", bare), ("campaign", grid)] {
+            if got != want {
+                drift.push(format!(
+                    "{name} @{} ({path}): {got:#018x} (pinned {want:#018x})",
+                    wl.name
+                ));
+            }
         }
     }
     assert!(drift.is_empty(), "digests moved:\n{}", drift.join("\n"));

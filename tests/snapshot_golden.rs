@@ -39,9 +39,9 @@ struct Golden {
 
 /// Run until a checkpoint has been emitted, then stop at the next chunk
 /// boundary; return the stopping checkpoint and the interrupted simulator.
-fn interrupt<P: Probe, F: FetchPolicy>(
-    mut sim: Simulator<P, NullSanitizer, F>,
-) -> (MachineSnapshot, Simulator<P, NullSanitizer, F>) {
+fn interrupt<P: Probe>(
+    mut sim: Simulator<P, NullSanitizer>,
+) -> (MachineSnapshot, Simulator<P, NullSanitizer>) {
     let seen = Cell::new(false);
     let mut sink = |_: &MachineSnapshot| seen.set(true);
     let stop = || seen.get();
@@ -59,10 +59,7 @@ fn interrupt<P: Probe, F: FetchPolicy>(
     }
 }
 
-fn check<P: Probe, F: FetchPolicy>(
-    g: &Golden,
-    build: impl Fn(&[ThreadSpec]) -> Simulator<P, NullSanitizer, F>,
-) {
+fn check<P: Probe>(g: &Golden, build: impl Fn(&[ThreadSpec]) -> Simulator<P, NullSanitizer>) {
     let specs = workload(g.threads, g.class).thread_specs();
     let (snap, sim) = interrupt(build(&specs));
     assert!(snap.has_run_state());
