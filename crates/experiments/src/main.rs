@@ -464,9 +464,10 @@ fn experiments(cli: &Cli, words: &[&str]) {
     }
     if words.contains(&"all") {
         // `meta` is deliberately absent: its oracle math needs full
-        // interval series, so every one of its runs is live (the disk
-        // cache stores only SimResults) and it would break the 5 s warm
-        // `all` budget that CI's `bench` job gates. Run it as `-- meta`.
+        // interval series, so its 84 probed runs are live (a series
+        // request never loads from the disk cache, which stores only
+        // SimResults) and it would break the 5 s warm `all` budget that
+        // CI's `bench` job gates. Run it as `-- meta`.
         exps = suite::ALL
             .iter()
             .copied()

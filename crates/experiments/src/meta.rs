@@ -13,10 +13,13 @@
 //!   that committed the most instructions in that window (what a perfect
 //!   *online* selector with zero switch cost could achieve).
 //!
-//! Every number in the tables shares one denominator: the full run's
-//! cycle count, with per-interval committed counts taken from each run's
-//! [`IntervalSeries`]. That makes the ordering invariant *exact integer
-//! arithmetic*, not a float comparison:
+//! Every run is an ordinary grid run of the campaign, asked for its
+//! interval series ([`Campaign::series`]), so the campaign's flags reach
+//! it as they reach every other experiment's runs. Every number in the
+//! tables shares one denominator: the full run's cycle count, with
+//! per-interval committed counts taken from each run's [`IntervalSeries`].
+//! That makes the ordering invariant *exact integer arithmetic*, not a
+//! float comparison:
 //!
 //! ```text
 //! worst static  ≤  best static  ≤  per-interval oracle
@@ -26,17 +29,16 @@
 //! committed-count matrix. The report asserts it on every workload.
 //!
 //! Reproduce: `cargo run --release -p smt-experiments -- meta`
-//! (add `--quick` for short windows, `--sanitize` to audit every run).
+//! (add `--quick` for short windows, `--sanitize` to audit every run,
+//! `--intervals <dir>` to keep every run's series).
 
 use dwarn_core::meta::DEFAULT_WINDOW as DEFAULT_META_WINDOW;
 use dwarn_core::PolicyKind;
 use smt_metrics::table::TextTable;
-use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries};
-use smt_pipeline::{RecordingSanitizer, SimConfig, SimResult, Simulator, Watchdog};
+use smt_obs::IntervalSeries;
 use smt_workloads::{all_workloads, Workload};
 
-use crate::artifacts::RunRecord;
-use crate::runner::{Arch, Campaign};
+use crate::runner::{Arch, Campaign, RunKey};
 
 /// The candidate set the meta-policies switch over, in the order
 /// [`dwarn_core::MetaPolicy::default_candidates`] installs them. The
@@ -74,55 +76,6 @@ pub struct MetaRow {
     pub ordering_ok: bool,
 }
 
-/// One probed simulation: the measured-window [`SimResult`] (recorded as a
-/// stats artifact) plus the full-run interval series the oracle math needs.
-/// Honors the campaign's `--sanitize` and `--no-skip` settings.
-#[expect(
-    clippy::panic,
-    reason = "probed oracle runs are fail-fast: a watchdog abort or sanitizer violation invalidates the oracle math, and the CLI's catch_unwind renders the panic as a typed report"
-)]
-fn run_probed(campaign: &Campaign, wl: &Workload, kind: PolicyKind) -> (SimResult, IntervalSeries) {
-    let cfg = SimConfig::baseline();
-    let specs = wl.thread_specs();
-    let probe = IntervalProbe::new(IntervalConfig {
-        window: DEFAULT_META_WINDOW,
-    });
-    let wd = Watchdog::default();
-    let what = format!("meta/{}/{}", wl.name, kind.name());
-    let (result, series) = if campaign.sanitize() {
-        let mut sim =
-            Simulator::try_with_specs(cfg, kind.build(), &specs, probe, RecordingSanitizer::new())
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-        sim.set_skip_enabled(campaign.skip());
-        let r = sim
-            .try_run(campaign.params.warmup, campaign.params.measure, &wd)
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert!(
-            sim.sanitizer().is_clean(),
-            "{what}: {} sanitizer violation(s), first: {}",
-            sim.sanitizer().total(),
-            sim.sanitizer()
-                .first()
-                .map(ToString::to_string)
-                .unwrap_or_default()
-        );
-        (r, sim.into_probe().into_series())
-    } else {
-        let mut sim = Simulator::try_with_probe(cfg, kind.build(), &specs, probe)
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
-        sim.set_skip_enabled(campaign.skip());
-        let r = sim
-            .try_run(campaign.params.warmup, campaign.params.measure, &wd)
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
-        (r, sim.into_probe().into_series())
-    };
-    crate::artifacts::record(RunRecord {
-        switches: Some(series.total().policy_switches),
-        ..RunRecord::new("meta", "baseline", &wl.name, kind.name(), &result)
-    });
-    (result, series)
-}
-
 /// Total committed instructions per interval window (all threads).
 fn committed_per_interval(s: &IntervalSeries) -> Vec<u64> {
     s.intervals
@@ -132,14 +85,8 @@ fn committed_per_interval(s: &IntervalSeries) -> Vec<u64> {
 }
 
 /// Total committed instructions per thread over the whole series.
-fn committed_per_thread(s: &IntervalSeries, num_threads: usize) -> Vec<u64> {
-    let mut per = vec![0u64; num_threads];
-    for iv in &s.intervals {
-        for (t, w) in iv.threads.iter().enumerate() {
-            per[t] += w.committed;
-        }
-    }
-    per
+fn committed_per_thread(s: &IntervalSeries) -> Vec<u64> {
+    s.total().threads.iter().map(|t| t.committed).collect()
 }
 
 /// Hmean of relative IPCs for per-thread committed counts over `cycles`.
@@ -161,7 +108,7 @@ fn compute_row(campaign: &Campaign, wl: &Workload) -> MetaRow {
 
     let static_series: Vec<IntervalSeries> = CANDIDATES
         .iter()
-        .map(|&k| run_probed(campaign, wl, k).1)
+        .map(|&k| campaign.series(&RunKey::workload(Arch::Baseline, wl, k)))
         .collect();
     let cycles = static_series[0].total().cycles;
     for s in &static_series {
@@ -204,8 +151,8 @@ fn compute_row(campaign: &Campaign, wl: &Workload) -> MetaRow {
     let mut meta_hmean = Vec::new();
     let mut switches = Vec::new();
     for &k in &metas {
-        let (_, series) = run_probed(campaign, wl, k);
-        let committed = committed_per_thread(&series, wl.benchmarks.len());
+        let series = campaign.series(&RunKey::workload(Arch::Baseline, wl, k));
+        let committed = committed_per_thread(&series);
         meta_ipc.push(committed.iter().sum::<u64>() as f64 / cycles as f64);
         meta_hmean.push(hmean_of(&committed, cycles, &solos));
         switches.push(series.total().policy_switches);
@@ -213,13 +160,7 @@ fn compute_row(campaign: &Campaign, wl: &Workload) -> MetaRow {
 
     let static_hmean: Vec<f64> = static_series
         .iter()
-        .map(|s| {
-            hmean_of(
-                &committed_per_thread(s, wl.benchmarks.len()),
-                cycles,
-                &solos,
-            )
-        })
+        .map(|s| hmean_of(&committed_per_thread(s), cycles, &solos))
         .collect();
     MetaRow {
         workload: wl.name.clone(),
@@ -318,13 +259,17 @@ pub fn report(campaign: &Campaign) -> String {
 mod tests {
     use super::*;
     use crate::runner::ExpParams;
+    use crate::testutil::TempDir;
+    use smt_obs::IntervalConfig;
     use smt_workloads::{workload, WorkloadClass};
 
+    const QUICK: ExpParams = ExpParams {
+        warmup: 500,
+        measure: 1_500,
+    };
+
     fn quick() -> Campaign {
-        Campaign::new(ExpParams {
-            warmup: 500,
-            measure: 1_500,
-        })
+        Campaign::new(QUICK)
     }
 
     #[test]
@@ -336,6 +281,9 @@ mod tests {
             std::slice::from_ref(&wl),
         ));
         let row = compute_row(&c, &wl);
+        // The oracle's windows are the selectors' decision windows only
+        // because the campaign's default interval window is theirs.
+        assert_eq!(IntervalConfig::default().window, DEFAULT_META_WINDOW);
         assert!(row.ordering_ok);
         assert!(row.worst_static <= row.best_static);
         assert!(row.best_static <= row.oracle_ipc);
@@ -347,24 +295,55 @@ mod tests {
     fn sanitized_rows_match_plain_rows() {
         // The sanitizer is observation-only; the row's numbers must not
         // move when it is attached (and the run must come back clean).
+        // The audited campaign warms a disk cache, where the plain one's
+        // series requests must still simulate: a stored result has no
+        // series. The last campaign attaches every observer on that warm
+        // cache and must leave one interval file per run.
         let wl = workload(2, WorkloadClass::Mem);
-        let plain = quick();
-        plain.prefetch(&Campaign::solo_grid(
-            Arch::Baseline,
-            std::slice::from_ref(&wl),
-        ));
-        let a = compute_row(&plain, &wl);
-        let mut audited = quick();
+        let solos = Campaign::solo_grid(Arch::Baseline, std::slice::from_ref(&wl));
+        let cache = TempDir::new("dwarn-meta", "cache");
+        let on_cache = || Campaign::with_disk_cache(QUICK, &cache).unwrap();
+        let row = |c: &Campaign| {
+            c.prefetch(&solos);
+            compute_row(c, &wl)
+        };
+        let mut audited = on_cache();
         audited.set_sanitize(true);
-        audited.prefetch(&Campaign::solo_grid(
+        let a = row(&audited);
+        let plain = row(&on_cache());
+        let iv = TempDir::new("dwarn-meta", "intervals");
+        let mut observed = on_cache();
+        observed.set_sanitize(true);
+        observed
+            .set_intervals(&iv, IntervalConfig::default().window)
+            .unwrap();
+        observed.set_fragments(1_000);
+        let b = row(&observed);
+        for r in [&a, &b] {
+            assert_eq!(plain.static_ipc, r.static_ipc);
+            assert_eq!(plain.meta_ipc, r.meta_ipc);
+            assert_eq!(plain.switches, r.switches);
+            assert_eq!(plain.oracle_ipc, r.oracle_ipc);
+        }
+        // Two solos, four statics and three selectors, named by run label.
+        let mut runs = solos;
+        runs.extend(Campaign::grid(
             Arch::Baseline,
             std::slice::from_ref(&wl),
+            &[&CANDIDATES[..], &PolicyKind::meta_set()].concat(),
         ));
-        let b = compute_row(&audited, &wl);
-        assert_eq!(a.static_ipc, b.static_ipc);
-        assert_eq!(a.meta_ipc, b.meta_ipc);
-        assert_eq!(a.switches, b.switches);
-        assert_eq!(a.oracle_ipc, b.oracle_ipc);
+        let mut want: Vec<String> = runs
+            .iter()
+            .map(|k| format!("{}.intervals.jsonl", crate::artifacts::sanitize(&k.label())))
+            .collect();
+        let mut got: Vec<String> = std::fs::read_dir(&*iv)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".intervals.jsonl"))
+            .collect();
+        want.sort();
+        got.sort();
+        assert_eq!(got, want);
     }
 
     #[test]

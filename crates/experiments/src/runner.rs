@@ -124,7 +124,7 @@ impl RunKey {
 
     /// `arch/workload/policy`: the run's name in failures, progress lines
     /// and interval file names.
-    fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!(
             "{}/{}/{}",
             self.arch.as_str(),
@@ -341,12 +341,17 @@ struct Run<'a> {
     desc: &'a str,
     cfg: &'a SimConfig,
     specs: &'a [ThreadSpec],
+    /// The caller wants the run's interval series ([`Campaign::series`]):
+    /// the run carries the interval probe even without `--intervals`, and
+    /// never loads from disk, since a stored result has no series.
+    series: bool,
 }
 
 /// What a fresh simulation hands back besides its result, by value.
 /// `skipped` and `switches` feed the stats record's `skip_ratio` and
 /// `policy_switches`, `fragments` its `fragments`/`fragment_cycles`;
-/// the caller writes `series` under `--intervals`.
+/// the caller writes `series` under `--intervals` and hands it to a
+/// series request.
 struct RunAccount {
     result: SimResult,
     /// Cycles the quiescence engine skipped (the scout's, when fragmented).
@@ -507,29 +512,11 @@ impl Campaign {
         self.sanitize = on;
     }
 
-    /// Whether the sanitizer is attached ([`Campaign::set_sanitize`]).
-    pub fn sanitize(&self) -> bool {
-        self.sanitize
-    }
-
-    /// Whether disk-cache loads must be bypassed so every run actually
-    /// executes in-process: under `--sanitize` (the audit must run) and
-    /// under `--intervals` (a cache hit would produce no time-series).
-    fn bypass_cache_loads(&self) -> bool {
-        self.sanitize || self.intervals.is_some()
-    }
-
     /// Disable (or re-enable) the quiescence-skipping engine for every
     /// simulation this campaign runs (`--no-skip`). Observation-only:
     /// results are bit-identical either way.
     pub fn set_skip(&mut self, on: bool) {
         self.skip = on;
-    }
-
-    /// Whether simulations may use the quiescence engine
-    /// ([`Campaign::set_skip`]).
-    pub fn skip(&self) -> bool {
-        self.skip
     }
 
     /// Enable time-axis parallel fragment replay (`--fragments <cycles>`):
@@ -541,11 +528,6 @@ impl Campaign {
     /// `0` disables.
     pub fn set_fragments(&mut self, cycles: u64) {
         self.fragments = (cycles > 0).then_some(cycles);
-    }
-
-    /// Whether fragment replay is configured ([`Campaign::set_fragments`]).
-    pub fn fragments_enabled(&self) -> bool {
-        self.fragments.is_some()
     }
 
     /// The `(jobs, fragment_cycles)` plan for a run starting now, or
@@ -681,8 +663,10 @@ impl Campaign {
     /// One simulation with this campaign's observers attached. The
     /// sanitizer and the interval probe each compile in or out
     /// (`const ENABLED`), so the plain arm runs the zero-cost
-    /// NullProbe/NullSanitizer code. `build` makes the run's policy: grid
-    /// runs pass their kind's [`PolicyKind::build`], custom runs their own
+    /// NullProbe/NullSanitizer code. The probe rides along under
+    /// `--intervals` and on a series request, at the `--intervals` window
+    /// or else the default one. `build` makes the run's policy: grid runs
+    /// pass their kind's [`PolicyKind::build`], custom runs their own
     /// builder.
     fn simulate(
         &self,
@@ -690,7 +674,9 @@ impl Campaign {
         build: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
     ) -> Result<RunAccount, ExpError> {
         let probe = |window| move || IntervalProbe::new(IntervalConfig { window });
-        match (self.sanitize, self.intervals.as_ref().map(|o| o.window)) {
+        let window = self.intervals.as_ref().map(|o| o.window);
+        let window = window.or(run.series.then_some(IntervalConfig::default().window));
+        match (self.sanitize, window) {
             (true, Some(w)) => self.drive(run, build, probe(w), RecordingSanitizer::new),
             (true, None) => self.drive(run, build, || NullProbe, RecordingSanitizer::new),
             (false, Some(w)) => self.drive(run, build, probe(w), || NullSanitizer),
@@ -845,13 +831,18 @@ impl Campaign {
     }
 
     /// Run `key`, consulting and feeding the disk cache when attached, and
-    /// hand back its canonical description with the result. Every result
-    /// entering the process (fresh or loaded) is recorded as a stats
-    /// artifact exactly once.
+    /// hand back its canonical description with the result and, when the
+    /// run carried the interval probe, its series. `series` asks for that
+    /// series ([`Campaign::series`]). Every result entering the process
+    /// (fresh or loaded) is recorded as a stats artifact exactly once.
     ///
     /// The full robustness path: the configuration is validated before the
     /// cache is consulted, and [`Campaign::load_or_simulate`] does the rest.
-    fn run_protected(&self, key: &RunKey) -> Result<(String, SimResult), ExpError> {
+    fn run_protected(
+        &self,
+        key: &RunKey,
+        series: bool,
+    ) -> Result<(String, SimResult, Option<IntervalSeries>), ExpError> {
         let specs = specs_for(key)?;
         let cfg = key.arch.config();
         cfg.validate(specs.len())?;
@@ -865,6 +856,7 @@ impl Campaign {
             desc: &desc,
             cfg: &cfg,
             specs: &specs,
+            series,
         };
         let served =
             self.load_or_simulate(&run, || self.simulate(&run, &move || key.policy.build()))?;
@@ -877,11 +869,11 @@ impl Campaign {
                 result,
             )
         };
-        let result = match served {
+        let (result, series) = match served {
             Served::Stored(result) => {
                 crate::artifacts::record(record(&result));
                 self.note_done(&what, "disk");
-                result
+                (result, None)
             }
             Served::Simulated(acc) => {
                 let total = self.params.warmup + self.params.measure;
@@ -895,22 +887,22 @@ impl Campaign {
                     self.write_intervals(&what, &specs, series);
                 }
                 self.note_done(&what, "sim");
-                acc.result
+                (acc.result, acc.series)
             }
         };
-        Ok((desc, result))
+        Ok((desc, result, series))
     }
 
     /// The sequence every campaign run goes through once its
     /// configuration is valid: the disk cache, then `simulate`, then the
     /// store. Under `--sanitize` a cache hit would dodge the audit, and
-    /// under `--intervals` it would produce no time-series, so loads are
-    /// skipped in both modes; the store still refreshes the entry (probed
-    /// and sanitized results are bit-identical to plain ones). An
-    /// irregular cache entry is recorded as a typed failure and treated as
-    /// a miss; stores retry transient I/O failures with backoff, and a
-    /// final store failure only costs future warm starts, so it is
-    /// recorded, not fatal.
+    /// under `--intervals` or for a series request it would produce no
+    /// time-series, so loads are skipped in all three cases; the store
+    /// still refreshes the entry (probed and sanitized results are
+    /// bit-identical to plain ones). An irregular cache entry is recorded
+    /// as a typed failure and treated as a miss; stores retry transient
+    /// I/O failures with backoff, and a final store failure only costs
+    /// future warm starts, so it is recorded, not fatal.
     fn load_or_simulate(
         &self,
         run: &Run<'_>,
@@ -918,7 +910,8 @@ impl Campaign {
     ) -> Result<Served, ExpError> {
         let (what, desc) = (run.what, run.desc);
         let disk = self.disk.as_ref();
-        if let Some(disk) = disk.filter(|_| !self.bypass_cache_loads()) {
+        let bypass = run.series || self.sanitize || self.intervals.is_some();
+        if let Some(disk) = disk.filter(|_| !bypass) {
             match disk.load_checked(desc) {
                 Ok(Some(r)) => return Ok(Served::Stored(r)),
                 Ok(None) => {}
@@ -987,6 +980,7 @@ impl Campaign {
             desc: &desc,
             cfg,
             specs,
+            series: false,
         };
         let (result, series) = self.custom_protected(&run, &build)?;
         if let Some(series) = series {
@@ -1104,6 +1098,7 @@ impl Campaign {
                                     desc,
                                     cfg: &custom.cfg,
                                     specs: &custom.specs,
+                                    series: false,
                                 };
                                 if let Ok((_, Some(series))) =
                                     self.custom_protected(&run, &custom.build)
@@ -1219,8 +1214,8 @@ impl Campaign {
         if let Some(r) = crate::lock_unpoisoned(&self.cache).get(key) {
             return r.clone();
         }
-        let outcome = match self.run_protected(key) {
-            Ok((desc, r)) => {
+        let outcome = match self.run_protected(key, false) {
+            Ok((desc, r, _)) => {
                 crate::lock_unpoisoned(&self.by_desc)
                     .entry(desc)
                     .or_insert_with(|| Ok(r.clone()));
@@ -1241,6 +1236,31 @@ impl Campaign {
                 e.get().clone()
             }
             std::collections::hash_map::Entry::Vacant(v) => v.insert(outcome).clone(),
+        }
+    }
+
+    /// The interval series of `key`'s run, as the campaign simulates it
+    /// with the interval probe attached at its interval window: the
+    /// `--intervals` window, or [`IntervalConfig::default`]'s. Otherwise
+    /// an ordinary grid run (validated, audited, fragmented, stored,
+    /// recorded, its files written under `--intervals`), except that it
+    /// never loads from disk and neither reads nor fills the in-process
+    /// memo: a stored or memoized result has no series.
+    ///
+    /// Panics if the run fails, like [`Campaign::result`]; the failure is
+    /// recorded on the campaign first.
+    #[expect(
+        clippy::panic,
+        reason = "documented fail-fast wrapper: the failure is recorded on the campaign before the panic, and the caller (the `meta` oracle) cannot degrade without the series"
+    )]
+    pub fn series(&self, key: &RunKey) -> IntervalSeries {
+        match self.run_protected(key, true) {
+            Ok((.., Some(series))) => series,
+            Ok(_) => panic!("run {key:?} recorded no interval series"),
+            Err(e) => {
+                self.note_failure(&key.label(), &e);
+                panic!("run {key:?} failed: {e}")
+            }
         }
     }
 
@@ -1486,6 +1506,25 @@ mod tests {
         let failures: Vec<ExpError> = c.failures().into_iter().map(|f| f.error).collect();
         assert_eq!(failures, errors);
         assert!(c.failure_summary().unwrap().contains("partial"));
+
+        // A series request fails fast, but only after recording the
+        // failure under the run's label.
+        let key = RunKey {
+            arch: Arch::Baseline,
+            workload: "3-MIX".into(),
+            policy: PolicyKind::Icount,
+        };
+        let series = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.series(&key)));
+        assert!(series.is_err());
+        let last = c.failures().pop().unwrap();
+        assert_eq!(last.what, "baseline/3-MIX/ICOUNT");
+        assert_eq!(
+            last.error,
+            ExpError::UnknownWorkload {
+                threads: 3,
+                class: "MIX"
+            }
+        );
 
         // The campaign keeps working after the failure.
         let wl = workload(2, WorkloadClass::Ilp);

@@ -43,8 +43,8 @@ pub struct TraceOpts {
 /// Run the traced simulation and write `<arch>-<workload>-<policy>.trace.json`
 /// and `...stats.json` under `out_dir`. Returns a human-readable summary.
 ///
-/// Like every other CLI entry path, the configuration is validated up
-/// front with a typed error rather than trusted to downstream panics.
+/// Like every other CLI entry path, the simulator is built fallibly: an
+/// invalid configuration is a typed error, not a panic.
 pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
     use crate::error::ExpError;
     let io = |path: &std::path::Path| {
@@ -56,13 +56,11 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
     };
     let wl = &o.workload;
     let specs = wl.thread_specs();
-    let cfg = o.arch.config();
-    cfg.validate(specs.len())?;
     let window = IntervalConfig {
         window: TRACE_WINDOW,
     };
     let probe = RecordingProbe::new(RING_EVENTS, window).with_detail(o.detail);
-    let mut sim = Simulator::with_probe(cfg, o.policy.build(), &specs, probe);
+    let mut sim = Simulator::try_with_probe(o.arch.config(), o.policy.build(), &specs, probe)?;
     let result = sim.try_run(o.params.warmup, o.params.measure, &Watchdog::default())?;
     // A trace is always a live execution, so the switch count exists (the
     // generic stats path leaves it null for cache-served runs).
@@ -153,8 +151,7 @@ mod tests {
 
     #[test]
     fn trace_runs_and_writes_files() {
-        let dir = std::env::temp_dir().join("smt-trace-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::testutil::TempDir::new("smt-trace", "files");
         let o = TraceOpts {
             policy: PolicyKind::DWarn,
             workload: smt_workloads::workload(4, smt_workloads::WorkloadClass::Mix),
@@ -164,7 +161,7 @@ mod tests {
                 measure: 2_000,
             },
             detail: false,
-            out_dir: dir.clone(),
+            out_dir: dir.to_path_buf(),
         };
         let summary = run(&o).unwrap();
         assert!(summary.contains("trace:"));
@@ -179,6 +176,5 @@ mod tests {
         let occupancy = doc.get("occupancy").unwrap();
         // The occupancy means cover the whole run, warmup included.
         assert_eq!(occupancy.get("cycles").and_then(Json::as_u64), Some(2_200));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

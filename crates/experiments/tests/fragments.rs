@@ -396,7 +396,6 @@ fn campaign_fragmented_results_match_sequential_campaign() {
 
     let mut frag = Campaign::new(params);
     frag.set_fragments(2_000);
-    assert!(frag.fragments_enabled());
     let got = frag.result(&key).digest();
     assert_eq!(
         got, want,

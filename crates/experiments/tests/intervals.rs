@@ -184,6 +184,42 @@ fn campaign_intervals_end_to_end() {
 }
 
 #[test]
+fn campaign_series_match_bare_probed_runs() {
+    use dwarn_core::SelectorKind;
+    use smt_experiments::{Arch, Campaign, ExpParams, RunKey};
+
+    // The meta oracle reads its series through the campaign: plain or
+    // sanitized, a series request must see exactly what a bare probed
+    // simulator records, switching policy included.
+    let wl = workload(4, WorkloadClass::Mem);
+    let specs = wl.thread_specs();
+    for sanitize in [false, true] {
+        let dir = std::env::temp_dir().join(format!(
+            "dwarn-intervals-series-{}-{sanitize}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut campaign = Campaign::new(ExpParams {
+            warmup: WARMUP,
+            measure: MEASURE,
+        });
+        campaign.set_sanitize(sanitize);
+        campaign.set_intervals(&dir, WINDOW).unwrap();
+        for policy in [PolicyKind::DWarn, PolicyKind::Meta(SelectorKind::IpcGreedy)] {
+            let series = campaign.series(&RunKey::workload(Arch::Baseline, &wl, policy));
+            let (_, bare) = run(policy, &specs, true, sanitize);
+            assert_eq!(
+                series.digest(),
+                bare.digest(),
+                "{} series diverged (sanitize={sanitize})",
+                policy.name()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn a_custom_batch_leaves_the_interval_files_a_serial_loop_leaves() {
     use smt_experiments::{Campaign, CustomRun, ExpParams};
 

@@ -667,7 +667,7 @@ impl<P: Probe, S: Sanitizer> Simulator<P, S> {
 
     /// Whether guarded runs may skip quiescent spans: the policy's contract
     /// allows it and the escape hatch is open.
-    pub fn skip_active(&self) -> bool {
+    fn skip_active(&self) -> bool {
         self.skip_ok && self.skip_enabled
     }
 
@@ -2313,22 +2313,12 @@ impl<P: Probe, S: Sanitizer> Simulator<P, S> {
     pub fn dmiss_count(&self, thread: usize) -> u32 {
         self.dmiss[thread]
     }
-
-    /// Cumulative per-thread statistics (from cycle 0).
-    pub fn thread_stats(&self, thread: usize) -> ThreadStats {
-        self.stats[thread]
-    }
 }
 
 impl<P: Probe, S: Sanitizer> Simulator<P, S> {
     /// Physical registers currently held (int, fp) — diagnostics.
     pub fn regs_in_use(&self) -> (u32, u32) {
         (self.regs_int.in_use(), self.regs_fp.in_use())
-    }
-
-    /// Current ROB occupancy of a thread — diagnostics.
-    pub fn rob_len(&self, thread: usize) -> usize {
-        self.robs[thread].len()
     }
 
     /// Correct-path instructions emitted by a thread's trace — diagnostics.
