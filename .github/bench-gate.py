@@ -7,19 +7,21 @@
 Run it from the change's checkout root; PARENT_DIR is a checkout of the
 parent commit. For every workload BENCHMARK.json lists, it runs that
 file's `command` with `--workload <name>` in PAIRS alternating
-parent/change pairs, then one `--trace 1 --workload mem-probed` run of
-the change. It prints the median of every end-to-end metric for both
+parent/change pairs, then TRACED `--trace 1 --workload mem-probed` runs
+of the change. It prints the median of every end-to-end metric for both
 sides and exits 1, printing one `FAIL:` line per reason, when:
 
-  * a change run reports `"correct": false` or `failed > 0`;
+  * a change run, timed or traced, reports `"correct": false` or
+    `failed > 0`;
   * the change's median `wall_s` exceeds the parent's by more than the
     `wall_s` bound in BENCHMARK.json;
-  * the traced run's `interval.overhead` exceeds INTERVAL_OVERHEAD_BOUND.
+  * the median `interval.overhead` of the traced runs exceeds
+    INTERVAL_OVERHEAD_BOUND.
 
 `--results` gates results in the form a measurement collects, as JSON:
 `{"workloads": {name: {"parent": [run, ...], "change": [run, ...]}},
-"traced": run}`, where a run is the benchmark's last output line. CI feeds
-hand-written inputs through the gate this way.
+"traced": [run, ...]}`, where a run is the benchmark's last output line.
+CI feeds hand-written inputs through the gate this way.
 """
 
 import json
@@ -29,8 +31,11 @@ import sys
 
 PAIRS = 5
 # The interval probe rides along on ordinary campaign runs (`--intervals`);
-# it must stay cheap enough to leave on.
+# it must stay cheap enough to leave on. One traced reading swings past the
+# bound on a 2-vCPU host with no code cause, so the gate takes the median
+# of TRACED runs.
 INTERVAL_OVERHEAD_BOUND = 1.25
+TRACED = 3
 
 
 def run(command, cwd, args):
@@ -57,7 +62,8 @@ def measure(spec, parent):
                 print(f"{w} {side} run {len(sides[side])}: wall_s "
                       f"{result['metrics']['wall_s']['value']:.3f}", flush=True)
         results["workloads"][w] = sides
-    _, results["traced"] = run(command, ".", ["--workload", "mem-probed", "--trace", "1"])
+    results["traced"] = [run(command, ".", ["--workload", "mem-probed", "--trace", "1"])[1]
+                         for _ in range(TRACED)]
     return results
 
 
@@ -98,13 +104,15 @@ def gate(spec, results):
             fails.append(f"{w}: wall_s median {c:.3f} s is {c / p:.3f}x the parent's "
                          f"{p:.3f} s (bound {1 + bound:.2f}x)")
     traced = results["traced"]
-    fails.append(incorrect("mem-probed: traced change run", traced))
-    overhead = value(traced, "interval.overhead")
-    print(f"mem-probed traced change run: interval.overhead {overhead:.3f} "
-          f"(bound {INTERVAL_OVERHEAD_BOUND})")
+    for i, r in enumerate(traced):
+        fails.append(incorrect(f"mem-probed: traced change run {i + 1}", r))
+    readings = ", ".join(f"{value(r, 'interval.overhead'):.3f}" for r in traced)
+    overhead = median(traced, "interval.overhead")
+    print(f"mem-probed traced change runs: interval.overhead {readings}, median "
+          f"{overhead:.3f} (bound {INTERVAL_OVERHEAD_BOUND})")
     if overhead > INTERVAL_OVERHEAD_BOUND:
-        fails.append(f"mem-probed: interval.overhead {overhead:.3f} exceeds "
-                     f"{INTERVAL_OVERHEAD_BOUND}")
+        fails.append(f"mem-probed: interval.overhead median {overhead:.3f} of "
+                     f"{len(traced)} traced runs exceeds {INTERVAL_OVERHEAD_BOUND}")
     fails = [f for f in fails if f]
     for f in fails:
         print(f"FAIL: {f}")

@@ -98,20 +98,27 @@ fn hmean_of(committed: &[u64], cycles: u64, solos: &[f64]) -> f64 {
     smt_metrics::hmean(&smt_metrics::relative_ipcs(&ipcs, solos))
 }
 
-/// Run the full grid for one workload and derive its row.
-fn compute_row(campaign: &Campaign, wl: &Workload) -> MetaRow {
+/// The runs of one workload's row, in the order [`compute_row`] reads
+/// their series: the static candidates, then the selectors.
+fn row_keys(wl: &Workload) -> Vec<RunKey> {
+    CANDIDATES
+        .into_iter()
+        .chain(PolicyKind::meta_set())
+        .map(|k| RunKey::workload(Arch::Baseline, wl, k))
+        .collect()
+}
+
+/// Derive one workload's row from the series of its [`row_keys`] runs.
+fn compute_row(campaign: &Campaign, wl: &Workload, series: &[IntervalSeries]) -> MetaRow {
     let solos: Vec<f64> = wl
         .benchmarks
         .iter()
         .map(|b| campaign.solo_ipc(Arch::Baseline, b))
         .collect();
 
-    let static_series: Vec<IntervalSeries> = CANDIDATES
-        .iter()
-        .map(|&k| campaign.series(&RunKey::workload(Arch::Baseline, wl, k)))
-        .collect();
+    let (static_series, meta_series) = series.split_at(CANDIDATES.len());
     let cycles = static_series[0].total().cycles;
-    for s in &static_series {
+    for s in static_series {
         assert_eq!(
             s.total().cycles,
             cycles,
@@ -146,13 +153,11 @@ fn compute_row(campaign: &Campaign, wl: &Workload) -> MetaRow {
     let worst_committed = static_committed.iter().copied().min().unwrap_or(0);
     let ordering_ok = worst_committed <= best_committed && best_committed <= oracle_committed;
 
-    let metas = PolicyKind::meta_set();
     let mut meta_ipc = Vec::new();
     let mut meta_hmean = Vec::new();
     let mut switches = Vec::new();
-    for &k in &metas {
-        let series = campaign.series(&RunKey::workload(Arch::Baseline, wl, k));
-        let committed = committed_per_thread(&series);
+    for series in meta_series {
+        let committed = committed_per_thread(series);
         meta_ipc.push(committed.iter().sum::<u64>() as f64 / cycles as f64);
         meta_hmean.push(hmean_of(&committed, cycles, &solos));
         switches.push(series.total().policy_switches);
@@ -181,11 +186,21 @@ fn compute_row(campaign: &Campaign, wl: &Workload) -> MetaRow {
     }
 }
 
-/// Compute every workload's row (solo baselines prefetched up front).
+/// Compute the rows of `wls`: their solo baselines as one prefetch
+/// batch, then every row's series runs as one series batch.
+fn compute_rows(campaign: &Campaign, wls: &[Workload]) -> Vec<MetaRow> {
+    campaign.prefetch(&Campaign::solo_grid(Arch::Baseline, wls));
+    let keys: Vec<RunKey> = wls.iter().flat_map(row_keys).collect();
+    let series = campaign.series(&keys);
+    wls.iter()
+        .zip(series.chunks(CANDIDATES.len() + PolicyKind::meta_set().len()))
+        .map(|(wl, series)| compute_row(campaign, wl, series))
+        .collect()
+}
+
+/// Compute every workload's row.
 pub fn compute(campaign: &Campaign) -> Vec<MetaRow> {
-    let wls = all_workloads();
-    campaign.prefetch(&Campaign::solo_grid(Arch::Baseline, &wls));
-    wls.iter().map(|wl| compute_row(campaign, wl)).collect()
+    compute_rows(campaign, &all_workloads())
 }
 
 /// Render the results chapter: full-run IPC table, Hmean table, selector
@@ -276,11 +291,7 @@ mod tests {
     fn oracle_bounds_order_on_one_workload() {
         let c = quick();
         let wl = workload(4, WorkloadClass::Mix);
-        c.prefetch(&Campaign::solo_grid(
-            Arch::Baseline,
-            std::slice::from_ref(&wl),
-        ));
-        let row = compute_row(&c, &wl);
+        let row = &compute_rows(&c, std::slice::from_ref(&wl))[0];
         // The oracle's windows are the selectors' decision windows only
         // because the campaign's default interval window is theirs.
         assert_eq!(IntervalConfig::default().window, DEFAULT_META_WINDOW);
@@ -303,10 +314,7 @@ mod tests {
         let solos = Campaign::solo_grid(Arch::Baseline, std::slice::from_ref(&wl));
         let cache = TempDir::new("dwarn-meta", "cache");
         let on_cache = || Campaign::with_disk_cache(QUICK, &cache).unwrap();
-        let row = |c: &Campaign| {
-            c.prefetch(&solos);
-            compute_row(c, &wl)
-        };
+        let row = |c: &Campaign| compute_rows(c, std::slice::from_ref(&wl)).remove(0);
         let mut audited = on_cache();
         audited.set_sanitize(true);
         let a = row(&audited);

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use dwarn_core::PolicyKind;
@@ -447,6 +447,19 @@ pub fn parse_jobs(raw: Option<&str>) -> Result<usize, ConfigError> {
     }
 }
 
+/// How many fragment-replay workers one run gets when `parallelism`
+/// workers are shared by a batch pool `pool_width` runs wide, or `None`
+/// to simulate it sequentially. The run's share is `parallelism /
+/// pool_width` cores; its scout keeps one of them busy, and replay gets
+/// the rest when that is at least two workers. A lone worker would
+/// replay the whole run while the scout repeats it plain, so it cannot
+/// beat a sequential run.
+pub fn replay_workers(parallelism: usize, pool_width: usize) -> Option<usize> {
+    let share = parallelism / pool_width.max(1);
+    let workers = share.saturating_sub(1);
+    (workers >= 2).then_some(workers)
+}
+
 impl Campaign {
     /// As [`Campaign::try_new`], panicking on a malformed `SMT_JOBS`.
     /// Kept for the dozens of test/bench call sites, which follow the
@@ -520,26 +533,32 @@ impl Campaign {
     }
 
     /// Enable time-axis parallel fragment replay (`--fragments <cycles>`):
-    /// a simulation whose turn comes when spare cores exist first runs a
-    /// cheap null-observer scout pass that snapshots the machine every
-    /// `cycles` cycles, then re-simulates the fragments concurrently with
-    /// the real observer configuration and stitches the results —
-    /// bit-identical to a sequential run (the engine proves it per run).
-    /// `0` disables.
+    /// a simulation whose share of the cores holds its scout and at least
+    /// two replay workers ([`replay_workers`]) first runs a cheap
+    /// null-observer scout pass that snapshots the machine every `cycles`
+    /// cycles, then re-simulates the fragments concurrently with the real
+    /// observer configuration and stitches the results — bit-identical to
+    /// a sequential run (the engine proves it per run). Any other run
+    /// simulates sequentially. `0` disables.
     pub fn set_fragments(&mut self, cycles: u64) {
         self.fragments = (cycles > 0).then_some(cycles);
     }
 
+    /// The worker budget: `SMT_JOBS`, or the detected core count.
+    pub fn parallelism(&self) -> usize {
+        self.parallelism
+    }
+
     /// The `(jobs, fragment_cycles)` plan for a run starting now, or
-    /// `None` to simulate sequentially. Fragment workers only use cores
-    /// the batch pool leaves idle: a full-width prefetch already keeps
-    /// the machine busy with run-level parallelism, and oversubscribing
-    /// it would slow both passes down.
+    /// `None` to simulate sequentially: [`replay_workers`] over the
+    /// running batch's pool width. Fragment workers only use cores the
+    /// batch pool leaves idle: a full-width prefetch already keeps the
+    /// machine busy with run-level parallelism, and oversubscribing it
+    /// would slow both passes down.
     fn fragment_plan(&self) -> Option<(usize, u64)> {
         let cycles = self.fragments?;
-        let width = self.pool_width.load(Ordering::Relaxed).max(1);
-        let jobs = self.parallelism / width;
-        (jobs >= 2).then_some((jobs, cycles))
+        let jobs = replay_workers(self.parallelism, self.pool_width.load(Ordering::Relaxed))?;
+        Some((jobs, cycles))
     }
 
     /// Attach the interval sampler (`--intervals <dir>`): every simulation
@@ -687,8 +706,9 @@ impl Campaign {
     /// The campaign's run driver, behind the panic boundary and watchdog.
     /// It picks one of two execution modes:
     ///
-    /// * **fragment replay** when [`Campaign::fragment_plan`] finds spare
-    ///   cores: a null-observer scout pass snapshots the machine every
+    /// * **fragment replay** when [`Campaign::fragment_plan`] finds the
+    ///   run's core share holds its scout and two replay workers: a
+    ///   null-observer scout pass snapshots the machine every
     ///   `fragment_cycles` cycles while a pool of workers re-simulates the
     ///   fragments with the real observers, and the stitched output is
     ///   proven bit-identical to a sequential run before anything is
@@ -1031,82 +1051,86 @@ impl Campaign {
     /// finish. A custom run's interval files are written after the batch,
     /// in declared order, so two runs sharing a policy description leave
     /// the file a serial loop would.
+    pub fn prefetch<'a, R: Into<Request<'a>>>(&self, requests: impl IntoIterator<Item = R>) {
+        let jobs = self.pending_jobs(requests.into_iter().map(Into::into).collect());
+        // Custom runs' interval series, by job index, written after the
+        // batch.
+        let deferred: Vec<OnceLock<IntervalSeries>> =
+            jobs.iter().map(|_| OnceLock::new()).collect();
+        let label = |i: usize| match &jobs[i] {
+            Job::Grid(k, _) => k.label(),
+            Job::Custom(custom, _) => custom.policy_desc.clone(),
+        };
+        // Failures are recorded and memoized on the campaign, and the rest
+        // of the batch keeps going (partial results).
+        self.pool("prefetch", jobs.len(), label, |i| match &jobs[i] {
+            Job::Grid(k, _) => {
+                let _ = self.try_result(k);
+            }
+            Job::Custom(custom, desc) => {
+                let run = Run {
+                    what: &custom.policy_desc,
+                    desc,
+                    cfg: &custom.cfg,
+                    specs: &custom.specs,
+                    series: false,
+                };
+                if let Ok((_, Some(series))) = self.custom_protected(&run, &custom.build) {
+                    let _ = deferred[i].set(series);
+                }
+            }
+        });
+        for (job, series) in jobs.iter().zip(deferred) {
+            if let (Job::Custom(custom, _), Some(series)) = (job, series.into_inner()) {
+                self.write_intervals(&custom.policy_desc, &custom.specs, &series);
+            }
+        }
+    }
+
+    /// The campaign's one worker loop: run `job(i)` for every `i` in
+    /// `0..n` on up to `SMT_JOBS` scoped threads, each claiming the next
+    /// index until none is left. `kind` names the batch and `label(i)`
+    /// its `i`th request in the `--live` lines. While the batch runs, the
+    /// fragment planner sees its width as the pool's: a narrow batch
+    /// (fewer requests than workers) leaves the remaining cores to
+    /// intra-run fragment replay, while a full one disables it, since
+    /// run-level parallelism already saturates the cores.
     #[expect(
         clippy::disallowed_methods,
         reason = "live telemetry (runs/s, ETA, heartbeat) needs wall time; every simulated number is fixed before the clock is read"
     )]
-    pub fn prefetch<'a, R: Into<Request<'a>>>(&self, requests: impl IntoIterator<Item = R>) {
-        let jobs = self.pending_jobs(requests.into_iter().map(Into::into).collect());
-        if jobs.is_empty() {
+    fn pool(
+        &self,
+        kind: &str,
+        n: usize,
+        label: impl Fn(usize) -> String + Sync,
+        job: impl Fn(usize) + Sync,
+    ) {
+        if n == 0 {
             return;
         }
         let next = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
-        // Custom runs' interval series, by job index, written after the
-        // batch.
-        let deferred: Mutex<Vec<(usize, IntervalSeries)>> = Mutex::new(Vec::new());
-        let workers = self.parallelism.min(jobs.len());
-        // Tell the fragment planner how many cores the batch pool holds:
-        // a narrow batch (fewer requests than cores) leaves the remainder
-        // free for intra-run fragment replay, while a full batch disables
-        // it (run-level parallelism already saturates).
+        let workers = self.parallelism.min(n);
         self.pool_width.store(workers, Ordering::Relaxed);
         if self.live {
             let (hits, sims, _) = self.telemetry_counters();
-            *crate::lock_unpoisoned(&self.batch) = Some((jobs.len(), Instant::now(), hits + sims));
-            eprintln!(
-                "[campaign] prefetch: {} requests, {} worker(s)",
-                jobs.len(),
-                workers
-            );
+            *crate::lock_unpoisoned(&self.batch) = Some((n, Instant::now(), hits + sims));
+            eprintln!("[campaign] {kind}: {n} requests, {workers} worker(s)");
         }
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let (jobs, next, completed, deferred) = (&jobs, &next, &completed, &deferred);
+                    let (next, completed, label, job) = (&next, &completed, &label, &job);
                     s.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
+                        if i >= n {
                             break;
                         }
-                        // Failures are recorded and memoized on the
-                        // campaign, and the rest of the batch keeps going
-                        // (partial results).
-                        match &jobs[i] {
-                            Job::Grid(k, _) => {
-                                if self.live {
-                                    eprintln!(
-                                        "[worker {w}] {} ({}/{})",
-                                        k.label(),
-                                        i + 1,
-                                        jobs.len()
-                                    );
-                                }
-                                let _ = self.try_result(k);
-                            }
-                            Job::Custom(custom, desc) => {
-                                if self.live {
-                                    eprintln!(
-                                        "[worker {w}] {} ({}/{})",
-                                        custom.policy_desc,
-                                        i + 1,
-                                        jobs.len()
-                                    );
-                                }
-                                let run = Run {
-                                    what: &custom.policy_desc,
-                                    desc,
-                                    cfg: &custom.cfg,
-                                    specs: &custom.specs,
-                                    series: false,
-                                };
-                                if let Ok((_, Some(series))) =
-                                    self.custom_protected(&run, &custom.build)
-                                {
-                                    crate::lock_unpoisoned(deferred).push((i, series));
-                                }
-                            }
+                        if self.live {
+                            eprintln!("[worker {w}] {} ({}/{n})", label(i), i + 1);
                         }
+                        job(i);
                         completed.fetch_add(1, Ordering::Relaxed);
                     })
                 })
@@ -1116,10 +1140,11 @@ impl Campaign {
                 // campaign's panic boundary), but if one does, record it
                 // and let the remaining requests finish on later demand.
                 if let Err(payload) = h.join() {
+                    let what = format!("{kind} worker");
                     self.note_failure(
-                        "prefetch worker",
+                        &what,
                         &ExpError::Panicked {
-                            what: "prefetch worker".to_string(),
+                            what: what.clone(),
                             payload: crate::error::panic_message(&*payload),
                         },
                     );
@@ -1127,15 +1152,6 @@ impl Campaign {
             }
         });
         self.pool_width.store(1, Ordering::Relaxed);
-        let mut deferred = deferred
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        deferred.sort_unstable_by_key(|&(i, _)| i);
-        for (i, series) in deferred {
-            if let Job::Custom(custom, _) = &jobs[i] {
-                self.write_intervals(&custom.policy_desc, &custom.specs, &series);
-            }
-        }
         if self.live {
             if let Some((total, started, _)) = crate::lock_unpoisoned(&self.batch).take() {
                 let (hits, sims, coalesced) = self.telemetry_counters();
@@ -1239,29 +1255,47 @@ impl Campaign {
         }
     }
 
-    /// The interval series of `key`'s run, as the campaign simulates it
-    /// with the interval probe attached at its interval window: the
-    /// `--intervals` window, or [`IntervalConfig::default`]'s. Otherwise
-    /// an ordinary grid run (validated, audited, fragmented, stored,
-    /// recorded, its files written under `--intervals`), except that it
-    /// never loads from disk and neither reads nor fills the in-process
-    /// memo: a stored or memoized result has no series.
+    /// The interval series of each of `keys`' runs, in `keys` order, as
+    /// the campaign simulates them with the interval probe attached at its
+    /// interval window: the `--intervals` window, or
+    /// [`IntervalConfig::default`]'s. The runs are one batch on the worker
+    /// pool [`Campaign::prefetch`] uses, and each is otherwise an ordinary
+    /// grid run (validated, audited, fragmented, stored, recorded, its
+    /// files written under `--intervals`), except that it never loads from
+    /// disk and neither reads nor fills the in-process memo: a stored or
+    /// memoized result has no series.
     ///
-    /// Panics if the run fails, like [`Campaign::result`]; the failure is
-    /// recorded on the campaign first.
+    /// Panics if any run fails, like [`Campaign::result`], once the whole
+    /// batch has finished; every failure is recorded on the campaign
+    /// first.
     #[expect(
         clippy::panic,
         reason = "documented fail-fast wrapper: the failure is recorded on the campaign before the panic, and the caller (the `meta` oracle) cannot degrade without the series"
     )]
-    pub fn series(&self, key: &RunKey) -> IntervalSeries {
-        match self.run_protected(key, true) {
-            Ok((.., Some(series))) => series,
-            Ok(_) => panic!("run {key:?} recorded no interval series"),
-            Err(e) => {
-                self.note_failure(&key.label(), &e);
-                panic!("run {key:?} failed: {e}")
-            }
-        }
+    pub fn series(&self, keys: &[RunKey]) -> Vec<IntervalSeries> {
+        let outcomes: Vec<OnceLock<Result<Option<IntervalSeries>, ExpError>>> =
+            keys.iter().map(|_| OnceLock::new()).collect();
+        self.pool(
+            "series",
+            keys.len(),
+            |i| keys[i].label(),
+            |i| {
+                let outcome = self.run_protected(&keys[i], true).map(|(.., s)| s);
+                if let Err(e) = &outcome {
+                    self.note_failure(&keys[i].label(), e);
+                }
+                let _ = outcomes[i].set(outcome);
+            },
+        );
+        keys.iter()
+            .zip(outcomes)
+            .map(|(key, outcome)| match outcome.into_inner() {
+                Some(Ok(Some(series))) => series,
+                Some(Ok(None)) => panic!("run {key:?} recorded no interval series"),
+                Some(Err(e)) => panic!("run {key:?} failed: {e}"),
+                None => panic!("run {key:?} was lost with its series worker"),
+            })
+            .collect()
     }
 
     /// Result for a (workload, policy) pair on an architecture.
@@ -1507,15 +1541,24 @@ mod tests {
         assert_eq!(failures, errors);
         assert!(c.failure_summary().unwrap().contains("partial"));
 
-        // A series request fails fast, but only after recording the
-        // failure under the run's label.
+        // A series batch fails fast, but only after every run of it has
+        // finished and the failure is recorded under the run's label.
         let key = RunKey {
             arch: Arch::Baseline,
             workload: "3-MIX".into(),
             policy: PolicyKind::Icount,
         };
-        let series = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.series(&key)));
+        let good = RunKey::workload(
+            Arch::Baseline,
+            &workload(2, WorkloadClass::Ilp),
+            PolicyKind::Icount,
+        );
+        let (_, sims, _) = c.telemetry_counters();
+        let series = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.series(&[key.clone(), good])
+        }));
         assert!(series.is_err());
+        assert_eq!(c.telemetry_counters().1, sims + 1, "the good run ran");
         let last = c.failures().pop().unwrap();
         assert_eq!(last.what, "baseline/3-MIX/ICOUNT");
         assert_eq!(
@@ -1629,6 +1672,29 @@ mod tests {
         );
         assert_eq!(builds.load(Ordering::Relaxed), 0);
         assert_eq!(r.digest(), c.result(&key).digest());
+    }
+
+    #[test]
+    fn fragment_replay_budgets_the_scouts_core() {
+        // (parallelism, pool width) → replay workers. A run's share is
+        // parallelism / width; the scout takes one core of it, and replay
+        // engages only when two or more are left.
+        let table = [
+            ((1, 1), None),
+            ((2, 1), None),
+            ((6, 3), None),
+            ((3, 1), Some(2)),
+            ((4, 1), Some(3)),
+            ((8, 2), Some(3)),
+            ((9, 3), Some(2)),
+        ];
+        for ((parallelism, width), want) in table {
+            assert_eq!(
+                replay_workers(parallelism, width),
+                want,
+                "parallelism {parallelism}, pool width {width}"
+            );
+        }
     }
 
     #[test]

@@ -429,12 +429,13 @@ fn files_by_name(
 
 /// `compare DWARN @2-MEM --quick --sanitize` with interval telemetry and
 /// stats records, run by the real binary at `jobs` workers: its stdout,
-/// interval files and stats records.
-type CliOutput = (
-    String,
-    std::collections::BTreeMap<String, String>,
-    std::collections::BTreeMap<String, String>,
-);
+/// stderr, interval files and stats records.
+struct CliOutput {
+    stdout: String,
+    stderr: String,
+    series: std::collections::BTreeMap<String, String>,
+    stats: std::collections::BTreeMap<String, String>,
+}
 
 fn cli_compare(tag: &str, jobs: &str, fragments: bool) -> CliOutput {
     let dir = std::env::temp_dir().join(format!("dwarn-frag-cli-{}-{tag}", std::process::id()));
@@ -452,11 +453,14 @@ fn cli_compare(tag: &str, jobs: &str, fragments: bool) -> CliOutput {
         .env("SMT_JOBS", jobs);
     let out = cmd.output().expect("run smt-experiments");
     assert!(out.status.success(), "{tag} run failed: {out:?}");
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    let series = files_by_name(&iv, &[".intervals.jsonl", ".counters.trace.json"]);
-    let stats = files_by_name(&st, &[".json"]);
+    let output = CliOutput {
+        stdout: String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        stderr: String::from_utf8(out.stderr).expect("utf-8 stderr"),
+        series: files_by_name(&iv, &[".intervals.jsonl", ".counters.trace.json"]),
+        stats: files_by_name(&st, &[".json"]),
+    };
     let _ = std::fs::remove_dir_all(&dir);
-    (stdout, series, stats)
+    output
 }
 
 /// The value of a stats record's `"fragments"` field.
@@ -468,29 +472,21 @@ fn fragments_field(record: &str) -> &str {
         .expect("stats record has a fragments field")
 }
 
+/// The stderr line a `--fragments` run prints when no run can replay.
+const NO_REPLAY: &str = "--fragments: replay cannot engage at this width";
+
 #[test]
 fn cli_fragmented_compare_replays_and_matches_sequential_output() {
-    // Six workers over a three-run batch leave two cores per run, so
-    // fragment replay must engage whatever the host's core count — unlike
-    // the in-process test above, which falls back to a sequential run
-    // when the host has too few cores.
-    let (frag_out, frag_series, frag_stats) = cli_compare("frag", "6", true);
-    let (seq_out, seq_series, seq_stats) = cli_compare("seq", "1", false);
-
-    assert_eq!(frag_out, seq_out, "stdout differs");
-    assert!(!seq_series.is_empty(), "no interval files written");
-    assert_eq!(
-        frag_series.keys().collect::<Vec<_>>(),
-        seq_series.keys().collect::<Vec<_>>()
-    );
-    for (name, body) in &seq_series {
-        assert!(frag_series[name] == *body, "{name} differs");
-    }
-    assert!(!seq_stats.is_empty(), "no stats records written");
-    assert_eq!(
-        frag_stats.keys().collect::<Vec<_>>(),
-        seq_stats.keys().collect::<Vec<_>>()
-    );
+    // `compare` runs a three-run batch. Nine workers leave three cores per
+    // run, the scout's and two replay workers', so fragment replay must
+    // engage whatever the host's core count — unlike the in-process test
+    // above, which runs sequentially when the host has too few cores. Six
+    // workers leave two cores per run, one replay worker beside the
+    // scout, so those runs simulate sequentially. Two workers in all can
+    // never replay, and the CLI says so once on stderr.
+    let seq = cli_compare("seq", "1", false);
+    assert!(!seq.series.is_empty(), "no interval files written");
+    assert!(!seq.stats.is_empty(), "no stats records written");
     let without_fragments = |record: &str| -> Vec<String> {
         record
             .lines()
@@ -501,18 +497,43 @@ fn cli_fragmented_compare_replays_and_matches_sequential_output() {
             .map(str::to_string)
             .collect()
     };
-    for (name, seq) in &seq_stats {
-        let frag = &frag_stats[name];
-        assert_ne!(fragments_field(frag), "null", "{name}: replay did not run");
+    // (workers, replays, stderr notices)
+    for (jobs, replays, notices) in [("9", true, 0), ("6", false, 0), ("2", false, 1)] {
+        let run = cli_compare(&format!("frag{jobs}"), jobs, true);
+        let tag = format!("SMT_JOBS={jobs}");
+        assert_eq!(run.stdout, seq.stdout, "{tag}: stdout differs");
         assert_eq!(
-            fragments_field(seq),
-            "null",
-            "{name}: sequential run replayed"
+            run.series.keys().collect::<Vec<_>>(),
+            seq.series.keys().collect::<Vec<_>>()
         );
+        for (name, body) in &seq.series {
+            assert!(run.series[name] == *body, "{tag}: {name} differs");
+        }
         assert_eq!(
-            without_fragments(frag),
-            without_fragments(seq),
-            "{name}: stats differ"
+            run.stats.keys().collect::<Vec<_>>(),
+            seq.stats.keys().collect::<Vec<_>>()
         );
+        for (name, want) in &seq.stats {
+            let got = &run.stats[name];
+            assert_eq!(
+                fragments_field(got) != "null",
+                replays,
+                "{tag}: {name} reads \"fragments\": {}",
+                fragments_field(got)
+            );
+            assert_eq!(
+                fragments_field(want),
+                "null",
+                "{name}: sequential run replayed"
+            );
+            assert_eq!(
+                without_fragments(got),
+                without_fragments(want),
+                "{tag}: {name}: stats differ"
+            );
+        }
+        let notice = format!("{NO_REPLAY}: {jobs} worker(s)");
+        let found = run.stderr.lines().filter(|l| l.starts_with(&notice));
+        assert_eq!(found.count(), notices, "{tag}: {}", run.stderr);
     }
 }

@@ -188,9 +188,9 @@ fn campaign_series_match_bare_probed_runs() {
     use dwarn_core::SelectorKind;
     use smt_experiments::{Arch, Campaign, ExpParams, RunKey};
 
-    // The meta oracle reads its series through the campaign: plain or
-    // sanitized, a series request must see exactly what a bare probed
-    // simulator records, switching policy included.
+    // The meta oracle reads its series through the campaign, in one
+    // batch: plain or sanitized, each series of a batch must be exactly
+    // what a bare probed simulator records, switching policy included.
     let wl = workload(4, WorkloadClass::Mem);
     let specs = wl.thread_specs();
     for sanitize in [false, true] {
@@ -205,8 +205,9 @@ fn campaign_series_match_bare_probed_runs() {
         });
         campaign.set_sanitize(sanitize);
         campaign.set_intervals(&dir, WINDOW).unwrap();
-        for policy in [PolicyKind::DWarn, PolicyKind::Meta(SelectorKind::IpcGreedy)] {
-            let series = campaign.series(&RunKey::workload(Arch::Baseline, &wl, policy));
+        let policies = [PolicyKind::DWarn, PolicyKind::Meta(SelectorKind::IpcGreedy)];
+        let keys = policies.map(|p| RunKey::workload(Arch::Baseline, &wl, p));
+        for (policy, series) in policies.into_iter().zip(campaign.series(&keys)) {
             let (_, bare) = run(policy, &specs, true, sanitize);
             assert_eq!(
                 series.digest(),
