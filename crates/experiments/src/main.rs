@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use dwarn_core::PolicyKind;
 use smt_experiments::error::{self, Exit};
-use smt_experiments::runner::{comparison_table, replay_workers, workload_by_name};
+use smt_experiments::runner::{comparison_table, workload_by_name};
 use smt_experiments::suite::{self, ExperimentFn};
 use smt_experiments::tracing::{self, TraceOpts};
 use smt_experiments::{artifacts, Arch, Campaign, DiskCache, ExpParams};
@@ -97,13 +97,14 @@ flags (a flag the command does not read is bad usage):
                      corrupt, or from a different code version
   --fragments <n>    time-axis parallel fragment replay: a simulation whose
                      share of the workers (SMT_JOBS or the core count,
-                     divided by its batch's width) is 3 or more runs a
-                     null-observer scout pass on one of them, snapshotting
-                     the machine every <n> cycles, while the others replay
-                     the fragments concurrently with the real observers;
-                     the stitched result is proven bit-identical to a
-                     sequential run. A smaller share runs sequentially, and
-                     below 3 workers in all the flag says so on stderr
+                     divided by the runs simulating at once) is 3 or more
+                     runs a null-observer scout pass that snapshots the
+                     machine every <n> cycles, while that many workers
+                     replay the fragments concurrently with the real
+                     observers; the stitched result is proven
+                     bit-identical to a sequential run. A smaller share
+                     runs sequentially, and the first such run says so
+                     on stderr
 
 exit codes:
   0  success          1  runtime failure       2  bad usage
@@ -393,12 +394,6 @@ fn build_campaign(cli: &Cli) -> Campaign {
         }
     }
     campaign.set_fragments(cli.fragments);
-    if cli.fragments > 0 && replay_workers(campaign.parallelism(), 1).is_none() {
-        eprintln!(
-            "--fragments: replay cannot engage at this width: {} worker(s), where a run needs 3 (its scout and two replay workers); every run simulates sequentially",
-            campaign.parallelism()
-        );
-    }
     campaign.set_sanitize(cli.has("--sanitize"));
     campaign.set_skip(!cli.has("--no-skip"));
     campaign.set_live(cli.has("--live"));

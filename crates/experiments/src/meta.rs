@@ -309,7 +309,10 @@ mod tests {
         // The audited campaign warms a disk cache, where the plain one's
         // series requests must still simulate: a stored result has no
         // series. The last campaign attaches every observer on that warm
-        // cache and must leave one interval file per run.
+        // cache and must leave one interval file per run. A series batch
+        // of seven runs replays fragments only from 21 workers up, so
+        // replay of a series run is pinned in `tests/fragments.rs`, by
+        // `campaign_fragmented_results_match_sequential_campaign`.
         let wl = workload(2, WorkloadClass::Mem);
         let solos = Campaign::solo_grid(Arch::Baseline, std::slice::from_ref(&wl));
         let cache = TempDir::new("dwarn-meta", "cache");
@@ -325,7 +328,6 @@ mod tests {
         observed
             .set_intervals(&iv, IntervalConfig::default().window)
             .unwrap();
-        observed.set_fragments(1_000);
         let b = row(&observed);
         for r in [&a, &b] {
             assert_eq!(plain.static_ipc, r.static_ipc);

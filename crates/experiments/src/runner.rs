@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
 use dwarn_core::PolicyKind;
@@ -300,6 +300,8 @@ pub struct Campaign {
     /// (`--fragments <cycles>`); `None` runs every simulation
     /// sequentially.
     fragments: Option<u64>,
+    /// Guards the one stderr notice that fragment replay declined a run.
+    declined: Once,
     /// How many campaign workers are currently simulating: the width of
     /// the running prefetch batch, grid or custom, and 1 outside one (a
     /// lone `try_run_custom` call included). Fragment replay only engages
@@ -331,6 +333,8 @@ struct Telemetry {
     /// Identical results dropped because another worker raced the same key
     /// into the memo first.
     coalesced: AtomicU64,
+    /// Simulations that ran by fragment replay.
+    replayed: AtomicU64,
 }
 
 /// One simulation request as the run driver sees it.
@@ -450,14 +454,16 @@ pub fn parse_jobs(raw: Option<&str>) -> Result<usize, ConfigError> {
 /// How many fragment-replay workers one run gets when `parallelism`
 /// workers are shared by a batch pool `pool_width` runs wide, or `None`
 /// to simulate it sequentially. The run's share is `parallelism /
-/// pool_width` cores; its scout keeps one of them busy, and replay gets
-/// the rest when that is at least two workers. A lone worker would
-/// replay the whole run while the scout repeats it plain, so it cannot
-/// beat a sequential run.
+/// pool_width` cores. Replay engages only from a share of 3, and then
+/// its workers take the whole share, with the run's scout pass beside
+/// them. A share of 2 is declined because on a 2-vCPU host the scout
+/// and two workers used about 1.6× the CPU and 2.4× the peak RSS of a
+/// sequential run to save about 10% of its wall time. Larger shares
+/// have not been measured, against a sequential run or against a plan
+/// that gives the scout a core of its own (ROADMAP item 2).
 pub fn replay_workers(parallelism: usize, pool_width: usize) -> Option<usize> {
     let share = parallelism / pool_width.max(1);
-    let workers = share.saturating_sub(1);
-    (workers >= 2).then_some(workers)
+    (share >= 3).then_some(share)
 }
 
 impl Campaign {
@@ -478,13 +484,18 @@ impl Campaign {
     /// want a pinned, reproducible width) or the detected core count.
     pub fn try_new(params: ExpParams) -> Result<Campaign, ConfigError> {
         let jobs = std::env::var("SMT_JOBS").ok();
-        let parallelism = parse_jobs(jobs.as_deref())?;
-        Ok(Campaign {
+        Ok(Campaign::with_jobs(params, parse_jobs(jobs.as_deref())?))
+    }
+
+    /// Build a campaign whose worker budget is `jobs` (at least 1), as if
+    /// `SMT_JOBS` were set to it.
+    pub fn with_jobs(params: ExpParams, jobs: usize) -> Campaign {
+        Campaign {
             params,
             cache: Mutex::new(HashMap::new()),
             by_desc: Mutex::new(HashMap::new()),
             disk: None,
-            parallelism,
+            parallelism: jobs.max(1),
             failures: Mutex::new(Vec::new()),
             sanitize: false,
             skip: true,
@@ -493,9 +504,10 @@ impl Campaign {
             live: false,
             heartbeat: Mutex::new(None),
             fragments: None,
+            declined: Once::new(),
             pool_width: AtomicUsize::new(1),
             batch: Mutex::new(None),
-        })
+        }
     }
 
     /// A campaign whose memo persists under `dir` across processes.
@@ -533,20 +545,16 @@ impl Campaign {
     }
 
     /// Enable time-axis parallel fragment replay (`--fragments <cycles>`):
-    /// a simulation whose share of the cores holds its scout and at least
-    /// two replay workers ([`replay_workers`]) first runs a cheap
-    /// null-observer scout pass that snapshots the machine every `cycles`
-    /// cycles, then re-simulates the fragments concurrently with the real
-    /// observer configuration and stitches the results — bit-identical to
-    /// a sequential run (the engine proves it per run). Any other run
-    /// simulates sequentially. `0` disables.
+    /// a simulation whose share of the cores is 3 or more
+    /// ([`replay_workers`]) runs a cheap null-observer scout pass that
+    /// snapshots the machine every `cycles` cycles while that many
+    /// workers re-simulate the fragments with the real observer
+    /// configuration, and stitches the results — bit-identical to a
+    /// sequential run (the engine proves it per run). Any other run
+    /// simulates sequentially, and the first such run prints one notice
+    /// on stderr. `0` disables.
     pub fn set_fragments(&mut self, cycles: u64) {
         self.fragments = (cycles > 0).then_some(cycles);
-    }
-
-    /// The worker budget: `SMT_JOBS`, or the detected core count.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// The `(jobs, fragment_cycles)` plan for a run starting now, or
@@ -554,10 +562,21 @@ impl Campaign {
     /// running batch's pool width. Fragment workers only use cores the
     /// batch pool leaves idle: a full-width prefetch already keeps the
     /// machine busy with run-level parallelism, and oversubscribing it
-    /// would slow both passes down.
+    /// would slow both passes down. The first run that `--fragments`
+    /// cannot replay says so on stderr, once per campaign.
     fn fragment_plan(&self) -> Option<(usize, u64)> {
         let cycles = self.fragments?;
-        let jobs = replay_workers(self.parallelism, self.pool_width.load(Ordering::Relaxed))?;
+        let width = self.pool_width.load(Ordering::Relaxed).max(1);
+        let Some(jobs) = replay_workers(self.parallelism, width) else {
+            self.declined.call_once(|| {
+                eprintln!(
+                    "--fragments: replay cannot engage at this width: {} worker(s) over {width} concurrent run(s) leave each run {} core(s), where replay needs 3; such runs simulate sequentially",
+                    self.parallelism,
+                    self.parallelism / width
+                );
+            });
+            return None;
+        };
         Some((jobs, cycles))
     }
 
@@ -601,6 +620,12 @@ impl Campaign {
             self.telemetry.sim_runs.load(Ordering::Relaxed),
             self.telemetry.coalesced.load(Ordering::Relaxed),
         )
+    }
+
+    /// How many simulations so far ran by fragment replay (`--fragments`
+    /// and a run share of 3 or more cores; see [`replay_workers`]).
+    pub fn replayed_runs(&self) -> u64 {
+        self.telemetry.replayed.load(Ordering::Relaxed)
     }
 
     /// Record one completed run in the telemetry counters, the heartbeat
@@ -707,7 +732,7 @@ impl Campaign {
     /// It picks one of two execution modes:
     ///
     /// * **fragment replay** when [`Campaign::fragment_plan`] finds the
-    ///   run's core share holds its scout and two replay workers: a
+    ///   run's share of the cores is 3 or more: a
     ///   null-observer scout pass snapshots the machine every
     ///   `fragment_cycles` cycles while a pool of workers re-simulates the
     ///   fragments with the real observers, and the stitched output is
@@ -747,6 +772,7 @@ impl Campaign {
                         &opts,
                         &factory,
                     )?;
+                    self.telemetry.replayed.fetch_add(1, Ordering::Relaxed);
                     let account = RunAccount {
                         result: report.result,
                         skipped: report.scout_skipped,
@@ -1675,18 +1701,18 @@ mod tests {
     }
 
     #[test]
-    fn fragment_replay_budgets_the_scouts_core() {
+    fn fragment_replay_needs_a_share_of_three_cores() {
         // (parallelism, pool width) → replay workers. A run's share is
-        // parallelism / width; the scout takes one core of it, and replay
-        // engages only when two or more are left.
+        // parallelism / width; replay engages only from a share of 3, and
+        // then its workers take the whole share.
         let table = [
             ((1, 1), None),
             ((2, 1), None),
             ((6, 3), None),
-            ((3, 1), Some(2)),
-            ((4, 1), Some(3)),
-            ((8, 2), Some(3)),
-            ((9, 3), Some(2)),
+            ((3, 1), Some(3)),
+            ((4, 1), Some(4)),
+            ((8, 2), Some(4)),
+            ((9, 3), Some(3)),
         ];
         for ((parallelism, width), want) in table {
             assert_eq!(

@@ -387,20 +387,30 @@ fn campaign_fragmented_results_match_sequential_campaign() {
     use smt_experiments::runner::{Campaign, ExpParams, RunKey};
     use smt_experiments::Arch;
 
+    // A lone run, or a series batch of one, has the whole worker budget
+    // as its share: three workers replay it, two run it sequentially.
+    // Either way its result and its interval series must match a
+    // sequential campaign's, and the replay count says which path ran,
+    // whatever the host's core count.
     let params = ExpParams::quick();
     let wl = workload(2, WorkloadClass::Mem);
     let key = RunKey::workload(Arch::Baseline, &wl, PolicyKind::DWarn);
+    let digests = |c: &Campaign| {
+        let series = c.series(std::slice::from_ref(&key));
+        (c.result(&key).digest(), series[0].digest())
+    };
 
-    let plain = Campaign::new(params);
-    let want = plain.result(&key).digest();
-
-    let mut frag = Campaign::new(params);
-    frag.set_fragments(2_000);
-    let got = frag.result(&key).digest();
-    assert_eq!(
-        got, want,
-        "campaign-level fragmented run diverged from sequential"
-    );
+    let want = digests(&Campaign::with_jobs(params, 1));
+    for (jobs, replayed) in [(3, 2), (2, 0)] {
+        let mut frag = Campaign::with_jobs(params, jobs);
+        frag.set_fragments(2_000);
+        assert_eq!(
+            digests(&frag),
+            want,
+            "{jobs} workers: fragmented campaign diverged from sequential"
+        );
+        assert_eq!(frag.replayed_runs(), replayed, "{jobs} workers");
+    }
 }
 
 /// Every file under `dir` whose name ends in one of `suffixes`, keyed by
@@ -472,18 +482,16 @@ fn fragments_field(record: &str) -> &str {
         .expect("stats record has a fragments field")
 }
 
-/// The stderr line a `--fragments` run prints when no run can replay.
+/// The stderr line a `--fragments` campaign prints, once, when a run
+/// cannot replay.
 const NO_REPLAY: &str = "--fragments: replay cannot engage at this width";
 
 #[test]
 fn cli_fragmented_compare_replays_and_matches_sequential_output() {
     // `compare` runs a three-run batch. Nine workers leave three cores per
-    // run, the scout's and two replay workers', so fragment replay must
-    // engage whatever the host's core count — unlike the in-process test
-    // above, which runs sequentially when the host has too few cores. Six
-    // workers leave two cores per run, one replay worker beside the
-    // scout, so those runs simulate sequentially. Two workers in all can
-    // never replay, and the CLI says so once on stderr.
+    // run, so fragment replay must engage whatever the host's core count.
+    // Six workers leave two cores per run and two leave one, so those runs
+    // simulate sequentially, and the CLI says so once on stderr.
     let seq = cli_compare("seq", "1", false);
     assert!(!seq.series.is_empty(), "no interval files written");
     assert!(!seq.stats.is_empty(), "no stats records written");
@@ -498,7 +506,7 @@ fn cli_fragmented_compare_replays_and_matches_sequential_output() {
             .collect()
     };
     // (workers, replays, stderr notices)
-    for (jobs, replays, notices) in [("9", true, 0), ("6", false, 0), ("2", false, 1)] {
+    for (jobs, replays, notices) in [("9", true, 0), ("6", false, 1), ("2", false, 1)] {
         let run = cli_compare(&format!("frag{jobs}"), jobs, true);
         let tag = format!("SMT_JOBS={jobs}");
         assert_eq!(run.stdout, seq.stdout, "{tag}: stdout differs");
