@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::Instant;
 
 use dwarn_core::PolicyKind;
@@ -31,6 +31,7 @@ use smt_pipeline::{
     ConfigError, FetchPolicy, FragmentOpts, NullProbe, NullSanitizer, Probe, RecordingSanitizer,
     Sanitizer, SimConfig, SimError, SimResult, Simulator, ThreadSpec, Watchdog,
 };
+use smt_trace::StaticProgram;
 use smt_workloads::Workload;
 
 use crate::artifacts::RunRecord;
@@ -312,6 +313,12 @@ pub struct Campaign {
     /// Progress of the current prefetch batch, for runs/sec and ETA:
     /// `(batch_total, started, completed_before_batch)`.
     batch: Mutex<Option<(usize, Instant, u64)>>,
+    /// The static program of every `(profile, seed)` this campaign has
+    /// simulated, held for its lifetime as it holds every result. The
+    /// process-wide memo ([`StaticProgram::shared`]) keeps only weak
+    /// references, so without these a program would be generated again
+    /// whenever the worker pool moved on to another workload.
+    programs: Mutex<Vec<Arc<StaticProgram>>>,
 }
 
 /// Destination and window length for interval telemetry
@@ -507,6 +514,7 @@ impl Campaign {
             declined: Once::new(),
             pool_width: AtomicUsize::new(1),
             batch: Mutex::new(None),
+            programs: Mutex::new(Vec::new()),
         }
     }
 
@@ -815,7 +823,7 @@ impl Campaign {
 
     /// The one place a campaign builds a simulator: sequential, fragment
     /// scout and replay worker alike, each with a fresh policy from
-    /// `build`.
+    /// `build`. It pins the run's programs to the campaign.
     fn build<P: Probe, S: Sanitizer>(
         &self,
         run: &Run<'_>,
@@ -826,6 +834,13 @@ impl Campaign {
         let mut sim =
             Simulator::try_with_specs(run.cfg.clone(), build(), run.specs, probe, sanitizer)?;
         sim.set_skip_enabled(self.skip);
+        let mut pinned = crate::lock_unpoisoned(&self.programs);
+        for spec in run.specs {
+            let program = StaticProgram::shared(&spec.profile, spec.seed);
+            if !pinned.iter().any(|p| Arc::ptr_eq(p, &program)) {
+                pinned.push(program);
+            }
+        }
         Ok(sim)
     }
 
@@ -1698,6 +1713,42 @@ mod tests {
         );
         assert_eq!(builds.load(Ordering::Relaxed), 0);
         assert_eq!(r.digest(), c.result(&key).digest());
+    }
+
+    #[test]
+    fn a_campaign_pins_one_program_per_benchmark_until_dropped() {
+        // A seed of this test's own: the program memo is process-wide, and
+        // another test's run at the same seed would hold the programs too.
+        const SEED: u64 = 0x8_3E3;
+        let mut specs = workload(8, WorkloadClass::Mem).thread_specs();
+        for spec in &mut specs {
+            spec.seed = SEED;
+        }
+        let c = Campaign::with_jobs(
+            ExpParams {
+                warmup: 200,
+                measure: 800,
+            },
+            1,
+        );
+        c.try_run_custom(&SimConfig::baseline(), &specs, "ICOUNT", || {
+            PolicyKind::Icount.build()
+        })
+        .unwrap();
+        let pinned: Vec<_> = crate::lock_unpoisoned(&c.programs)
+            .iter()
+            .map(Arc::downgrade)
+            .collect();
+        assert_eq!(pinned.len(), 4, "8 threads, 4 benchmarks");
+        for name in ["mcf", "twolf", "vpr", "parser"] {
+            let program = StaticProgram::shared(&smt_trace::by_name(name).unwrap(), SEED);
+            assert!(
+                pinned.iter().any(|w| w.as_ptr() == Arc::as_ptr(&program)),
+                "{name} is pinned"
+            );
+        }
+        drop(c);
+        assert!(pinned.iter().all(|w| w.upgrade().is_none()));
     }
 
     #[test]

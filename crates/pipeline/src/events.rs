@@ -13,6 +13,12 @@
 //! once per drain; correctness never depends on the horizon, only
 //! performance does.
 //!
+//! A bucket is a head/tail-linked list through one node array shared by
+//! all of them. Draining a bucket splices its nodes onto a free list that
+//! the next pushes reuse, so the array holds as many nodes as the buckets
+//! ever held events at once, not 1,024 per-bucket vectors each at the
+//! capacity of its busiest cycle.
+//!
 //! A bitmap with one bit per bucket marks the buckets that hold events.
 //! Only a few dozen of the 1,024 buckets are occupied at a time, so the
 //! scans that must find them — the quiescence engine's
@@ -70,11 +76,35 @@ impl PartialOrd for Ev {
     }
 }
 
+/// End of a list: no index of the node array, so `nodes.get(NIL)` ends a
+/// walk.
+const NIL: usize = usize::MAX;
+
+/// One queued event and the next node of its list: its bucket's, or the
+/// free list's while unused.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    ev: Ev,
+    next: usize,
+}
+
+/// The events of the list through `nodes` that starts at `head`.
+fn list(nodes: &[Node], head: usize) -> impl Iterator<Item = Ev> + '_ {
+    std::iter::successors(nodes.get(head), |n| nodes.get(n.next)).map(|n| n.ev)
+}
+
 /// Fixed-horizon calendar queue with a heap spill-over.
 #[derive(Debug)]
 pub(crate) struct EventWheel {
-    /// One bucket per cycle within the horizon, indexed by `at & mask`.
-    buckets: Vec<Vec<Ev>>,
+    /// One bucket per cycle within the horizon, indexed by `at & mask`:
+    /// the `(head, tail)` nodes of its list, `(NIL, NIL)` when empty.
+    /// Pushes append at the tail, so a list is in push order.
+    buckets: Vec<(usize, usize)>,
+    /// Every bucket's events. A node no bucket holds is on the free list,
+    /// which pushes take from before the array grows.
+    nodes: Vec<Node>,
+    /// Head of the free list, threaded through `Node::next`.
+    free: usize,
     mask: u64,
     /// Bit `i` is set while `buckets[i]` may hold events: filing sets it,
     /// draining the bucket clears it. Derived from `buckets`.
@@ -91,7 +121,9 @@ impl EventWheel {
     pub fn new(horizon: usize) -> EventWheel {
         assert!(horizon.is_power_of_two());
         EventWheel {
-            buckets: (0..horizon).map(|_| Vec::new()).collect(),
+            buckets: vec![(NIL, NIL); horizon],
+            nodes: Vec::new(),
+            free: NIL,
             mask: horizon as u64 - 1,
             occupied: vec![0; horizon.div_ceil(64)],
             overflow: BinaryHeap::new(),
@@ -99,12 +131,36 @@ impl EventWheel {
         }
     }
 
-    /// File `ev` in its bucket, `at & mask`, and flag the bucket.
+    /// Append `ev` to its bucket, `at & mask`, in a free node or a new
+    /// one, and flag the bucket.
     #[inline]
     fn file(&mut self, ev: Ev) {
+        let node = Node { ev, next: NIL };
+        let n = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+            n => {
+                self.free = self.nodes[n].next;
+                self.nodes[n] = node;
+                n
+            }
+        };
         let i = (ev.at & self.mask) as usize;
-        self.buckets[i].push(ev);
+        self.buckets[i] = match self.buckets[i] {
+            (NIL, _) => (n, n),
+            (head, tail) => {
+                self.nodes[tail].next = n;
+                (head, n)
+            }
+        };
         self.occupied[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The events of bucket `i`, in push order.
+    fn bucket(&self, i: usize) -> impl Iterator<Item = Ev> + '_ {
+        list(&self.nodes, self.buckets[i].0)
     }
 
     #[inline]
@@ -138,6 +194,12 @@ impl EventWheel {
     /// future (the cycle loop never schedules same-cycle work).
     pub fn push(&mut self, now: u64, ev: Ev) {
         debug_assert!(ev.at > now, "events must be scheduled in the future");
+        self.place(now, ev);
+    }
+
+    /// Queue `ev`, due at or after `now`: in its bucket within the
+    /// horizon, in the overflow heap beyond it.
+    fn place(&mut self, now: u64, ev: Ev) {
         self.len += 1;
         if ev.at - now < self.buckets.len() as u64 {
             // Within the horizon the target bucket cannot still hold older
@@ -158,7 +220,7 @@ impl EventWheel {
             return false;
         }
         let i = (now & self.mask) as usize;
-        (self.is_occupied(i) && self.buckets[i].iter().any(|e| e.at == now))
+        (self.is_occupied(i) && self.bucket(i).any(|e| e.at == now))
             || self
                 .overflow
                 .peek()
@@ -171,9 +233,14 @@ impl EventWheel {
     pub fn drain_due(&mut self, now: u64, out: &mut Vec<Ev>) {
         out.clear();
         let i = (now & self.mask) as usize;
-        let bucket = &mut self.buckets[i];
-        debug_assert!(bucket.iter().all(|e| e.at == now));
-        out.append(bucket);
+        let (head, tail) = std::mem::replace(&mut self.buckets[i], (NIL, NIL));
+        if head != NIL {
+            out.extend(list(&self.nodes, head));
+            debug_assert!(out.iter().all(|e| e.at == now));
+            // The drained list joins the free list whole.
+            self.nodes[tail].next = self.free;
+            self.free = head;
+        }
         self.occupied[i / 64] &= !(1 << (i % 64));
         while let Some(&Reverse(ev)) = self.overflow.peek() {
             debug_assert!(ev.at >= now, "overflow event missed its cycle");
@@ -225,7 +292,7 @@ impl EventWheel {
                 // slot being probed (filed before `now` advanced past
                 // them), so the stored timestamp — not mere occupancy —
                 // decides.
-                if self.buckets[i].iter().any(|e| e.at == at) {
+                if self.bucket(i).any(|e| e.at == at) {
                     wheel_next = Some(at);
                     break 'scan;
                 }
@@ -253,9 +320,9 @@ impl EventWheel {
         };
         let mut queued = self.overflow.len();
         for i in self.occupied_buckets() {
-            queued += self.buckets[i].len();
-            for ev in &self.buckets[i] {
-                note(ev);
+            for ev in self.bucket(i) {
+                queued += 1;
+                note(&ev);
             }
         }
         // The overflow is a min-heap: its root is the earliest entry.
@@ -277,14 +344,16 @@ impl EventWheel {
     pub fn save_state(&self, out: &mut Vec<u8>) {
         let EventWheel {
             buckets,
+            nodes,
+            free: _,
             mask: _,
             occupied: _,
             overflow,
             len,
         } = self;
         let mut evs: Vec<Ev> = Vec::with_capacity(*len);
-        for bucket in buckets {
-            evs.extend_from_slice(bucket);
+        for &(head, _) in buckets {
+            evs.extend(list(nodes, head));
         }
         evs.extend(overflow.iter().map(|&Reverse(ev)| ev));
         evs.sort_unstable();
@@ -301,25 +370,28 @@ impl EventWheel {
     /// counter. Every event must be due at or after `now` (`INV007`: events
     /// due exactly at `now` are legal between cycles — they drain at the
     /// head of the next step). The horizon is construction-derived and not
-    /// serialized, nor is the occupancy bitmap; placement replicates
-    /// [`EventWheel::push`].
+    /// serialized, nor are the node links or the occupancy bitmap;
+    /// placement is [`EventWheel::push`]'s.
     #[deny(unused_variables)]
     pub fn load_state(&mut self, now: u64, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         const MAX_EVENTS: usize = 1 << 24;
         let EventWheel {
             buckets,
-            mask,
+            nodes,
+            free,
+            mask: _,
             occupied,
             overflow,
             len,
         } = self;
-        *len = r.len_capped(MAX_EVENTS)?;
-        for b in buckets.iter_mut() {
-            b.clear();
-        }
+        let n = r.len_capped(MAX_EVENTS)?;
+        buckets.fill((NIL, NIL));
+        nodes.clear();
+        *free = NIL;
         occupied.fill(0);
         overflow.clear();
-        for _ in 0..*len {
+        *len = 0;
+        for _ in 0..n {
             let mut ev = Ev {
                 at: 0,
                 seq: 0,
@@ -336,13 +408,7 @@ impl EventWheel {
                     ev.seq, ev.at
                 )
             })?;
-            if ev.at - now < buckets.len() as u64 {
-                let i = (ev.at & *mask) as usize;
-                buckets[i].push(ev);
-                occupied[i / 64] |= 1 << (i % 64);
-            } else {
-                overflow.push(Reverse(ev));
-            }
+            self.place(now, ev);
         }
         Ok(())
     }
@@ -530,6 +596,8 @@ mod tests {
     /// replaced, checked at every cycle. Push distances run from 1 to three
     /// horizons, so events wrap their buckets and spill into the overflow
     /// heap; several kinds per `seq` exercise the same-cycle tie-break.
+    /// The node array never outgrows the most events the buckets held at
+    /// once: drained nodes are reused.
     #[test]
     fn matches_a_heap_reference_on_random_schedules() {
         const KINDS: [EvKind; 6] = [
@@ -546,7 +614,7 @@ mod tests {
             let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
             let (mut seq, mut kinds_used) = (0u64, 0u8);
             let mut buf = Vec::new();
-            let mut now = 0u64;
+            let (mut now, mut peak) = (0u64, 0usize);
             for _ in 0..3_000 {
                 // A burst of pushes, sometimes none, then one cycle. The
                 // frontier is checked on both sides of the advance: right
@@ -566,7 +634,9 @@ mod tests {
                     let e = ev(at, seq, kind);
                     wheel.push(now, e);
                     heap.push(Reverse(e));
+                    peak = peak.max(wheel.len() - wheel.overflow.len());
                 }
+                assert!(wheel.nodes.len() <= peak, "seed {seed}, cycle {now}");
                 let next = heap.peek().map(|&Reverse(e)| e.at);
                 assert_eq!(wheel.next_due(now), next, "seed {seed}, cycle {now}");
                 now += 1;

@@ -29,7 +29,7 @@ impl ThreadClass {
 }
 
 /// Statistical model of one benchmark. See module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchProfile {
     /// Benchmark name as in the paper (e.g. "mcf").
     pub name: &'static str,

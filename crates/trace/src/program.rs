@@ -8,6 +8,8 @@
 //! fetch (and execute) down a mispredicted path by synthesizing instructions
 //! from the dictionary at any PC.
 
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 use crate::instr::{ArchReg, CtrlKind, MemPool, OpClass, StaticInst, NUM_ARCH_REGS};
 use crate::profile::BenchProfile;
 use crate::rng::Rng;
@@ -49,6 +51,10 @@ pub struct StaticProgram {
     /// `block_of[i]` = block index containing instruction `i`.
     block_of: Vec<u32>,
 }
+
+/// The programs [`StaticProgram::shared`] has handed out, by profile and
+/// seed. Weak references only: the memo never keeps a program alive.
+static SHARED: Mutex<Vec<(BenchProfile, u64, Weak<StaticProgram>)>> = Mutex::new(Vec::new());
 
 /// Number of parallel FP dependency chains (FP traffic is light in SPECint).
 const FP_CHAINS: u32 = 2;
@@ -418,6 +424,29 @@ impl StaticProgram {
         }
     }
 
+    /// The process-wide program for `(profile, seed)`: the one some holder
+    /// already keeps alive, or else a fresh [`StaticProgram::generate`].
+    /// Profiles match on every field, so a profile that shares a name but
+    /// not a parameter gets a program of its own. Replicated threads and
+    /// concurrent simulators of one benchmark thus share a code image. The
+    /// memo holds no strong reference, so a program is freed with its last
+    /// holder and generated again on the next request; a campaign pins the
+    /// programs it runs.
+    pub fn shared(profile: &BenchProfile, seed: u64) -> Arc<StaticProgram> {
+        // Generation runs under the lock, so a key is generated once however
+        // many threads ask. A generate() panic on an invalid profile poisons
+        // the lock before the memo changes, so the memo is still whole.
+        let mut memo = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        let live = memo.iter().find(|(p, s, _)| *s == seed && p == profile);
+        if let Some(program) = live.and_then(|(_, _, w)| w.upgrade()) {
+            return program;
+        }
+        memo.retain(|(_, _, w)| w.strong_count() > 0);
+        let program = Arc::new(StaticProgram::generate(profile, seed));
+        memo.push((profile.clone(), seed, Arc::downgrade(&program)));
+        program
+    }
+
     /// Total number of static instructions.
     pub fn len(&self) -> usize {
         self.insts.len()
@@ -463,6 +492,7 @@ impl StaticProgram {
 mod tests {
     use super::*;
     use crate::profile::{all_benchmarks, gzip, mcf};
+    use crate::stream::ThreadTrace;
 
     #[test]
     fn generation_is_deterministic() {
@@ -648,6 +678,57 @@ mod tests {
         let bzip2 = StaticProgram::generate(&crate::profile::bzip2(), 1);
         assert!(gcc.code_bytes() > 64 * 1024, "{}", gcc.code_bytes());
         assert!(bzip2.code_bytes() < 16 * 1024, "{}", bzip2.code_bytes());
+    }
+
+    /// gzip under a name of the test's own: the memo is process-wide, and
+    /// another test holding the same program would skew its counts.
+    fn own(name: &'static str) -> BenchProfile {
+        BenchProfile { name, ..gzip() }
+    }
+
+    #[test]
+    fn equal_profiles_and_seeds_share_one_program() {
+        let p = own("memo-share");
+        let a = ThreadTrace::new(&p, 31, 0, 0);
+        let b = ThreadTrace::new(&p, 31, 0x1_0000_0000, 500);
+        assert!(Arc::ptr_eq(a.program(), b.program()));
+        let tweaked = BenchProfile {
+            hard_branch_frac: p.hard_branch_frac + 0.01,
+            ..p.clone()
+        };
+        let c = ThreadTrace::new(&tweaked, 31, 0, 0);
+        assert!(
+            !Arc::ptr_eq(a.program(), c.program()),
+            "a parameter differs"
+        );
+        let d = ThreadTrace::new(&p, 32, 0, 0);
+        assert!(!Arc::ptr_eq(a.program(), d.program()), "the seed differs");
+    }
+
+    #[test]
+    fn the_memo_keeps_no_program_alive() {
+        let p = own("memo-release");
+        let t = ThreadTrace::new(&p, 33, 0, 0);
+        let weak = Arc::downgrade(t.program());
+        drop(t);
+        assert!(weak.upgrade().is_none());
+        let again = StaticProgram::shared(&p, 33);
+        assert_eq!(again.len(), StaticProgram::generate(&p, 33).len());
+    }
+
+    #[test]
+    fn a_generate_panic_does_not_wedge_later_lookups() {
+        let bad = BenchProfile {
+            chains: 0,
+            ..own("memo-invalid")
+        };
+        let panicked = std::panic::catch_unwind(|| ThreadTrace::new(&bad, 34, 0, 0));
+        assert!(panicked.is_err());
+        assert!(SHARED.is_poisoned());
+        let p = own("memo-after-panic");
+        let a = ThreadTrace::new(&p, 34, 0, 0);
+        let b = ThreadTrace::new(&p, 34, 0, 0);
+        assert!(Arc::ptr_eq(a.program(), b.program()));
     }
 
     #[test]

@@ -257,20 +257,14 @@ impl ThreadTrace {
     /// simulated address space (give each context a disjoint base); `skip`
     /// fast-forwards the stream, mirroring the paper's shifting of replicated
     /// benchmarks "by one million instructions".
+    ///
+    /// The static program comes from [`StaticProgram::shared`], so
+    /// replicated benchmarks share their code image, and so do concurrent
+    /// simulators of equal `(profile, seed)`. The memo behind it holds no
+    /// strong reference: the program lives as long as a trace or a
+    /// campaign's pin holds it.
     pub fn new(profile: &BenchProfile, seed: u64, addr_base: u64, skip: u64) -> ThreadTrace {
-        let program = Arc::new(StaticProgram::generate(profile, seed));
-        Self::with_program(program, profile, seed, addr_base, skip)
-    }
-
-    /// As [`ThreadTrace::new`] but sharing an already-generated static
-    /// program (replicated benchmarks share their code image).
-    pub fn with_program(
-        program: Arc<StaticProgram>,
-        profile: &BenchProfile,
-        seed: u64,
-        addr_base: u64,
-        skip: u64,
-    ) -> ThreadTrace {
+        let program = StaticProgram::shared(profile, seed);
         let loop_counts = vec![0; program.len()];
         let mut t = ThreadTrace {
             program,
